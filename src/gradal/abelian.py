@@ -26,9 +26,7 @@ from .errors import (
     GradalError,
     NotAHomomorphismError,
     NotASectionError,
-    NotASubgroupError,
     NotSurjectiveError,
-    NotTorsionfreeError,
     ParentMismatchError,
 )
 from .intmat import (
@@ -61,8 +59,6 @@ __all__ = [
     "torsion_decomposition",
     "find_section",
     "is_in_torsionfree_summand",
-    "total_compare",
-    "extended_compare",
     "identity_hom",
     "zero_hom",
     "add_homs",
@@ -100,10 +96,6 @@ class FgGroup:
     @property
     def is_torsionfree(self):
         return not self.torsion
-
-    @property
-    def is_finite(self):
-        return self.rank == 0
 
     def order(self):
         """Number of elements, or None when infinite."""
@@ -577,43 +569,3 @@ def is_in_torsionfree_summand(g, gens):
             return True
     return False
 
-
-def total_compare(f, a, b):
-    """Lexicographic comparison on a torsionfree group: -1, 0 or 1."""
-    if not f.is_torsionfree:
-        raise NotTorsionfreeError(f"{f} has torsion")
-    if a.group != f or b.group != f:
-        raise ParentMismatchError("elements do not live in the given group")
-    if a.coords == b.coords:
-        return 0
-    return -1 if a.coords < b.coords else 1
-
-
-def extended_compare(g, iota, a, b):
-    """Partial order induced by a torsionfree subgroup iota: f -> g.
-
-    Returns -1, 0, 1 when a - b lies in the subgroup (compared there
-    lexicographically) and None when the difference is outside, i.e. the
-    elements are incomparable.
-    """
-    f = iota.domain
-    if not f.is_torsionfree:
-        raise NotTorsionfreeError(f"{f} has torsion")
-    if iota.codomain != g:
-        raise ParentMismatchError("iota does not land in g")
-    if a.group != g or b.group != g:
-        raise ParentMismatchError("elements do not live in g")
-    k, _ = hom_kernel(iota)
-    if not k.is_trivial:
-        raise NotASubgroupError("iota is not an embedding")
-    d = a - b
-    stacked = [list(row) + [rc[i] for rc in g.relation_columns()]
-               for i, row in enumerate(iota.matrix_rows())]
-    sol = solve_int(stacked, list(d.coords), g.dim,
-                    f.dim + len(g.torsion))
-    if sol is None:
-        return None
-    u = sol[:f.dim]
-    if not any(u):
-        return 0
-    return -1 if tuple(u) < (0,) * f.dim else 1

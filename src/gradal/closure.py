@@ -52,7 +52,6 @@ from .errors import (
     HypothesisViolatedError,
     IncompatibleRingsError,
     NotASectionError,
-    NotHomogeneousError,
     NotSimpleBaseError,
     ZeroElementError,
 )
@@ -61,7 +60,6 @@ from .ringexpr import (
     BaseZ,
     BaseQ,
     CoarseGroupAlgebra,
-    FineGroupAlgebra,
     NormalForm,
     classify,
     coarsen,
@@ -129,66 +127,43 @@ def witness_str(w):
 
 @dataclass(frozen=True)
 class RingInclusion:
-    """An inclusion of graded rings given on exponents and degrees.
+    """A base change of graded rings: Z into Z, Z into Q, or Q into Q.
 
-    e_map and g_map are injective and intertwine the degree maps; the
-    base pair is Z into Z, Z into Q, or Q into Q.
+    Both rings share the exponent group, the grading group and the
+    degree map, so an element keeps its terms on either side.
     """
 
     src: NormalForm
     dst: NormalForm
-    e_map: GroupHom
-    g_map: GroupHom
 
     def cast(self, x):
         if x.parent != self.src:
             raise IncompatibleRingsError("element does not live in the subring")
-        return Element(self.dst,
-                       {self.e_map.apply(f): c for f, c in x.terms.items()})
+        return reparent(x, self.dst)
 
     def member(self, x):
         """Pull x back into the subring, or None when it is not inside."""
         if x.parent != self.dst:
             raise IncompatibleRingsError("element does not live in the big ring")
-        terms = {}
-        for f, c in x.terms.items():
-            pre = solve_in_subgroup(self.e_map, f)
-            if pre is None:
-                return None
-            if self.src.base == "Z" and isinstance(c, Rational):
-                if c.denominator != 1:
-                    return None
-                c = int(c)
-            terms[pre] = c
-        return Element(self.src, terms)
+        if self.src.base == "Z" and any(
+                isinstance(c, Rational) and c.denominator != 1
+                for c in x.terms.values()):
+            return None
+        return reparent(x, self.src)
 
 
-def inclusion_for(r, s, e_map=None, g_map=None):
-    """Derive the inclusion r into s, or validate the supplied maps."""
+def inclusion_for(r, s):
+    """The base-change inclusion r into s."""
     if (r.base, s.base) not in (("Z", "Z"), ("Z", "Q"), ("Q", "Q")):
         raise IncompatibleRingsError(f"base {r.base} does not embed in {s.base}")
     if r.fraction or s.fraction:
         raise IncompatibleRingsError(
             "witness searches run on the underlying rings, not fraction forms")
-    if e_map is None and g_map is None:
-        if r.egroup != s.egroup or r.ggroup != s.ggroup or r.delta != s.delta:
-            raise IncompatibleRingsError(
-                "rings differ beyond the base; pass explicit inclusion maps")
-        return RingInclusion(r, s, identity_hom(r.egroup),
-                             identity_hom(r.ggroup))
-    if e_map is None or g_map is None:
-        raise IncompatibleRingsError("pass both inclusion maps or neither")
-    if e_map.domain != r.egroup or e_map.codomain != s.egroup:
-        raise IncompatibleRingsError("e_map endpoints are wrong")
-    if g_map.domain != r.ggroup or g_map.codomain != s.ggroup:
-        raise IncompatibleRingsError("g_map endpoints are wrong")
-    ke, _ = hom_kernel(e_map)
-    kg, _ = hom_kernel(g_map)
-    if not ke.is_trivial or not kg.is_trivial:
-        raise IncompatibleRingsError("inclusion maps must be injective")
-    if not hom_equal(compose(s.delta, e_map), compose(g_map, r.delta)):
-        raise IncompatibleRingsError("inclusion does not respect degrees")
-    return RingInclusion(r, s, e_map, g_map)
+    if r.egroup != s.egroup or r.ggroup != s.ggroup or r.delta != s.delta:
+        raise IncompatibleRingsError(
+            "rings differ beyond the base: exponent group, grading group "
+            "and degree map must agree")
+    return RingInclusion(r, s)
 
 
 def _sorted_terms(x):
@@ -217,7 +192,7 @@ def _solve_linear(base, rows, rhs, ncols):
     return solve_rational([list(r) for r in rows], rhs, ncols)
 
 
-def _monic_solution(incl, factors, n, box, degree):
+def _monic_solution(r, factors, n, box, degree):
     """Coefficients a_1..a_n with factors[n] + sum a_i factors[n-i] = 0.
 
     factors[j] plays the role of x^j; for fractions the caller passes the
@@ -225,7 +200,6 @@ def _monic_solution(incl, factors, n, box, degree):
     are ordered by (i, exponent), rows by first appearance in canonical
     order, which makes the returned witness deterministic.
     """
-    r = incl.src
     variables = []
     columns = []
     row_index = {}
@@ -240,14 +214,10 @@ def _monic_solution(incl, factors, n, box, degree):
     for f, c in _sorted_terms(factors[n]):
         rows_rhs[row_of(f)] -= Rational(c)
     for i in range(1, n + 1):
-        target = solve_in_subgroup(incl.g_map, i * degree)
-        if target is None:
-            continue
-        for f in _candidate_exponents(r, target, box):
+        for f in _candidate_exponents(r, i * degree, box):
             col = {}
-            shift = incl.e_map.apply(f)
             for s, c in _sorted_terms(factors[n - i]):
-                idx = row_of(shift + s)
+                idx = row_of(f + s)
                 col[idx] = col.get(idx, Rational(0)) + Rational(c)
             variables.append((i, f))
             columns.append(col)
@@ -267,9 +237,9 @@ def _monic_solution(incl, factors, n, box, degree):
     return tuple(coeffs)
 
 
-def verify_integral_witness(r, s, x, w, e_map=None, g_map=None):
+def verify_integral_witness(r, s, x, w):
     """Exact check of a monic witness: equation, membership, degrees."""
-    incl = inclusion_for(r, s, e_map, g_map)
+    incl = inclusion_for(r, s)
     if not isinstance(w, IntegralityWitness) or w.degree < 1:
         return False
     if len(w.coeffs) != w.degree:
@@ -284,7 +254,7 @@ def verify_integral_witness(r, s, x, w, e_map=None, g_map=None):
                 continue
             if not is_homogeneous(a):
                 return False
-            if incl.g_map.apply(degree_of(a)) != i * g:
+            if degree_of(a) != i * g:
                 return False
     acc = x ** w.degree
     for i, a in enumerate(w.coeffs, start=1):
@@ -292,10 +262,9 @@ def verify_integral_witness(r, s, x, w, e_map=None, g_map=None):
     return acc.is_zero
 
 
-def find_integral_equation(r, s, x, max_deg=3, support_box=3,
-                           e_map=None, g_map=None):
+def find_integral_equation(r, s, x, max_deg=3, support_box=3):
     """Lowest-degree monic witness for x over r, searched within bounds."""
-    incl = inclusion_for(r, s, e_map, g_map)
+    inclusion_for(r, s)
     if x.parent != s:
         raise IncompatibleRingsError("x must live in the big ring")
     if x.is_zero:
@@ -305,24 +274,23 @@ def find_integral_equation(r, s, x, max_deg=3, support_box=3,
     for _ in range(max_deg):
         powers.append(powers[-1] * x)
     for n in range(1, max_deg + 1):
-        coeffs = _monic_solution(incl, powers, n, support_box, g)
+        coeffs = _monic_solution(r, powers, n, support_box, g)
         if coeffs is not None:
             w = IntegralityWitness(n, coeffs)
-            if not verify_integral_witness(r, s, x, w, e_map, g_map):
+            if not verify_integral_witness(r, s, x, w):
                 raise GradalError("witness failed its own verification")
             return w
     return NoWitnessUpTo(max_deg=max_deg, box=support_box)
 
 
-def find_almost_integral_witness(r, s, x, k_max=2, support_box=3,
-                                 e_map=None, g_map=None):
+def find_almost_integral_witness(r, s, x, k_max=2, support_box=3):
     """Smallest k with x^(k+1) in the r-span of 1, x, ..., x^k.
 
     The membership system is exactly the monic system at n = k+1 (with
     signs flipped), so this search and find_integral_equation agree at
     aligned bounds: k_max here corresponds to max_deg = k_max + 1 there.
     """
-    incl = inclusion_for(r, s, e_map, g_map)
+    incl = inclusion_for(r, s)
     if x.parent != s:
         raise IncompatibleRingsError("x must live in the big ring")
     if x.is_zero:
@@ -332,7 +300,7 @@ def find_almost_integral_witness(r, s, x, k_max=2, support_box=3,
     for _ in range(k_max + 1):
         powers.append(powers[-1] * x)
     for k in range(k_max + 1):
-        coeffs = _monic_solution(incl, powers, k + 1, support_box, g)
+        coeffs = _monic_solution(r, powers, k + 1, support_box, g)
         if coeffs is not None:
             combination = tuple(-coeffs[k - i] for i in range(k + 1))
             acc = Element.zero(s)
@@ -360,8 +328,7 @@ def _fraction_factors(x, n):
     return [num_pows[j] * den_pows[n - j] for j in range(n + 1)]
 
 
-def find_integral_equation_fraction(r, x, max_deg=3, support_box=3,
-                                    e_map=None, g_map=None):
+def find_integral_equation_fraction(r, x, max_deg=3, support_box=3):
     """Monic witness for a homogeneous fraction x over r.
 
     The linear system is the cleared-denominator form; the returned
@@ -369,13 +336,13 @@ def find_integral_equation_fraction(r, x, max_deg=3, support_box=3,
     the two routes independent.
     """
     s = x.parent
-    incl = inclusion_for(r, s, e_map, g_map)
+    incl = inclusion_for(r, s)
     if x.is_zero:
         raise ZeroElementError("integrality of zero is trivial")
     g = _fraction_degree(x)
     for n in range(1, max_deg + 1):
         factors = _fraction_factors(x, n)
-        coeffs = _monic_solution(incl, factors, n, support_box, g)
+        coeffs = _monic_solution(r, factors, n, support_box, g)
         if coeffs is not None:
             w = IntegralityWitness(n, coeffs)
             acc = x ** n
@@ -387,16 +354,15 @@ def find_integral_equation_fraction(r, x, max_deg=3, support_box=3,
     return NoWitnessUpTo(max_deg=max_deg, box=support_box)
 
 
-def find_almost_integral_witness_fraction(r, x, k_max=2, support_box=3,
-                                          e_map=None, g_map=None):
+def find_almost_integral_witness_fraction(r, x, k_max=2, support_box=3):
     s = x.parent
-    incl = inclusion_for(r, s, e_map, g_map)
+    incl = inclusion_for(r, s)
     if x.is_zero:
         raise ZeroElementError("almost-integrality of zero is trivial")
     g = _fraction_degree(x)
     for k in range(k_max + 1):
         factors = _fraction_factors(x, k + 1)
-        coeffs = _monic_solution(incl, factors, k + 1, support_box, g)
+        coeffs = _monic_solution(r, factors, k + 1, support_box, g)
         if coeffs is not None:
             combination = tuple(-coeffs[k - i] for i in range(k + 1))
             acc = Fraction.from_element(Element.zero(s))

@@ -48,10 +48,7 @@ __all__ = [
     "NotUnit",
     "NonZeroDivisor",
     "ZeroDivisor",
-    "UnknownUpTo",
     "P70Report",
-    "ring_arith",
-    "fraction_arith",
     "homogeneous_components",
     "degree_of",
     "is_homogeneous",
@@ -59,7 +56,6 @@ __all__ = [
     "nzd_test",
     "lemma_p70_check",
     "reparent",
-    "coeff_str",
 ]
 
 
@@ -71,10 +67,6 @@ def _coerce(base, c):
             raise GradalError(f"coefficient {c} is not an integer")
         return int(c)
     return int(c)
-
-
-def coeff_str(c):
-    return str(c)
 
 
 def _term_str(c, f):
@@ -198,17 +190,6 @@ class Element:
         return f"<{self} in {self.parent.describe()}>"
 
 
-def ring_arith(op, x, y=None):
-    """Dispatcher named after the operation: add, neg or mul."""
-    if op == "add":
-        return x + y
-    if op == "neg":
-        return -x
-    if op == "mul":
-        return x * y
-    raise GradalError(f"unknown ring operation {op!r}")
-
-
 def homogeneous_components(x):
     """Decomposition by degree, as an ordered {degree: part} dict."""
     buckets = {}
@@ -264,11 +245,6 @@ class ZeroDivisor:
     annihilator: object
 
 
-@dataclass(frozen=True)
-class UnknownUpTo:
-    box: int
-
-
 def _kernel_coordinates(x, sub, iota):
     """Rewrite support exponents of x as elements of the subgroup."""
     coords = {}
@@ -306,9 +282,9 @@ def _mult_matrix(t_grp, coeffs, t_elems, index):
     return m
 
 
-def nzd_test(x, box=3):
-    """Decide whether x is a non zero divisor.  Exact: the box argument
-    is kept for interface stability but the decision never truncates.
+def nzd_test(x):
+    """Decide whether x is a non zero divisor.  Exact: the decision
+    never truncates.
 
     Torsionfree support-difference group: non zero divisor, by splitting
     any candidate annihilator along cosets and using that the group
@@ -352,9 +328,8 @@ def nzd_test(x, box=3):
     raise GradalError("annihilator construction failed verification")
 
 
-def homogeneous_unit_test(x, box=3):
-    """Decide invertibility of a homogeneous element.  Exact; the box
-    argument is kept for interface stability only.
+def homogeneous_unit_test(x):
+    """Decide invertibility of a homogeneous element.  Exact.
 
     The element is translated into base[K], K the kernel of the degree
     map.  Torsionfree K: units are single terms with invertible
@@ -515,16 +490,6 @@ def _cancel(num, den):
             num = Element(num.parent, {f: c // g for f, c in num.terms.items()})
             den = Element(den.parent, {f: c // g for f, c in den.terms.items()})
     return num, den
-
-
-def fraction_arith(op, a, b=None):
-    if op == "add":
-        return a + b
-    if op == "neg":
-        return -a
-    if op == "mul":
-        return a * b
-    raise GradalError(f"unknown fraction operation {op!r}")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,6 @@ class NotSurjectiveError(GradalError):
     """A homomorphism that had to be surjective is not."""
 
 
-class NotTorsionfreeError(GradalError):
-    """A group that had to be torsionfree has torsion."""
-
-
 class NotEntireError(GradalError):
     """The ring has homogeneous zero divisors, so the construction is undefined."""
 

@@ -33,7 +33,6 @@ from .abelian import (
 from .closure import (
     IntegralityWitness,
     components_integral_check,
-    find_almost_integral_witness,
     find_integral_equation,
     find_integral_equation_fraction,
     graded_euclidean_division,
@@ -483,16 +482,14 @@ def _summand_kernel_instance(rng):
     return g, proj, [kgen]
 
 
-def _check_a101(trial, seed, bounds):
-    rng = Rng(seed ^ 0xA101)
-    if trial % 2 == 1:
-        return _torsion_components_trial(_A90_ORDERS[(trial // 2)
-                                                     % len(_A90_ORDERS)],
-                                         bounds)
+def _summand_kernel_trial(rng, bounds, reason):
+    """Components check over a kernel inside a torsionfree summand.
+
+    reason is the failure text when the summand criterion rejects it.
+    """
     g, psi, kgens = _summand_kernel_instance(rng)
     if not is_in_torsionfree_summand(g, kgens):
-        return "fail", _payload(group=str(g),
-                                reason="kernel escaped a torsionfree summand")
+        return "fail", _payload(group=str(g), reason=reason)
     r, s = _zq_pair(g)
     x = _integral_sample(rng, r, s, psi)
     rep = components_integral_check(r, psi, x, bounds["max_deg"],
@@ -501,6 +498,16 @@ def _check_a101(trial, seed, bounds):
     if verdict == "fail":
         payload.update(_payload(ring=r.describe(), x=x))
     return verdict, payload
+
+
+def _check_a101(trial, seed, bounds):
+    rng = Rng(seed ^ 0xA101)
+    if trial % 2 == 1:
+        return _torsion_components_trial(_A90_ORDERS[(trial // 2)
+                                                     % len(_A90_ORDERS)],
+                                         bounds)
+    return _summand_kernel_trial(rng, bounds,
+                                 "kernel escaped a torsionfree summand")
 
 
 def _check_a120(trial, seed, bounds):
@@ -514,18 +521,7 @@ def _check_a120(trial, seed, bounds):
                                     reason="torsion subgroup in a "
                                            "torsionfree summand")
         return _torsion_components_trial(n, bounds)
-    g, psi, kgens = _summand_kernel_instance(rng)
-    if not is_in_torsionfree_summand(g, kgens):
-        return "fail", _payload(group=str(g),
-                                reason="free kernel not in a summand")
-    r, s = _zq_pair(g)
-    x = _integral_sample(rng, r, s, psi)
-    rep = components_integral_check(r, psi, x, bounds["max_deg"],
-                                    bounds["box"])
-    verdict, payload = _components_verdict(rep, expect_only_coarse=False)
-    if verdict == "fail":
-        payload.update(_payload(ring=r.describe(), x=x))
-    return verdict, payload
+    return _summand_kernel_trial(rng, bounds, "free kernel not in a summand")
 
 
 def _check_a140(trial, seed, bounds):

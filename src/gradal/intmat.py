@@ -25,10 +25,6 @@ def zeros(m, n):
     return [[0] * n for _ in range(m)]
 
 
-def mat_copy(a):
-    return [row[:] for row in a]
-
-
 def mat_mul(a, b, cols_b=None):
     """a @ b.  cols_b is required when b has no rows."""
     m = len(a)
@@ -52,18 +48,6 @@ def mat_mul(a, b, cols_b=None):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def transpose(a, ncols=None):
-    m = len(a)
-    n = len(a[0]) if m else ncols
-    if n is None:
-        raise ValueError("cannot infer column count of empty matrix")
-    return [[a[i][j] for i in range(m)] for j in range(n)]
 
 
 def _pivot_position(d, m, n, start):
@@ -255,91 +239,74 @@ def kernel_int(a, m=None, n=None):
     return basis
 
 
+def _rref(rows, ncols):
+    """Reduced echelon form over the first ncols columns, in place.
+
+    rows are Fraction lists; columns past ncols (right-hand sides) are
+    carried along but never pivoted on.  Pivot = first nonzero row in
+    column order.  Returns the pivot columns, one per leading row.
+    """
+    m = len(rows)
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+    return piv_cols
+
+
 def inverse_unimodular(u):
     """Exact inverse of an integer matrix with determinant +-1."""
     n = len(u)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(u)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = a[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(row)
-    return out
+    if len(_rref(a, n)) < n or any(x.denominator != 1
+                                   for row in a for x in row[n:]):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row[n:]] for row in a]
 
 
 def solve_rational(a, b, ncols=None):
-    """One rational solution x of a*x = b, or None.  Deterministic."""
-    m = len(a)
+    """One rational solution x of a*x = b, or None.
+
+    Deterministic: free variables are 0, so x is fixed by the pivot
+    columns whatever the elimination order.
+    """
     n = (len(a[0]) if a else 0) if ncols is None else ncols
     rows = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n]:
-            return None
+    piv_cols = _rref(rows, n)
+    if any(row[n] for row in rows[len(piv_cols):]):
+        return None
     x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = rows[i][n]
+    for row, c in zip(rows, piv_cols):
+        x[c] = row[n]
     return x
 
 
 def nullspace_rational(a, ncols=None):
     """Basis of the rational nullspace of a, as Fraction vectors."""
-    m = len(a)
     n = (len(a[0]) if a else 0) if ncols is None else ncols
     rows = [[Fraction(x) for x in row] for row in a]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in piv_cols]
+    piv_cols = _rref(rows, n)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in piv_cols:
+            continue
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for i, c in enumerate(piv_cols):
-            vec[c] = -rows[i][fc]
+        for row, c in zip(rows, piv_cols):
+            vec[c] = -row[fc]
         basis.append(vec)
     return basis

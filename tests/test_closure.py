@@ -179,6 +179,26 @@ def test_integral_vs_almost_aligned():
     for i, ri in enumerate(alm.combination):
         acc = acc + incl.cast(ri) * f ** i
     assert acc == f ** (alm.k + 1)
+    # The fraction searches share the system, so they align the same way.
+    zr = group_algebra(Z, FgGroup(1, ()), "fine")
+    qr = group_algebra(Q, FgGroup(1, ()), "fine")
+    zc = group_algebra(Z, FgGroup(1, ()), "coarse")
+    t, one = e(zr, 1), Element.one(zr)
+    fractions = [(zr, Fraction(t, one)), (zr, Fraction(one, t)),
+                 (zc, Fraction(e(zc, 2) + e(zc, 1, c=3), e(zc, 1))),
+                 (zr, Fraction(e(qr, 2, c=Rational(4, 3)),
+                               e(qr, 1, c=Rational(2, 3)))),
+                 (qr, Fraction(e(qr, 1, c=Rational(1, 2)), e(qr, -1)))]
+    for sub, x in fractions:
+        intg = find_integral_equation_fraction(sub, x, max_deg=2,
+                                               support_box=2)
+        alm = find_almost_integral_witness_fraction(sub, x, k_max=1,
+                                                    support_box=2)
+        assert isinstance(intg, IntegralityWitness)
+        assert isinstance(alm, AlmostIntegralWitness)
+        assert alm.k == intg.degree - 1
+        assert list(alm.combination) == [-c for c in
+                                         reversed(list(intg.coeffs))]
 
 
 def test_almost_no_witness_over_free_group():

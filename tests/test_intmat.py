@@ -1,6 +1,7 @@
 """Integer matrix kernel: normal forms checked against independent oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from gradal.intmat import (
     inverse_unimodular,
     kernel_int,
     mat_vec,
+    nullspace_rational,
     smith_normal_form,
     solve_int,
     solve_rational,
@@ -162,3 +164,54 @@ def test_inverse_unimodular_round_trip():
             winv = inverse_unimodular(w)
             assert mat_mul_plain(w, winv) == identity(len(w))
             assert mat_mul_plain(winv, w) == identity(len(w))
+
+
+@pytest.mark.parametrize("u", [[[1, 1], [1, 1]], [[0, 1], [0, 0]], [[2]],
+                               [[0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]])
+def test_inverse_unimodular_rejects_singular_and_non_unimodular(u):
+    with pytest.raises(ValueError, match="matrix is not unimodular"):
+        inverse_unimodular(u)
+
+
+def rank_by_snf(a):
+    _, d, _ = smith_normal_form(a)
+    return sum(1 for i in range(min(len(a), len(a[0]))) if d[i][i])
+
+
+def test_nullspace_rational_annihilates_with_full_size():
+    rng = random.Random(1729)
+    for _ in range(200):
+        a = random_matrix(rng, max_dim=5, lo=-3, hi=3)
+        n = len(a[0])
+        basis = nullspace_rational(a)
+        assert len(basis) == n - rank_by_snf(a)
+        for vec in basis:
+            assert len(vec) == n
+            assert all(v == 0 for v in mat_vec(a, vec))
+
+
+def test_rational_routines_match_sympy_rref():
+    """Pivot columns and the free-variables-zero solution agree with
+    sympy's reduced row echelon form."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8128)
+    for _ in range(150):
+        a = random_matrix(rng, max_dim=5, lo=-3, hi=3)
+        m, n = len(a), len(a[0])
+        b = [rng.randint(-4, 4) for _ in range(m)]
+        _, pivots = sympy.Matrix(a).rref()
+        basis = nullspace_rational(a)
+        # The last nonzero entry of each basis vector is its free column.
+        free = [max(j for j in range(n) if vec[j]) for vec in basis]
+        assert sorted(set(range(n)) - set(free)) == list(pivots)
+        reduced, aug_pivots = sympy.Matrix([row + [bv] for row, bv
+                                            in zip(a, b)]).rref()
+        x = solve_rational(a, b)
+        if n in aug_pivots:
+            assert x is None
+            continue
+        want = [Fraction(0)] * n
+        for i, c in enumerate(aug_pivots):
+            v = reduced[i, n]
+            want[c] = Fraction(int(v.p), int(v.q))
+        assert x == want
