@@ -56,6 +56,7 @@ __all__ = [
     "hom_image",
     "hom_inverse",
     "solve_in_subgroup",
+    "lift_hom",
     "torsion_decomposition",
     "find_section",
     "is_in_torsionfree_summand",
@@ -380,12 +381,24 @@ def quotient_by(g, gens):
     return q, proj
 
 
+def _from_columns(domain, codomain, cols):
+    """The hom sending the j-th generator of domain to the column cols[j]."""
+    return GroupHom(domain, codomain,
+                    tuple(tuple(col[i] for col in cols)
+                          for i in range(codomain.dim)))
+
+
+def _presentation(h):
+    """Rows of [matrix of h | relation columns of its codomain]."""
+    rels = h.codomain.relation_columns()
+    return [list(row) + [rc[i] for rc in rels]
+            for i, row in enumerate(h.matrix)]
+
+
 def hom_kernel(psi):
     """Kernel of a homomorphism as (k, iota) with iota: k -> domain."""
     a, b = psi.domain, psi.codomain
-    stacked = [list(row) + [rb[i] for rb in b.relation_columns()]
-               for i, row in enumerate(psi.matrix_rows())]
-    ker = kernel_int(stacked, b.dim, a.dim + len(b.torsion))
+    ker = kernel_int(_presentation(psi), b.dim, a.dim + len(b.torsion))
     xparts = [vec[:a.dim] for vec in ker]
     return _subgroup_from_lattice(a, xparts)
 
@@ -405,30 +418,38 @@ def solve_in_subgroup(iota, target):
     g = iota.codomain
     if target.group != g:
         raise ParentMismatchError("target does not live in the codomain")
-    stacked = [list(row) + [rc[i] for rc in g.relation_columns()]
-               for i, row in enumerate(iota.matrix_rows())]
-    sol = solve_int(stacked, list(target.coords), g.dim,
+    sol = solve_int(_presentation(iota), list(target.coords), g.dim,
                     iota.domain.dim + len(g.torsion))
     if sol is None:
         return None
     return iota.domain.element(sol[:iota.domain.dim])
 
 
+def lift_hom(iota, psi):
+    """Some phi with iota . phi = psi, or None when psi leaves the image.
+
+    Solved generator by generator, so the lift is the unique one when
+    iota is injective.  When iota is not injective and the domain of psi
+    has torsion, the chosen preimages may fail to respect that torsion,
+    and GroupHom rejects them with NotAHomomorphismError.
+    """
+    if psi.codomain != iota.codomain:
+        raise ParentMismatchError("psi must land in the codomain of iota")
+    cols = []
+    for gen in psi.domain.generators():
+        x = solve_in_subgroup(iota, psi.apply(gen))
+        if x is None:
+            return None
+        cols.append(x.coords)
+    return _from_columns(psi.domain, iota.domain, cols)
+
+
 def hom_inverse(phi):
     """Inverse of an isomorphism; raises if phi is not one."""
-    a, b = phi.domain, phi.codomain
-    stacked = [list(row) + [rb[i] for rb in b.relation_columns()]
-               for i, row in enumerate(phi.matrix_rows())]
-    cols = []
-    for i in range(b.dim):
-        target = [int(i == r) for r in range(b.dim)]
-        sol = solve_int(stacked, target, b.dim, a.dim + len(b.torsion))
-        if sol is None:
-            raise GradalError("not surjective, no inverse")
-        cols.append(sol[:a.dim])
-    inv = GroupHom(b, a, tuple(tuple(cols[j][i] for j in range(b.dim))
-                               for i in range(a.dim)))
-    if not hom_equal(compose(inv, phi), identity_hom(a)):
+    inv = lift_hom(phi, identity_hom(phi.codomain))
+    if inv is None:
+        raise GradalError("not surjective, no inverse")
+    if not hom_equal(compose(inv, phi), identity_hom(phi.domain)):
         raise GradalError("not injective, no inverse")
     return inv
 
@@ -471,14 +492,8 @@ def direct_sum(a, b):
 def torsion_decomposition(g):
     """(t, iota, rank): the torsion subgroup, its embedding, the free rank."""
     t = FgGroup(0, g.torsion)
-    cols = []
-    for j in range(len(g.torsion)):
-        col = [0] * g.dim
-        col[g.rank + j] = 1
-        cols.append(col)
-    mat = tuple(tuple(cols[j][i] for j in range(len(cols)))
-                for i in range(g.dim))
-    return t, GroupHom(t, g, mat), g.rank
+    cols = [x.coords for x in g.generators()[g.rank:]]
+    return t, _from_columns(t, g, cols), g.rank
 
 
 def find_section(psi):
@@ -491,8 +506,7 @@ def find_section(psi):
     a, b = psi.domain, psi.codomain
     if not psi.is_surjective():
         raise NotSurjectiveError(f"{a} -> {b} is not onto")
-    stacked = [list(row) + [rb[i] for rb in b.relation_columns()]
-               for i, row in enumerate(psi.matrix_rows())]
+    stacked = _presentation(psi)
     ker = kernel_int(stacked, b.dim, a.dim + len(b.torsion))
     kbasis = [vec[:a.dim] for vec in ker]
     nk = len(kbasis)
@@ -517,8 +531,7 @@ def find_section(psi):
             return None
         z = mat_vec(bk, w[:nk]) if nk else [0] * a.dim
         cols.append([x + y for x, y in zip(x0, z)])
-    pi = GroupHom(b, a, tuple(tuple(cols[j][i] for j in range(b.dim))
-                              for i in range(a.dim)))
+    pi = _from_columns(b, a, cols)
     if not hom_equal(compose(psi, pi), identity_hom(b)):
         raise NotASectionError("constructed map fails psi . pi = id")
     return pi

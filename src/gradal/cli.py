@@ -450,7 +450,7 @@ class _Parser:
 
     # scripts
 
-    def script(self, final):
+    def lets(self):
         lets = []
         while self.peek().text == "let":
             self.next()
@@ -461,10 +461,14 @@ class _Parser:
             self.expect("=")
             lets.append((name.text, self.let_value()))
             self.expect(";")
+        return tuple(lets)
+
+    def script(self, final):
+        lets = self.lets()
         node = final(self)
         if not self.at_end():
             self.fail("trailing input")
-        return Script(tuple(lets), node)
+        return Script(lets, node)
 
     def let_value(self):
         t = self.peek()
@@ -501,19 +505,10 @@ def parse_script(text, expect):
 def parse_lets(text):
     """Parse a bindings-only script (for --script files)."""
     p = _Parser(text)
-    lets = []
-    while p.peek().text == "let":
-        p.next()
-        name = p.next()
-        if name.kind != "name":
-            raise DslSyntaxError("expected a name after let",
-                                 name.line, name.col)
-        p.expect("=")
-        lets.append((name.text, p.let_value()))
-        p.expect(";")
+    lets = p.lets()
     if not p.at_end():
         p.fail("script files may only contain let-bindings")
-    return tuple(lets)
+    return lets
 
 
 # --- printing (parse of unparse gives an equal tree) ---
@@ -814,18 +809,18 @@ def _cmd_divide(args, env):
     return [{"u": str(u), "v": str(v)}]
 
 
+def _idempotent_fields(n):
+    """The torsion idempotent record and its five printed fields."""
+    rec = torsion_idempotent(n)
+    return rec, {"n": rec.n, "f": str(rec.f), "c": str(rec.c),
+                 "d": str(rec.d), "witness": witness_str(rec.witness)}
+
+
 def _cmd_idempotent(args, env):
-    rec = torsion_idempotent(args.n)
-    return [{
-        "n": rec.n,
-        "f": str(rec.f),
-        "c": str(rec.c),
-        "d": str(rec.d),
-        "witness": witness_str(rec.witness),
-        "idempotent": rec.f * rec.f == rec.f,
-        "in_integer_ring": False,
-        "witness_verified": True,
-    }]
+    rec, out = _idempotent_fields(args.n)
+    out.update(idempotent=rec.f * rec.f == rec.f, in_integer_ring=False,
+               witness_verified=True)
+    return [out]
 
 
 def _cmd_iso_lem50(args, env):
@@ -859,17 +854,11 @@ def _cmd_check(args, env):
 
 
 def _demo_a90(n):
-    rec = torsion_idempotent(n)
-    return [{
-        "n": n,
-        "f": str(rec.f),
-        "c": str(rec.c),
-        "d": str(rec.d),
-        "witness": witness_str(rec.witness),
-        "witness_verified": True,
-        "conclusion": f"Z[Z/{n}]_[0] is NOT integrally closed "
-                      f"in Q[Z/{n}]_[0]",
-    }]
+    _, out = _idempotent_fields(n)
+    out.update(witness_verified=True,
+               conclusion=f"Z[Z/{n}]_[0] is NOT integrally closed "
+                          f"in Q[Z/{n}]_[0]")
+    return [out]
 
 
 def _demo_a140():

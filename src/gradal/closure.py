@@ -5,9 +5,13 @@ monic equation whose coefficients are homogeneous elements of R with
 degrees pinned to multiples of deg(x); almost-integrality by an explicit
 membership x^(k+1) in the R-span of 1, x, ..., x^k.  Searches are
 bounded (max degree, exponent box) and report NoWitnessUpTo instead of
-claiming non-integrality.  Both searches reduce to the same exact linear
-system, solved rationally over base Q and by Hermite form over base Z,
-so the two notions agree judgment for judgment at aligned bounds.
+claiming non-integrality.  One search core serves elements and
+homogeneous fractions; it solves one exact linear system per degree,
+rationally over base Q and by Hermite form over base Z.  Almost-
+integrality is that monic search at degree k+1, read as a membership,
+so the two notions agree judgment for judgment at aligned bounds.  One
+verification routine checks every witness, for elements and fractions
+alike, before it is returned.
 
 The module also houses the explicit constructions the package exists to
 reproduce: the torsion idempotent that breaks integral closedness, the
@@ -33,7 +37,7 @@ from .abelian import (
     hom_kernel,
     identity_hom,
     kernel_int,
-    solve_in_subgroup,
+    lift_hom,
     subgroup_generated_by,
 )
 from .element import (
@@ -237,8 +241,20 @@ def _monic_solution(r, factors, n, box, degree):
     return tuple(coeffs)
 
 
+def _num_den(x):
+    """(num, den, embed): x = num/den, and embed maps ring elements into
+    the ring x lives in (the identity for an element, whose den is 1)."""
+    if isinstance(x, Fraction):
+        return x.num, x.den, Fraction.from_element
+    return x, Element.one(x.parent), lambda e: e
+
+
 def verify_integral_witness(r, s, x, w):
-    """Exact check of a monic witness: equation, membership, degrees."""
+    """Exact check of a monic witness: equation, membership, degrees.
+
+    x is an element of s or a homogeneous fraction over s; the equation
+    is checked in genuine fraction arithmetic for the latter.
+    """
     incl = inclusion_for(r, s)
     if not isinstance(w, IntegralityWitness) or w.degree < 1:
         return False
@@ -247,8 +263,9 @@ def verify_integral_witness(r, s, x, w):
     for a in w.coeffs:
         if a.parent != r:
             return False
-    if not x.is_zero and is_homogeneous(x):
-        g = degree_of(x)
+    num, den, embed = _num_den(x)
+    if not x.is_zero and is_homogeneous(num):
+        g = degree_of(num) - degree_of(den)
         for i, a in enumerate(w.coeffs, start=1):
             if a.is_zero:
                 continue
@@ -258,74 +275,69 @@ def verify_integral_witness(r, s, x, w):
                 return False
     acc = x ** w.degree
     for i, a in enumerate(w.coeffs, start=1):
-        acc = acc + incl.cast(a) * x ** (w.degree - i)
+        acc = acc + embed(incl.cast(a)) * x ** (w.degree - i)
     return acc.is_zero
 
 
-def find_integral_equation(r, s, x, max_deg=3, support_box=3):
-    """Lowest-degree monic witness for x over r, searched within bounds."""
+def _search(r, s, x, max_deg, box):
+    """Lowest-degree verified monic witness for x over r, or None.
+
+    x is an element of s or a homogeneous fraction over s.  At degree n
+    the factor standing in for x^j is num^j * den^(n-j), so both shapes
+    share one linear system; the witness is then re-verified on x itself.
+    """
     inclusion_for(r, s)
     if x.parent != s:
         raise IncompatibleRingsError("x must live in the big ring")
     if x.is_zero:
         raise ZeroElementError("integrality of zero is trivial; pass nonzero x")
-    g = degree_of(x)
-    powers = [Element.one(s)]
+    num, den, _ = _num_den(x)
+    g = degree_of(num) - degree_of(den)
+    num_pows = [Element.one(s)]
+    den_pows = [Element.one(s)]
     for _ in range(max_deg):
-        powers.append(powers[-1] * x)
+        num_pows.append(num_pows[-1] * num)
+        den_pows.append(den_pows[-1] * den)
     for n in range(1, max_deg + 1):
-        coeffs = _monic_solution(r, powers, n, support_box, g)
+        factors = [num_pows[j] * den_pows[n - j] for j in range(n + 1)]
+        coeffs = _monic_solution(r, factors, n, box, g)
         if coeffs is not None:
             w = IntegralityWitness(n, coeffs)
             if not verify_integral_witness(r, s, x, w):
                 raise GradalError("witness failed its own verification")
             return w
-    return NoWitnessUpTo(max_deg=max_deg, box=support_box)
+    return None
+
+
+def find_integral_equation(r, s, x, max_deg=3, support_box=3):
+    """Lowest-degree monic witness for x over r, searched within bounds."""
+    w = _search(r, s, x, max_deg, support_box)
+    return w or NoWitnessUpTo(max_deg=max_deg, box=support_box)
 
 
 def find_almost_integral_witness(r, s, x, k_max=2, support_box=3):
     """Smallest k with x^(k+1) in the r-span of 1, x, ..., x^k.
 
-    The membership system is exactly the monic system at n = k+1 (with
-    signs flipped), so this search and find_integral_equation agree at
-    aligned bounds: k_max here corresponds to max_deg = k_max + 1 there.
+    x^(k+1) + a_1 x^k + ... + a_(k+1) = 0 says x^(k+1) is the combination
+    -a_(k+1), ..., -a_1 of 1, x, ..., x^k, so this is the monic search at
+    degree k+1, and it agrees with find_integral_equation at max_deg =
+    k_max + 1.  x may also be a homogeneous fraction over s.  The
+    membership is re-checked before the witness is returned.
     """
+    w = _search(r, s, x, k_max + 1, support_box)
+    if w is None:
+        return NoWitnessUpTo(k_max=k_max, box=support_box)
+    k = w.degree - 1
+    combination = tuple(-a for a in reversed(w.coeffs))
+    _, _, embed = _num_den(x)
     incl = inclusion_for(r, s)
-    if x.parent != s:
-        raise IncompatibleRingsError("x must live in the big ring")
-    if x.is_zero:
-        raise ZeroElementError("almost-integrality of zero is trivial")
-    g = degree_of(x)
-    powers = [Element.one(s)]
-    for _ in range(k_max + 1):
-        powers.append(powers[-1] * x)
-    for k in range(k_max + 1):
-        coeffs = _monic_solution(r, powers, k + 1, support_box, g)
-        if coeffs is not None:
-            combination = tuple(-coeffs[k - i] for i in range(k + 1))
-            acc = Element.zero(s)
-            for i, ri in enumerate(combination):
-                acc = acc + incl.cast(ri) * powers[i]
-            if acc != powers[k + 1]:
-                raise GradalError("membership witness failed verification")
-            return AlmostIntegralWitness(k, tuple(powers[:k + 1]), combination)
-    return NoWitnessUpTo(k_max=k_max, box=support_box)
-
-
-def _fraction_degree(x):
-    num_deg = degree_of(x.num)
-    den_deg = degree_of(x.den)
-    return num_deg - den_deg
-
-
-def _fraction_factors(x, n):
-    """Cleared products num^j * den^(n-j) standing in for x^j."""
-    num_pows = [Element.one(x.parent)]
-    den_pows = [Element.one(x.parent)]
-    for _ in range(n):
-        num_pows.append(num_pows[-1] * x.num)
-        den_pows.append(den_pows[-1] * x.den)
-    return [num_pows[j] * den_pows[n - j] for j in range(n + 1)]
+    powers = [x ** i for i in range(k + 2)]
+    acc = embed(Element.zero(s))
+    for ri, p in zip(combination, powers):
+        acc = acc + embed(incl.cast(ri)) * p
+    if acc != powers[k + 1]:
+        raise GradalError("membership witness failed verification")
+    return AlmostIntegralWitness(k, tuple(powers[:k + 1]), combination)
 
 
 def find_integral_equation_fraction(r, x, max_deg=3, support_box=3):
@@ -335,51 +347,18 @@ def find_integral_equation_fraction(r, x, max_deg=3, support_box=3):
     witness is re-verified with genuine fraction arithmetic, which keeps
     the two routes independent.
     """
-    s = x.parent
-    incl = inclusion_for(r, s)
-    if x.is_zero:
-        raise ZeroElementError("integrality of zero is trivial")
-    g = _fraction_degree(x)
-    for n in range(1, max_deg + 1):
-        factors = _fraction_factors(x, n)
-        coeffs = _monic_solution(r, factors, n, support_box, g)
-        if coeffs is not None:
-            w = IntegralityWitness(n, coeffs)
-            acc = x ** n
-            for i, a in enumerate(coeffs, start=1):
-                acc = acc + Fraction.from_element(incl.cast(a)) * x ** (n - i)
-            if not acc.is_zero:
-                raise GradalError("fraction witness failed verification")
-            return w
-    return NoWitnessUpTo(max_deg=max_deg, box=support_box)
+    w = _search(r, x.parent, x, max_deg, support_box)
+    return w or NoWitnessUpTo(max_deg=max_deg, box=support_box)
 
 
 def find_almost_integral_witness_fraction(r, x, k_max=2, support_box=3):
-    s = x.parent
-    incl = inclusion_for(r, s)
-    if x.is_zero:
-        raise ZeroElementError("almost-integrality of zero is trivial")
-    g = _fraction_degree(x)
-    for k in range(k_max + 1):
-        factors = _fraction_factors(x, k + 1)
-        coeffs = _monic_solution(r, factors, k + 1, support_box, g)
-        if coeffs is not None:
-            combination = tuple(-coeffs[k - i] for i in range(k + 1))
-            acc = Fraction.from_element(Element.zero(s))
-            for i, ri in enumerate(combination):
-                acc = acc + Fraction.from_element(incl.cast(ri)) * x ** i
-            if not (acc == x ** (k + 1)):
-                raise GradalError("fraction membership failed verification")
-            powers = [x ** i for i in range(k + 1)]
-            return AlmostIntegralWitness(k, tuple(powers), combination)
-    return NoWitnessUpTo(k_max=k_max, box=support_box)
+    return find_almost_integral_witness(r, x.parent, x, k_max, support_box)
 
 
 @dataclass(frozen=True)
 class ComponentsReport:
     coarse_result: object
     fine_results: tuple
-    outcome: str
 
     @property
     def coarse_found(self):
@@ -389,6 +368,13 @@ class ComponentsReport:
     def fine_found(self):
         return all(isinstance(res, IntegralityWitness)
                    for _, res in self.fine_results)
+
+    @property
+    def outcome(self):
+        """both, only-coarse, only-fine or neither."""
+        return {(True, True): "both", (True, False): "only-coarse",
+                (False, True): "only-fine", (False, False): "neither"}[
+                    (self.coarse_found, self.fine_found)]
 
 
 def components_integral_check(r, psi, x, max_deg=3, support_box=3):
@@ -412,12 +398,7 @@ def components_integral_check(r, psi, x, max_deg=3, support_box=3):
     for deg, part in homogeneous_components(x).items():
         fine.append((deg, find_integral_equation(r, s, part,
                                                  max_deg, support_box)))
-    coarse_found = isinstance(coarse_result, IntegralityWitness)
-    fine_found = all(isinstance(res, IntegralityWitness) for _, res in fine)
-    outcome = {(True, True): "both", (True, False): "only-coarse",
-               (False, True): "only-fine", (False, False): "neither"}[
-                   (coarse_found, fine_found)]
-    return ComponentsReport(coarse_result, tuple(fine), outcome)
+    return ComponentsReport(coarse_result, tuple(fine))
 
 
 @dataclass(frozen=True)
@@ -576,6 +557,12 @@ class RingMap:
         return self.apply(x)
 
 
+def _hom_minus(f, g):
+    """f - g for homs with the same domain and codomain."""
+    neg = tuple(tuple(-v for v in row) for row in g.matrix)
+    return add_homs(f, GroupHom(g.domain, g.codomain, neg))
+
+
 @dataclass(frozen=True)
 class Lem50Pair:
     p: RingMap
@@ -617,10 +604,9 @@ def lem50_iso(r, f_gens, h_gens):
     psi = compose(ds.proj2, phi_inv)
     rho = compose(i_h, psi)
     d_sub, i_d = hom_image(r.delta)
-    for gen in d_sub.generators():
-        if solve_in_subgroup(i_d, rho.apply(i_d.apply(gen))) is None:
-            raise HypothesisViolatedError(
-                "projection onto the complement does not preserve the support")
+    if lift_hom(i_d, compose(rho, i_d)) is None:
+        raise HypothesisViolatedError(
+            "projection onto the complement does not preserve the support")
     # D cap F from the kernel of [i_d | -i_f | relations of G]
     cols = []
     for j in range(d_sub.dim):
@@ -640,37 +626,23 @@ def lem50_iso(r, f_gens, h_gens):
         raise GradalError("intersection with a free group must be free")
     restricted, kappa = restrict_data(r, h_gens)
     # canonical monomials: the unique exponents over a basis of D cap F
-    ycols = []
-    for gen in df.generators():
-        fe = solve_in_subgroup(r.delta, i_df.apply(gen))
-        if fe is None:
-            raise GradalError("support basis escaped the degree image")
-        ycols.append(list(fe.coords))
-    y_map = GroupHom(df, r.egroup,
-                     tuple(tuple(ycols[j][i] for j in range(df.dim))
-                           for i in range(r.egroup.dim)))
+    y_map = lift_hom(r.delta, i_df)
+    if y_map is None:
+        raise GradalError("support basis escaped the degree image")
     ds_t = direct_sum(restricted.egroup, df)
     delta_t = compose(restricted.delta, ds_t.proj1)
     target = NormalForm(r.base, ds_t.group, sh, delta_t, False)
     coarse = NormalForm(r.base, r.egroup, sh, compose(psi, r.delta), False)
     mu_p = add_homs(compose(kappa, ds_t.proj1), compose(y_map, ds_t.proj2))
-    # q on a generator e_f: split off the F-part chi(delta f) of its
-    # degree, divide by its canonical monomial, land in the restriction.
-    qcols = []
-    for gen in r.egroup.generators():
-        gval = r.delta.apply(gen)
-        m = solve_in_subgroup(i_df, i_f.apply(chi.apply(gval)))
-        if m is None:
-            raise GradalError("F-part of a degree escaped the support")
-        rest_exp = gen - y_map.apply(m)
-        w = solve_in_subgroup(kappa, rest_exp)
-        if w is None:
-            raise GradalError("residual exponent escaped the restriction")
-        img = ds_t.inj1.apply(w) + ds_t.inj2.apply(m)
-        qcols.append(list(img.coords))
-    mu_q = GroupHom(r.egroup, ds_t.group,
-                    tuple(tuple(qcols[j][i] for j in range(r.egroup.dim))
-                          for i in range(ds_t.group.dim)))
+    # q on e_f: split off the F-part chi(delta f) of its degree, divide
+    # by its canonical monomial, land in the restriction.
+    m = lift_hom(i_df, compose(i_f, compose(chi, r.delta)))
+    if m is None:
+        raise GradalError("F-part of a degree escaped the support")
+    w = lift_hom(kappa, _hom_minus(identity_hom(r.egroup), compose(y_map, m)))
+    if w is None:
+        raise GradalError("residual exponent escaped the restriction")
+    mu_q = add_homs(compose(ds_t.inj1, w), compose(ds_t.inj2, m))
     if not hom_equal(compose(mu_p, mu_q), identity_hom(r.egroup)):
         raise GradalError("p . q is not the identity on exponents")
     if not hom_equal(compose(mu_q, mu_p), identity_hom(ds_t.group)):
@@ -697,17 +669,9 @@ def j_pi_embedding(r, psi, pi):
     if not hom_equal(compose(psi, pi), identity_hom(psi.codomain)):
         raise NotASectionError("psi . pi is not the identity")
     k, i_k = hom_kernel(psi)
-    theta_cols = []
-    for gen in r.ggroup.generators():
-        t = gen - pi.apply(psi.apply(gen))
-        pre = solve_in_subgroup(i_k, t)
-        if pre is None:
-            raise GradalError("g - pi(psi(g)) escaped the kernel")
-        theta_cols.append(list(pre.coords))
-    theta = GroupHom(r.ggroup, k,
-                     tuple(tuple(theta_cols[j][i]
-                                 for j in range(r.ggroup.dim))
-                           for i in range(k.dim)))
+    theta = lift_hom(i_k, _hom_minus(identity_hom(r.ggroup), compose(pi, psi)))
+    if theta is None:
+        raise GradalError("g - pi(psi(g)) escaped the kernel")
     coarse = coarsen(r, psi)
     ds = direct_sum(r.egroup, k)
     target = group_algebra(coarse, k, "coarse")

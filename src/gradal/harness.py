@@ -22,6 +22,7 @@ from fractions import Fraction as Rational
 from .abelian import (
     FgGroup,
     GroupHom,
+    compose,
     direct_sum,
     find_section,
     hom_equal,
@@ -170,27 +171,23 @@ def _sample_element(rng, nf, max_terms=4, box=2):
     return Element(nf, terms)
 
 
-def _sample_psi_homogeneous(rng, nf, psi, max_terms=3, box=2):
-    """Nonzero element whose support sits in one fiber of psi after delta."""
-    pool = list(nf.egroup.box_elements(box))
+def _sample_homogeneous(rng, nf, degree, max_terms=2):
+    """Nonzero element whose support sits in one fiber of the degree map."""
+    pool = list(nf.egroup.box_elements(2))
     anchor = rng.choice(pool)
-    target = psi.apply(nf.delta.apply(anchor))
-    fiber = [f for f in pool if psi.apply(nf.delta.apply(f)) == target]
+    target = degree.apply(anchor)
+    fiber = [f for f in pool if degree.apply(f) == target]
     terms = {}
     for _ in range(min(rng.randint(1, max_terms), len(fiber))):
         terms[rng.choice(fiber)] = _sample_coeff(rng, nf.base)
     return Element(nf, terms)
 
 
-def _sample_fine_homogeneous(rng, nf, box=2, max_terms=2):
-    pool = list(nf.egroup.box_elements(box))
-    anchor = rng.choice(pool)
-    target = nf.delta.apply(anchor)
-    fiber = [f for f in pool if nf.delta.apply(f) == target]
-    terms = {}
-    for _ in range(min(rng.randint(1, max_terms), len(fiber))):
-        terms[rng.choice(fiber)] = _sample_coeff(rng, nf.base)
-    return Element(nf, terms)
+def _annihilator_pair(nf, t):
+    """x = e_t - 1 and y = sum of e_(i*t) for i below the order of t."""
+    x = Element(nf, {t: 1}) - Element.one(nf)
+    y = Element(nf, {i * t: 1 for i in range(t.elem_order())})
+    return x, y
 
 
 def _sample_group(rng, max_rank=1):
@@ -288,8 +285,9 @@ def _payload(**kv):
 def _check_p70(trial, seed, bounds):
     nf, psi, _ = generate_instance(seed, "entire-torsionfree-kernel")
     rng = Rng(seed ^ 0x70)
-    x = _sample_psi_homogeneous(rng, nf, psi)
-    y = _sample_psi_homogeneous(rng, nf, psi)
+    coarse_degree = compose(psi, nf.delta)
+    x = _sample_homogeneous(rng, nf, coarse_degree, max_terms=3)
+    y = _sample_homogeneous(rng, nf, coarse_degree, max_terms=3)
     prod = x * y
     if is_homogeneous(x) and is_homogeneous(y):
         rep = lemma_p70_check(nf, psi, x, y)
@@ -316,7 +314,7 @@ def _check_p80(trial, seed, bounds):
             c = rng.choice((1, -1, Rational(1, 2)))
         x = Element(nf, {f: c})
     else:
-        x = _sample_psi_homogeneous(rng, nf, psi)
+        x = _sample_homogeneous(rng, nf, rc.delta, max_terms=3)
     fine_unit = (is_homogeneous(x)
                  and isinstance(homogeneous_unit_test(x), Unit))
     coarse_unit = isinstance(homogeneous_unit_test(reparent(x, rc)), Unit)
@@ -339,7 +337,7 @@ def _check_p90(trial, seed, bounds):
                                 coarse_entire=claim)
     if claim:
         for _ in range(2):
-            xc = _sample_fine_homogeneous(rng, rc)
+            xc = _sample_homogeneous(rng, rc, rc.delta)
             if not isinstance(nzd_test(xc), NonZeroDivisor):
                 return "fail", _payload(ring=rc.describe(), x=xc,
                                         reason="zero divisor in entire ring")
@@ -347,10 +345,7 @@ def _check_p90(trial, seed, bounds):
     # exhibit the annihilator pair coming from a torsion kernel degree
     ke, ike = hom_kernel(rc.delta)
     tors = [t for t in ke.torsion_elements() if not t.is_zero]
-    t = ike.apply(tors[0])
-    m = t.elem_order()
-    x = Element(rc, {t: 1}) - Element.one(rc)
-    y = Element(rc, {i * t: 1 for i in range(m)})
+    x, y = _annihilator_pair(rc, ike.apply(tors[0]))
     if (x * y).is_zero and not x.is_zero and not y.is_zero \
             and isinstance(nzd_test(x), ZeroDivisor):
         return "pass", None
@@ -378,14 +373,12 @@ def _check_p100(trial, seed, bounds):
     if not f.is_torsionfree:
         ds = direct_sum(r0.egroup, f)
         t = next(x for x in f.torsion_elements() if not x.is_zero)
-        et = ds.inj2.apply(t)
-        x = Element(coarse, {et: 1}) - Element.one(coarse)
-        y = Element(coarse, {i * et: 1 for i in range(t.elem_order())})
+        x, y = _annihilator_pair(coarse, ds.inj2.apply(t))
         if not (x * y).is_zero or x.is_zero or y.is_zero:
             return "fail", _payload(ring=coarse.describe(), x=x, y=y,
                                     reason="torsion annihilator missing")
     if cc.entire:
-        xc = _sample_fine_homogeneous(rng, coarse)
+        xc = _sample_homogeneous(rng, coarse, coarse.delta)
         if not isinstance(nzd_test(xc), NonZeroDivisor):
             return "fail", _payload(ring=coarse.describe(), x=xc,
                                     reason="zero divisor in entire algebra")
@@ -400,7 +393,7 @@ def _check_a80(trial, seed, bounds):
     rf = group_algebra(r0, f, "fine")
     sf = group_algebra(s0, f, "fine")
     ds_e = direct_sum(s0.egroup, f)
-    s = _sample_fine_homogeneous(rng, s0)
+    s = _sample_homogeneous(rng, s0, s0.delta)
     if rng.randint(0, 1) == 0:
         s = s * Rational(1, 2)
     fel = rng.choice(list(f.box_elements(1)))
@@ -442,7 +435,8 @@ def _check_a90(trial, seed, bounds):
 
 def _integral_sample(rng, r, s, psi):
     """Coarse-homogeneous sample in s, biased toward members of r."""
-    x = reparent(_sample_psi_homogeneous(rng, r, psi), s)
+    x = reparent(_sample_homogeneous(rng, r, compose(psi, r.delta),
+                                     max_terms=3), s)
     if rng.randint(0, 2) == 0:
         return x * Rational(1, 2)
     return x
@@ -628,7 +622,7 @@ def _check_lem50(trial, seed, bounds):
                                 reason="p not multiplicative")
     if pair.p(Element.one(pair.target)) != Element.one(pair.coarse):
         return "fail", _payload(ring=nf.describe(), reason="p not unital")
-    hom = _sample_fine_homogeneous(rng, pair.target)
+    hom = _sample_homogeneous(rng, pair.target, pair.target.delta)
     if degree_of(pair.p(hom)) != degree_of(hom):
         return "fail", _payload(ring=nf.describe(), y=hom,
                                 reason="p moved the complement degree")
@@ -648,11 +642,11 @@ def _check_t4800(trial, seed, bounds):
     r = _t4800_ring(rng)
     psi = GroupHom(r.ggroup, FgGroup(0, ()), ())
     rc = coarsen(r, psi)
-    den = _sample_fine_homogeneous(rng, r, max_terms=1)
+    den = _sample_homogeneous(rng, r, r.delta, max_terms=1)
     if rng.randint(0, 1) == 0:
-        num = _sample_fine_homogeneous(rng, r) * den
+        num = _sample_homogeneous(rng, r, r.delta) * den
     else:
-        num = _sample_fine_homogeneous(rng, r)
+        num = _sample_homogeneous(rng, r, r.delta)
         if rng.randint(0, 1) == 0:
             den = den.scale(2)
     x = Fraction(num, den)

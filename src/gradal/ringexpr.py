@@ -23,8 +23,8 @@ from .abelian import (
     direct_sum,
     hom_image,
     hom_kernel,
+    lift_hom,
     quotient_by,
-    solve_in_subgroup,
     subgroup_generated_by,
     zero_hom,
 )
@@ -194,16 +194,9 @@ def restrict_data(nf, gens):
     q, proj = quotient_by(nf.ggroup, list(gens))
     e2, kappa = hom_kernel(compose(proj, nf.delta))
     f, iota_f = subgroup_generated_by(nf.ggroup, list(gens))
-    cols = []
-    for gen in e2.generators():
-        gval = nf.delta.apply(kappa.apply(gen))
-        x = solve_in_subgroup(iota_f, gval)
-        if x is None:
-            raise NotASubgroupError("degree escaped the subgroup")
-        cols.append(list(x.coords))
-    mat = tuple(tuple(cols[j][i] for j in range(e2.dim))
-                for i in range(f.dim))
-    delta2 = GroupHom(e2, f, mat)
+    delta2 = lift_hom(iota_f, compose(nf.delta, kappa))
+    if delta2 is None:
+        raise NotASubgroupError("degree escaped the subgroup")
     return NormalForm(nf.base, e2, f, delta2, False), kappa
 
 
@@ -283,16 +276,10 @@ def as_expr(nf):
     """Rebuild an expression whose normal form is nf, field for field."""
     base = BaseZ() if nf.base == "Z" else BaseQ()
     expr = FineGroupAlgebra(base, nf.egroup)
-    support, emb = hom_image(nf.delta)
-    cols = []
-    for gen in nf.egroup.generators():
-        x = solve_in_subgroup(emb, nf.delta.apply(gen))
-        if x is None:
-            raise NotASubgroupError("degree map escaped its own image")
-        cols.append(list(x.coords))
-    mat = tuple(tuple(cols[j][i] for j in range(nf.egroup.dim))
-                for i in range(support.dim))
-    onto_support = GroupHom(nf.egroup, support, mat)
+    _, emb = hom_image(nf.delta)
+    onto_support = lift_hom(emb, nf.delta)
+    if onto_support is None:
+        raise NotASubgroupError("degree map escaped its own image")
     expr = Coarsen(expr, onto_support)
     expr = ExtendGrading(expr, emb)
     if nf.fraction:

@@ -1,6 +1,7 @@
 """Finitely generated abelian groups, homs, and subgroup machinery."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from gradal.abelian import (
     hom_kernel,
     identity_hom,
     is_in_torsionfree_summand,
+    lift_hom,
     quotient_by,
     solve_in_subgroup,
     subgroup_generated_by,
@@ -123,6 +125,75 @@ def random_elements(rng, g, k):
             rng.randint(0, d - 1) for d in g.torsion)
         out.append(g.element(coords))
     return out
+
+
+def random_hom(rng, a, b):
+    """A random hom a -> b: free generators go anywhere in a small box,
+    a torsion generator of order d to an element of b killed by d."""
+    cols = []
+    for j in range(a.dim):
+        if j < a.rank:
+            cols.append(random_elements(rng, b, 1)[0].coords)
+        else:
+            d = a.torsion[j - a.rank]
+            cols.append(rng.choice([x for x in b.torsion_elements()
+                                    if (d * x).is_zero]).coords)
+    return GroupHom(a, b, tuple(tuple(c[i] for c in cols)
+                                for i in range(b.dim)))
+
+
+def all_homs(a, b):
+    """Every hom a -> b, for finite b."""
+    for images in product(list(b.elements()), repeat=a.dim):
+        try:
+            yield GroupHom(a, b, tuple(tuple(x.coords[i] for x in images)
+                                       for i in range(b.dim)))
+        except GradalError:
+            continue
+
+
+def test_lift_hom_matches_brute_force():
+    """lift_hom finds a lift exactly when one exists; it is the unique
+    lift when iota is injective.  A non-injective iota is paired with a
+    free domain, where every choice of preimages is a hom."""
+    rng = random.Random(77)
+    finite = [FgGroup(0, (2,)), FgGroup(0, (3,)), FgGroup(0, (4,)),
+              FgGroup(0, (2, 2)), FgGroup(0, (2, 4))]
+    seen = {"none": 0, "injective": 0, "non-injective": 0}
+    for _ in range(120):
+        b = rng.choice(finite)
+        c = rng.choice(finite + [FgGroup(1, (2,)), FgGroup(1, (4,))])
+        iota = random_hom(rng, b, c)
+        injective = iota.is_injective()
+        a = rng.choice([FgGroup(1, ()), FgGroup(2, ())] + (
+            [FgGroup(0, (2,)), FgGroup(0, (4,)), FgGroup(1, (2,))]
+            if injective else []))
+        psi = random_hom(rng, a, c)
+        lifts = [phi for phi in all_homs(a, b)
+                 if hom_equal(compose(iota, phi), psi)]
+        phi = lift_hom(iota, psi)
+        if not lifts:
+            assert phi is None
+            seen["none"] += 1
+            continue
+        assert phi is not None
+        assert hom_equal(compose(iota, phi), psi)
+        if injective:
+            assert len(lifts) == 1 and hom_equal(phi, lifts[0])
+            seen["injective"] += 1
+        else:
+            seen["non-injective"] += 1
+    assert min(seen.values()) > 5, seen
+
+
+def test_lift_hom_free_cases():
+    z = FgGroup(1, ())
+    double = GroupHom(z, z, ((2,),))
+    assert lift_hom(double, GroupHom(z, z, ((3,),))) is None
+    half = lift_hom(double, GroupHom(z, z, ((6,),)))
+    assert half.matrix == ((3,),)
+    with pytest.raises(GradalError):
+        lift_hom(double, identity_hom(FgGroup(0, (2,))))
 
 
 def test_subgroup_membership_round_trip():

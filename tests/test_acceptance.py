@@ -9,9 +9,6 @@ import pathlib
 import random
 import time
 from fractions import Fraction as Rational
-from itertools import product
-
-import pytest
 
 from _oracles import (
     det_bareiss,

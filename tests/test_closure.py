@@ -237,6 +237,41 @@ def test_fraction_non_integral():
     assert isinstance(res, NoWitnessUpTo)
 
 
+def test_verify_fraction_witness():
+    """One verification serves fractions: the degree checks apply too."""
+    zr = group_algebra(Z, FgGroup(1, ()), "fine")
+    zc = group_algebra(Z, FgGroup(1, ()), "coarse")
+    t, one = e(zr, 1), Element.one(zr)
+    for sub, x in ((zr, Fraction(t, one)), (zr, Fraction(one, t)),
+                   (zc, Fraction(e(zc, 2) + e(zc, 1, c=3), e(zc, 1)))):
+        found = find_integral_equation_fraction(sub, x, max_deg=2,
+                                                support_box=2)
+        assert isinstance(found, IntegralityWitness)
+        assert verify_integral_witness(sub, x.parent, x, found)
+    # (x - t)(x - 1) = 0 holds for x = t/1, but a1 = -(t + 1) is not
+    # homogeneous and a2 = t has degree 1, not 2 * deg(x).
+    x = Fraction(t, one)
+    bad = IntegralityWitness(2, (-(t + one), t))
+    assert (x * x - Fraction.from_element(t + one) * x
+            + Fraction.from_element(t)).is_zero
+    assert not verify_integral_witness(zr, zr, x, bad)
+    assert not verify_integral_witness(zr, zr, t, bad)
+
+
+def test_finders_reject_zero():
+    zr = group_algebra(Z, FgGroup(1, ()), "fine")
+    qr = group_algebra(Q, FgGroup(1, ()), "fine")
+    zero_frac = Fraction(Element.zero(zr), Element.one(zr))
+    with pytest.raises(ZeroElementError):
+        find_integral_equation(zr, qr, Element.zero(qr))
+    with pytest.raises(ZeroElementError):
+        find_almost_integral_witness(zr, qr, Element.zero(qr))
+    with pytest.raises(ZeroElementError):
+        find_integral_equation_fraction(zr, zero_frac)
+    with pytest.raises(ZeroElementError):
+        find_almost_integral_witness_fraction(zr, zero_frac)
+
+
 # --- component integrality ---
 
 def make_summand_rings():

@@ -1,0 +1,57 @@
+"""Source hygiene: no module imports a name it never uses.
+
+A stdlib AST scan stands in for a linter.  A name counts as used when it
+is read anywhere in the module or listed in the module's __all__.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCANNED = sorted((ROOT / "src" / "gradal").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py"))
+
+
+def _imported(tree):
+    """(bound name, line) for every import in the module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.append((alias.asname or alias.name.split(".")[0],
+                            node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                out.append((alias.asname or alias.name, node.lineno))
+    return out
+
+
+def _used(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    used = _used(tree)
+    return [(name, line) for name, line in _imported(tree)
+            if name not in used]
+
+
+def test_scanner_flags_unused_and_keeps_exported():
+    src = ("import os\nimport os.path as osp\nfrom math import gcd, lcm\n"
+           "from x import y as z\n__all__ = ['lcm']\nprint(gcd)\n")
+    assert unused_imports(src) == [("os", 1), ("osp", 2), ("z", 4)]
+
+
+def test_no_unused_imports():
+    found = []
+    for path in SCANNED:
+        for name, line in unused_imports(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert not found, "imported but unused:\n" + "\n".join(found)
