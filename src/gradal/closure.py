@@ -36,7 +36,6 @@ from .abelian import (
     hom_inverse,
     hom_kernel,
     identity_hom,
-    kernel_int,
     lift_hom,
     subgroup_generated_by,
 )
@@ -283,8 +282,9 @@ def _search(r, s, x, max_deg, box):
     """Lowest-degree verified monic witness for x over r, or None.
 
     x is an element of s or a homogeneous fraction over s.  At degree n
-    the factor standing in for x^j is num^j * den^(n-j), so both shapes
-    share one linear system; the witness is then re-verified on x itself.
+    the factor standing in for x^j is num^j * den^(n-j) (num^j for an
+    element), so both shapes share one linear system; the witness is
+    then re-verified on x itself.
     """
     inclusion_for(r, s)
     if x.parent != s:
@@ -297,9 +297,12 @@ def _search(r, s, x, max_deg, box):
     den_pows = [Element.one(s)]
     for _ in range(max_deg):
         num_pows.append(num_pows[-1] * num)
-        den_pows.append(den_pows[-1] * den)
+        if isinstance(x, Fraction):
+            den_pows.append(den_pows[-1] * den)
     for n in range(1, max_deg + 1):
-        factors = [num_pows[j] * den_pows[n - j] for j in range(n + 1)]
+        factors = num_pows[:n + 1]
+        if isinstance(x, Fraction):
+            factors = [f * den_pows[n - j] for j, f in enumerate(factors)]
         coeffs = _monic_solution(r, factors, n, box, g)
         if coeffs is not None:
             w = IntegralityWitness(n, coeffs)
@@ -607,21 +610,11 @@ def lem50_iso(r, f_gens, h_gens):
     if lift_hom(i_d, compose(rho, i_d)) is None:
         raise HypothesisViolatedError(
             "projection onto the complement does not preserve the support")
-    # D cap F from the kernel of [i_d | -i_f | relations of G]
-    cols = []
-    for j in range(d_sub.dim):
-        cols.append([i_d.matrix[i][j] for i in range(g.dim)])
-    for j in range(sf.dim):
-        cols.append([-i_f.matrix[i][j] for i in range(g.dim)])
-    rels = g.relation_columns()
-    cols.extend(rels)
-    stacked = [[cols[j][i] for j in range(len(cols))] for i in range(g.dim)]
-    ker = kernel_int(stacked, g.dim, len(cols))
-    df_gens = []
-    for vec in ker:
-        u = d_sub.element(vec[:d_sub.dim])
-        df_gens.append(i_d.apply(u))
-    df, i_df = subgroup_generated_by(g, df_gens)
+    # D cap F: i_d of the kernel of (u, v) -> i_d(u) - i_f(v)
+    ds_df = direct_sum(d_sub, sf)
+    k, i_k = hom_kernel(_hom_minus(compose(i_d, ds_df.proj1),
+                                   compose(i_f, ds_df.proj2)))
+    df, i_df = hom_image(compose(i_d, compose(ds_df.proj1, i_k)))
     if not df.is_torsionfree:
         raise GradalError("intersection with a free group must be free")
     restricted, kappa = restrict_data(r, h_gens)

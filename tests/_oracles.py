@@ -60,6 +60,32 @@ def is_divisibility_chain(diag):
     return True
 
 
+# --- brute-force torsionfree summands ---
+
+def torsionfree_summand_bruteforce(rank, torsion, gens, limit=50_000):
+    """Whether the subgroup generated by gens (coordinate tuples) lies in
+    a torsionfree direct summand of Z^rank x Z/torsion[0] x ..., or None
+    when there are more than limit candidates.
+
+    Such a summand exists exactly when some retraction r of the group
+    onto its torsion subgroup T kills every generator: ker r is then a
+    torsionfree complement of T that contains them, and any torsionfree
+    summand F extends to a complement of T by adding the free part of
+    its own complement.  A retraction is the identity on T, so it is
+    fixed by the images of the free generators, and each of the
+    |T|^rank choices is one; all of them are tried.
+    """
+    t_elems = list(product(*(range(d) for d in torsion)))
+    if len(t_elems) ** rank > limit:
+        return None
+    for images in product(t_elems, repeat=rank):
+        if all((u[rank + j] + sum(u[i] * images[i][j]
+                                  for i in range(rank))) % d == 0
+               for u in gens for j, d in enumerate(torsion)):
+            return True
+    return False
+
+
 # --- brute-force graded entirety ---
 
 def _add_coords(group, a, b):

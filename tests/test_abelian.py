@@ -6,14 +6,17 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import torsionfree_summand_bruteforce
 from gradal.abelian import (
     FgGroup,
     GroupHom,
+    add_homs,
     compose,
     direct_sum,
     find_section,
     hom_equal,
     hom_image,
+    hom_inverse,
     hom_kernel,
     identity_hom,
     is_in_torsionfree_summand,
@@ -24,7 +27,7 @@ from gradal.abelian import (
     torsion_decomposition,
     zero_hom,
 )
-from gradal.errors import GradalError
+from gradal.errors import GradalError, NotAHomomorphismError
 
 SMALL_GROUPS = [
     FgGroup(0, ()),
@@ -154,20 +157,20 @@ def all_homs(a, b):
 
 def test_lift_hom_matches_brute_force():
     """lift_hom finds a lift exactly when one exists; it is the unique
-    lift when iota is injective.  A non-injective iota is paired with a
-    free domain, where every choice of preimages is a hom."""
+    lift when iota is injective.  With a non-injective iota and a torsion
+    domain, some preimages are not a hom and must be corrected."""
     rng = random.Random(77)
     finite = [FgGroup(0, (2,)), FgGroup(0, (3,)), FgGroup(0, (4,)),
               FgGroup(0, (2, 2)), FgGroup(0, (2, 4))]
-    seen = {"none": 0, "injective": 0, "non-injective": 0}
-    for _ in range(120):
+    seen = {"none": 0, "injective": 0, "non-injective": 0,
+            "non-injective, torsion domain": 0}
+    for _ in range(200):
         b = rng.choice(finite)
         c = rng.choice(finite + [FgGroup(1, (2,)), FgGroup(1, (4,))])
         iota = random_hom(rng, b, c)
         injective = iota.is_injective()
-        a = rng.choice([FgGroup(1, ()), FgGroup(2, ())] + (
-            [FgGroup(0, (2,)), FgGroup(0, (4,)), FgGroup(1, (2,))]
-            if injective else []))
+        a = rng.choice([FgGroup(1, ()), FgGroup(2, ()), FgGroup(0, (2,)),
+                        FgGroup(0, (4,)), FgGroup(1, (2,))])
         psi = random_hom(rng, a, c)
         lifts = [phi for phi in all_homs(a, b)
                  if hom_equal(compose(iota, phi), psi)]
@@ -181,6 +184,8 @@ def test_lift_hom_matches_brute_force():
         if injective:
             assert len(lifts) == 1 and hom_equal(phi, lifts[0])
             seen["injective"] += 1
+        elif a.torsion:
+            seen["non-injective, torsion domain"] += 1
         else:
             seen["non-injective"] += 1
     assert min(seen.values()) > 5, seen
@@ -279,7 +284,6 @@ def test_direct_sum_identities():
 
 
 def add_via(ds):
-    from gradal.abelian import add_homs
     return add_homs(compose(ds.inj1, ds.proj1), compose(ds.inj2, ds.proj2))
 
 
@@ -304,6 +308,84 @@ def test_find_section_mixed():
     s = find_section(psi)
     assert s is not None
     assert hom_equal(compose(psi, s), identity_hom(psi.codomain))
+
+
+def test_find_section_matches_brute_force():
+    """find_section returns a section exactly when some hom b -> a is
+    one, every hom b -> a being enumerated."""
+    rng = random.Random(31337)
+    chains = [(2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 6), (3, 6), (4, 4)]
+    seen = {"section": 0, "none": 0}
+    for _ in range(200):
+        a = FgGroup(0, rng.choice(chains))
+        gens = [rng.choice([1, 2, 2, 3]) * x
+                for x in random_elements(rng, a, rng.randint(0, 2))]
+        b, psi = quotient_by(a, gens)
+        exists = any(hom_equal(compose(psi, s), identity_hom(b))
+                     for s in all_homs(b, a))
+        pi = find_section(psi)
+        if not exists:
+            assert pi is None
+            seen["none"] += 1
+            continue
+        assert pi is not None
+        assert hom_equal(compose(psi, pi), identity_hom(b))
+        seen["section"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def random_isomorphism(rng, a, b):
+    """The swap a + b -> b + a after a few elementary automorphisms
+    gen_i -> gen_i + k*gen_j of a + b (each is one when it is a hom:
+    gen_i -> gen_i - k*gen_j undoes it)."""
+    ds, sd = direct_sum(a, b), direct_sum(b, a)
+    phi = add_homs(compose(sd.inj2, ds.proj1), compose(sd.inj1, ds.proj2))
+    n = ds.group.dim
+    for _ in range(4 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[j][i] = rng.randint(-2, 2)
+        try:
+            e = GroupHom(ds.group, ds.group, tuple(map(tuple, rows)))
+        except NotAHomomorphismError:
+            continue
+        phi = compose(phi, e)
+    return phi
+
+
+def test_hom_inverse_round_trip():
+    rng = random.Random(606)
+    for _ in range(60):
+        phi = random_isomorphism(rng, random_group(rng), random_group(rng))
+        inv = hom_inverse(phi)
+        assert hom_equal(compose(inv, phi), identity_hom(phi.domain))
+        assert hom_equal(compose(phi, inv), identity_hom(phi.codomain))
+
+
+def test_hom_inverse_rejects_non_isomorphisms():
+    z, z2 = FgGroup(1, ()), FgGroup(0, (2,))
+    with pytest.raises(GradalError, match="not injective"):
+        hom_inverse(GroupHom(z, z2, ((1,),)))
+    with pytest.raises(GradalError, match="not surjective"):
+        hom_inverse(GroupHom(z, z, ((2,),)))
+    # on finite groups, bijectivity is decided by counting images
+    rng = random.Random(707)
+    chains = [(2,), (4,), (6,), (2, 2), (2, 4)]
+    seen = {"iso": 0, "not": 0}
+    for _ in range(120):
+        a, b = FgGroup(0, rng.choice(chains)), FgGroup(0, rng.choice(chains))
+        phi = random_hom(rng, a, b)
+        images = {phi.apply(x).coords for x in a.elements()}
+        if len(images) == a.order() == b.order():
+            inv = hom_inverse(phi)
+            assert hom_equal(compose(phi, inv), identity_hom(b))
+            seen["iso"] += 1
+            continue
+        with pytest.raises(GradalError) as exc:
+            hom_inverse(phi)
+        assert type(exc.value) is GradalError
+        seen["not"] += 1
+    assert min(seen.values()) > 5, seen
 
 
 def test_torsion_decomposition():
@@ -349,3 +431,30 @@ def test_torsionfree_summand_random_consistency():
             assert sub.is_torsionfree
         if g.is_torsionfree:
             assert flag == True  # noqa: E712
+
+
+def test_torsionfree_summand_matches_bruteforce():
+    rng = random.Random(4242)
+    chains = [(), (2,), (3,), (4,), (6,), (12,), (2, 2), (2, 4), (2, 6),
+              (3, 6), (4, 4), (2, 12), (6, 6), (12, 12)]
+    seen = {True: 0, False: 0, None: 0}
+    for _ in range(400):
+        g = FgGroup(rng.randint(0, 3), rng.choice(chains))
+        gens = random_elements(rng, g, rng.randint(0, 3))
+        expected = torsionfree_summand_bruteforce(
+            g.rank, g.torsion, [x.coords for x in gens])
+        seen[expected] += 1
+        if expected is not None:
+            assert is_in_torsionfree_summand(g, gens) == expected, (g, gens)
+    assert min(seen[True], seen[False]) > 50, seen
+
+
+def test_torsionfree_summand_large_torsion():
+    """Z^2 x Z/12 x Z/12: every case is decided, however many maps the
+    torsion part admits."""
+    g = FgGroup(2, (12, 12))
+    cases = [((1, 0, 0, 0), True), ((1, 0, 1, 0), True),
+             ((12, 0, 1, 0), False)]
+    for coords, expected in cases:
+        assert torsionfree_summand_bruteforce(2, (12, 12), [coords]) == expected
+        assert is_in_torsionfree_summand(g, [g.element(coords)]) == expected

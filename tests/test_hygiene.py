@@ -1,10 +1,14 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and every
+function the bench tracer wraps still exists.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
-is read anywhere in the module or listed in the module's __all__.
+is read anywhere in the module or listed in the module's __all__.  The
+tracer's TRACED table is read from bench/tracer.py with ast as well, so
+the bench package is never imported.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -55,3 +59,25 @@ def test_no_unused_imports():
         for name, line in unused_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "imported but unused:\n" + "\n".join(found)
+
+
+def traced_names():
+    """The (module, qualname) pairs of TRACED in bench/tracer.py."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no TRACED")
+
+
+def test_traced_functions_resolve():
+    missing = []
+    for module, qual in traced_names():
+        owner = importlib.import_module("gradal." + module)
+        for part in qual.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"gradal.{module}.{qual}")
+    assert not missing, "traced but gone:\n" + "\n".join(missing)
