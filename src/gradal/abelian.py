@@ -24,6 +24,7 @@ from math import gcd, lcm
 
 from .errors import (
     GradalError,
+    InternalInvariantError,
     NotAHomomorphismError,
     NotASectionError,
     NotSurjectiveError,
@@ -347,7 +348,7 @@ def _subgroup_from_lattice(g, lattice_cols):
     for rc in rels:
         x = solve_int(bmat, rc, m, s)
         if x is None:
-            raise GradalError("relation escaped its own lattice")
+            raise InternalInvariantError("relation escaped its own lattice")
         rel_in_basis.append(x)
     sub, _, from_n = normalize_presentation(s, rel_in_basis)
     lift = mat_mul(bmat, from_n, cols_b=sub.dim)

@@ -6,7 +6,7 @@ integrality searches, graded division, the torsion idempotent, the
 free-summand isomorphism, and the property-check harness.  Output is
 line-oriented JSON with exact rationals ("p/q"); --pretty switches to
 indented objects.  Exit codes: 0 success, 2 parse or type error, 3
-hypothesis violation, 4 check failure.
+hypothesis violation, 4 check failure, 5 failed self-verification.
 
 Grammar (";"-separated let-bindings may precede any expression):
 
@@ -53,6 +53,7 @@ from .errors import (
     DslTypeError,
     GradalError,
     HypothesisViolatedError,
+    InternalInvariantError,
     UnknownCheckIdError,
 )
 from .harness import CheckConfig, jsonable, report_json, run_check
@@ -1012,11 +1013,14 @@ def main(argv=None):
     except (DslSyntaxError, DslTypeError, UnknownCheckIdError) as exc:
         _error_json("parse-or-type", exc)
         return 2
+    except InternalInvariantError as exc:
+        _error_json("internal", exc)
+        return 5
     except GradalError as exc:
         _error_json("hypothesis", exc)
         return 3
     _emit(result, args.pretty)
-    if args.command == "check" and result[0].get("fails", 0) > 0:
+    if args.command == "check" and (result[0]["fails"] or result[0].get("errors")):
         return 4
     return 0
 

@@ -54,6 +54,7 @@ from .errors import (
     GradalError,
     HypothesisViolatedError,
     IncompatibleRingsError,
+    InternalInvariantError,
     NotASectionError,
     NotSimpleBaseError,
     ZeroElementError,
@@ -173,33 +174,27 @@ def _sorted_terms(x):
     return sorted(x.terms.items(), key=lambda kv: kv[0].coords)
 
 
-def _candidate_exponents(r, degree, box):
-    """Exponents of the subring with the given degree, inside the box."""
-    out = [f for f in r.egroup.box_elements(box)
-           if r.delta.apply(f) == degree]
-    out.sort(key=lambda f: f.coords)
-    return out
-
-
 def _solve_linear(base, rows, rhs, ncols):
     """Exact solve; integer solutions when the subring base is Z."""
     if base == "Z":
         int_rows = []
         int_rhs = []
         for row, b in zip(rows, rhs):
-            scale = lcm(*(v.denominator for v in row + [b])) if row or b else 1
-            int_rows.append([int(v * scale) for v in row])
-            int_rhs.append(int(b * scale))
+            scale = lcm(b.denominator, *(v.denominator for v in row))
+            int_rows.append([v.numerator * (scale // v.denominator)
+                             for v in row])
+            int_rhs.append(b.numerator * (scale // b.denominator))
         sol = solve_int(int_rows, int_rhs, len(int_rows), ncols)
         return None if sol is None else [Rational(v) for v in sol]
-    return solve_rational([list(r) for r in rows], rhs, ncols)
+    return solve_rational(rows, rhs, ncols)
 
 
-def _monic_solution(r, factors, n, box, degree):
+def _monic_solution(r, factors, n, by_degree, degree):
     """Coefficients a_1..a_n with factors[n] + sum a_i factors[n-i] = 0.
 
     factors[j] plays the role of x^j; for fractions the caller passes the
-    cleared products so the same system serves both shapes.  Variables
+    cleared products so the same system serves both shapes; by_degree
+    maps a degree to the sorted subring exponents in the box.  Variables
     are ordered by (i, exponent), rows by first appearance in canonical
     order, which makes the returned witness deterministic.
     """
@@ -217,16 +212,17 @@ def _monic_solution(r, factors, n, box, degree):
     for f, c in _sorted_terms(factors[n]):
         rows_rhs[row_of(f)] -= Rational(c)
     for i in range(1, n + 1):
-        for f in _candidate_exponents(r, i * degree, box):
+        for f in by_degree.get(i * degree, ()):
             col = {}
             for s, c in _sorted_terms(factors[n - i]):
                 idx = row_of(f + s)
                 col[idx] = col.get(idx, Rational(0)) + Rational(c)
             variables.append((i, f))
             columns.append(col)
-    nrows = len(rows_rhs)
-    mat = [[columns[j].get(ridx, Rational(0)) for j in range(len(columns))]
-           for ridx in range(nrows)]
+    mat = [[0] * len(columns) for _ in rows_rhs]
+    for j, col in enumerate(columns):
+        for ridx, v in col.items():
+            mat[ridx][j] = v
     sol = _solve_linear(r.base, mat, rows_rhs, len(columns))
     if sol is None:
         return None
@@ -293,6 +289,9 @@ def _search(r, s, x, max_deg, box):
         raise ZeroElementError("integrality of zero is trivial; pass nonzero x")
     num, den, _ = _num_den(x)
     g = degree_of(num) - degree_of(den)
+    by_degree = {}
+    for f in sorted(r.egroup.box_elements(box), key=lambda f: f.coords):
+        by_degree.setdefault(r.delta.apply(f), []).append(f)
     num_pows = [Element.one(s)]
     den_pows = [Element.one(s)]
     for _ in range(max_deg):
@@ -303,11 +302,11 @@ def _search(r, s, x, max_deg, box):
         factors = num_pows[:n + 1]
         if isinstance(x, Fraction):
             factors = [f * den_pows[n - j] for j, f in enumerate(factors)]
-        coeffs = _monic_solution(r, factors, n, box, g)
+        coeffs = _monic_solution(r, factors, n, by_degree, g)
         if coeffs is not None:
             w = IntegralityWitness(n, coeffs)
             if not verify_integral_witness(r, s, x, w):
-                raise GradalError("witness failed its own verification")
+                raise InternalInvariantError("witness failed its own verification")
             return w
     return None
 
@@ -339,7 +338,7 @@ def find_almost_integral_witness(r, s, x, k_max=2, support_box=3):
     for ri, p in zip(combination, powers):
         acc = acc + embed(incl.cast(ri)) * p
     if acc != powers[k + 1]:
-        raise GradalError("membership witness failed verification")
+        raise InternalInvariantError("membership witness failed verification")
     return AlmostIntegralWitness(k, tuple(powers[:k + 1]), combination)
 
 
@@ -436,16 +435,16 @@ def torsion_idempotent(n):
     c = Element(ring_z, {ez.zero(): 1, ez.element((n - 1,)): n - 1})
     d = Element(ring_z, {ez.element((i,)): 1 for i in range(n)})
     if f * f != f:
-        raise GradalError("idempotent identity failed")
+        raise InternalInvariantError("idempotent identity failed")
     incl = inclusion_for(ring_z, ring_q)
     if incl.cast(c) * f != incl.cast(d):
-        raise GradalError("f*c = d identity failed")
+        raise InternalInvariantError("f*c = d identity failed")
     if incl.member(f) is not None:
-        raise GradalError("f unexpectedly has integer coefficients")
+        raise InternalInvariantError("f unexpectedly has integer coefficients")
     one_z = Element.one(ring_z)
     witness = IntegralityWitness(2, (c - one_z, -d))
     if not verify_integral_witness(ring_z, ring_q, f, witness):
-        raise GradalError("monic witness failed verification")
+        raise InternalInvariantError("monic witness failed verification")
     return TorsionIdempotent(n, grp, ring_z, ring_q, f, c, d, witness)
 
 
@@ -637,11 +636,11 @@ def lem50_iso(r, f_gens, h_gens):
         raise GradalError("residual exponent escaped the restriction")
     mu_q = add_homs(compose(ds_t.inj1, w), compose(ds_t.inj2, m))
     if not hom_equal(compose(mu_p, mu_q), identity_hom(r.egroup)):
-        raise GradalError("p . q is not the identity on exponents")
+        raise InternalInvariantError("p . q is not the identity on exponents")
     if not hom_equal(compose(mu_q, mu_p), identity_hom(ds_t.group)):
-        raise GradalError("q . p is not the identity on exponents")
+        raise InternalInvariantError("q . p is not the identity on exponents")
     if not hom_equal(compose(coarse.delta, mu_p), delta_t):
-        raise GradalError("p does not preserve the H-degree")
+        raise InternalInvariantError("p does not preserve the H-degree")
     p = RingMap(target, coarse, mu_p)
     q = RingMap(coarse, target, mu_q)
     return Lem50Pair(p, q, target, coarse, psi, chi)
@@ -673,7 +672,7 @@ def j_pi_embedding(r, psi, pi):
     nu = add_homs(ds.inj1, compose(ds.inj2, compose(theta, r.delta)))
     kn, _ = hom_kernel(nu)
     if not kn.is_trivial:
-        raise GradalError("embedding is not injective")
+        raise InternalInvariantError("embedding is not injective")
     if not hom_equal(compose(target.delta, nu), coarse.delta):
-        raise GradalError("embedding does not preserve the coarse degree")
+        raise InternalInvariantError("embedding does not preserve the coarse degree")
     return RingMap(coarse, target, nu)

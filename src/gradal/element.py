@@ -32,6 +32,7 @@ from .abelian import (
 )
 from .errors import (
     GradalError,
+    InternalInvariantError,
     NotEntireError,
     NotHomogeneousError,
     ParentMismatchError,
@@ -325,7 +326,7 @@ def nzd_test(x):
     w = Element(x.parent, terms)
     if (x * w).is_zero and not w.is_zero:
         return ZeroDivisor(w)
-    raise GradalError("annihilator construction failed verification")
+    raise InternalInvariantError("annihilator construction failed verification")
 
 
 def homogeneous_unit_test(x):
@@ -391,7 +392,7 @@ def homogeneous_unit_test(x):
     w = Element(x.parent, terms)
     if (x * w) == Element.one(x.parent):
         return Unit(w)
-    raise GradalError("inverse construction failed verification")
+    raise InternalInvariantError("inverse construction failed verification")
 
 
 class Fraction:

@@ -10,6 +10,10 @@ class GradalError(Exception):
     """Base class for all package errors."""
 
 
+class InternalInvariantError(GradalError):
+    """The package's own output failed its self-verification: a bug."""
+
+
 class NotSurjectiveError(GradalError):
     """A homomorphism that had to be surjective is not."""
 

@@ -154,6 +154,7 @@ class CheckReport:
     inconclusive: int
     counterexample: dict | None
     wall_time: float
+    errors: list
 
 
 def _sample_coeff(rng, base):
@@ -686,7 +687,8 @@ _CHECKS = {
 
 
 def run_check(cfg):
-    """Run the configured trials; merge results in trial-index order."""
+    """Run the configured trials; merge results in trial-index order.
+    A trial that raises a GradalError is recorded as an "error"."""
     if cfg.check_id not in _CHECKS:
         raise UnknownCheckIdError(f"unknown check id {cfg.check_id!r}")
     bounds = dict(DEFAULT_BOUNDS)
@@ -694,10 +696,16 @@ def run_check(cfg):
     fn = _CHECKS[cfg.check_id]
     start = time.perf_counter()
     results = []
+    errors = []
     counterexample = None
     for trial in range(cfg.trials):
         tseed = _trial_seed(cfg.seed, trial)
-        verdict, payload = fn(trial, tseed, bounds)
+        try:
+            verdict, payload = fn(trial, tseed, bounds)
+        except GradalError as exc:
+            verdict = "error"
+            errors.append({"trial": trial, "trial_seed": tseed,
+                           "type": type(exc).__name__, "message": str(exc)})
         results.append(verdict)
         if verdict == "fail" and counterexample is None:
             counterexample = {"trial": trial, "trial_seed": tseed}
@@ -712,6 +720,7 @@ def run_check(cfg):
         inconclusive=results.count("inconclusive"),
         counterexample=counterexample,
         wall_time=time.perf_counter() - start,
+        errors=errors,
     )
 
 
@@ -738,4 +747,6 @@ def report_json(report):
     }
     if report.counterexample is not None:
         obj["counterexample"] = jsonable(report.counterexample)
+    if report.errors:
+        obj.update(errors=len(report.errors), first_error=report.errors[0])
     return json.dumps(obj, separators=(",", ":"))

@@ -242,40 +242,39 @@ def kernel_int(a, m=None, n=None):
 def _rref(rows, ncols):
     """Reduced echelon form over the first ncols columns, in place.
 
-    rows are Fraction lists; columns past ncols (right-hand sides) are
-    carried along but never pivoted on.  Pivot = first nonzero row in
-    column order.  Returns the pivot columns, one per leading row.
+    rows are sparse, dicts {column: nonzero Fraction}; columns from ncols
+    on (right-hand sides) are carried but never pivoted on.  Pivot = the
+    first remaining row holding the column.  Returns the pivot columns.
     """
-    m = len(rows)
     piv_cols = []
-    r = 0
     for c in range(ncols):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        r = len(piv_cols)
+        piv = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r] = {k: x * inv for k, x in rows[r].items()}
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f and i != r:
+                for k, y in prow.items():
+                    x = row.pop(k, 0) - f * y
+                    if x:
+                        row[k] = x
         piv_cols.append(c)
-        r += 1
     return piv_cols
 
 
 def inverse_unimodular(u):
     """Exact inverse of an integer matrix with determinant +-1."""
     n = len(u)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(u)]
+    a = [{j: Fraction(x) for j, x in enumerate([*row, *e]) if x}
+         for row, e in zip(u, identity(n))]
     if len(_rref(a, n)) < n or any(x.denominator != 1
-                                   for row in a for x in row[n:]):
+                                   for row in a for x in row.values()):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row[n:]] for row in a]
+    return [[int(row.get(n + j, 0)) for j in range(n)] for row in a]
 
 
 def solve_rational(a, b, ncols=None):
@@ -285,20 +284,21 @@ def solve_rational(a, b, ncols=None):
     columns whatever the elimination order.
     """
     n = (len(a[0]) if a else 0) if ncols is None else ncols
-    rows = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
+    rows = [{j: Fraction(x) for j, x in enumerate([*row, bv]) if x}
+            for row, bv in zip(a, b)]
     piv_cols = _rref(rows, n)
-    if any(row[n] for row in rows[len(piv_cols):]):
+    if any(n in row for row in rows[len(piv_cols):]):
         return None
     x = [Fraction(0)] * n
     for row, c in zip(rows, piv_cols):
-        x[c] = row[n]
+        x[c] = row.get(n, x[c])
     return x
 
 
 def nullspace_rational(a, ncols=None):
     """Basis of the rational nullspace of a, as Fraction vectors."""
     n = (len(a[0]) if a else 0) if ncols is None else ncols
-    rows = [[Fraction(x) for x in row] for row in a]
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in a]
     piv_cols = _rref(rows, n)
     basis = []
     for fc in range(n):
@@ -307,6 +307,6 @@ def nullspace_rational(a, ncols=None):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for row, c in zip(rows, piv_cols):
-            vec[c] = -row[fc]
+            vec[c] = -row.get(fc, vec[c])
         basis.append(vec)
     return basis

@@ -60,6 +60,35 @@ def is_divisibility_chain(diag):
     return True
 
 
+def rref_dense(rows, ncols):
+    """Dense Gauss-Jordan over Q, in place: the elimination the package
+    used before its sparse kernel, kept as the reference.
+
+    rows are lists of Fraction; columns from ncols on (right-hand sides)
+    are carried but never pivoted on.  Pivot = first remaining nonzero
+    row in column order.  Returns the pivot columns.
+    """
+    m = len(rows)
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+    return piv_cols
+
+
 # --- brute-force torsionfree summands ---
 
 def torsionfree_summand_bruteforce(rank, torsion, gens, limit=50_000):

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+import gradal.closure as closure
 import gradal.harness as harness
 from gradal.cli import main, parse_script, unparse
+from gradal.errors import GradalError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -115,6 +117,35 @@ def test_check_failure_exit_4(capsys, monkeypatch):
     obj = json.loads(out)
     assert obj["fails"] == 2
     assert obj["counterexample"]["trial"] == 0
+
+
+def test_failed_self_verification_exit_5(capsys, monkeypatch):
+    """A witness that fails its own verification is a bug, not a
+    violated hypothesis: a swapped or broken solver shows up as exit 5."""
+    monkeypatch.setattr(closure, "verify_integral_witness",
+                        lambda *args: False)
+    rc, out, err = run_main(capsys, "integrality", "Z[Z/2]coarse",
+                            "Q[Z/2]coarse", "1/2*e(0)+1/2*e(1)")
+    assert rc == 5 and out == ""
+    obj = json.loads(err)
+    assert obj == {"error": "internal",
+                   "message": "witness failed its own verification"}
+
+
+def test_check_error_exit_4(capsys, monkeypatch):
+    def fake(trial, seed, bounds):
+        if trial == 1:
+            raise GradalError("planted")
+        return "pass", None
+
+    monkeypatch.setitem(harness._CHECKS, "P70", fake)
+    rc, out, _ = run_main(capsys, "check", "P70", "--trials", "3",
+                          "--seed", "1")
+    assert rc == 4
+    obj = json.loads(out)
+    assert obj["passes"] == 2 and obj["fails"] == 0 and obj["errors"] == 1
+    assert obj["first_error"]["trial"] == 1
+    assert obj["first_error"]["trial_seed"] == harness._trial_seed(1, 1)
 
 
 def test_gradal_seed_env(capsys, monkeypatch):

@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction as Rational
 from itertools import product
+from math import lcm
 
 import pytest
 
 from _oracles import divide_reference
+import gradal.closure as closure
 from gradal.abelian import FgGroup, GroupHom
 from gradal.closure import (
     AlmostIntegralWitness,
@@ -27,6 +29,7 @@ from gradal.closure import (
     witness_str,
 )
 from gradal.element import Element, Fraction, reparent
+from gradal.intmat import solve_int
 from gradal.errors import (
     BadOrderError,
     GradalError,
@@ -235,6 +238,50 @@ def test_fraction_non_integral():
     half = Fraction(Element.one(zr), Element.one(zr).scale(2))
     res = find_integral_equation_fraction(zr, half, max_deg=2, support_box=1)
     assert isinstance(res, NoWitnessUpTo)
+
+
+def solve_linear_z_by_fraction_scaling(rows, rhs, ncols):
+    """The integer path as it scaled rows before: int(v * lcm)."""
+    int_rows = []
+    int_rhs = []
+    for row, b in zip(rows, rhs):
+        scale = lcm(*(v.denominator for v in row + [b])) if row or b else 1
+        int_rows.append([int(v * scale) for v in row])
+        int_rhs.append(int(b * scale))
+    sol = solve_int(int_rows, int_rhs, len(int_rows), ncols)
+    return None if sol is None else [Rational(v) for v in sol]
+
+
+def test_z_path_scaling_matches_fraction_scaling():
+    """Integer row scaling in _solve_linear gives exactly the solutions
+    the Fraction scaling gave, on rows with int and Fraction entries,
+    zero rows, negative entries and rows whose only nonzero is the
+    right-hand side."""
+    rng = random.Random(6060)
+
+    def entry():
+        k = rng.randint(-6, 6)
+        if rng.random() < 0.4:
+            return 0
+        return Rational(k, rng.randint(1, 6)) if rng.random() < 0.6 else k
+
+    feasible = rhs_only = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(0, 5)
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(m), rng.randint(0, m)):
+            if rng.random() < 0.5:
+                rows[i] = [0] * n
+        x0 = [rng.randint(-3, 3) for _ in range(n)]
+        rhs = [sum(v * w for v, w in zip(row, x0)) for row in rows]
+        if rng.random() < 0.5:
+            rhs = [b + entry() if rng.random() < 0.3 else b for b in rhs]
+        rhs = [Rational(b) if rng.random() < 0.7 else b for b in rhs]
+        want = solve_linear_z_by_fraction_scaling(rows, rhs, n)
+        assert closure._solve_linear("Z", rows, rhs, n) == want
+        feasible += want is not None
+        rhs_only += any(b and not any(row) for row, b in zip(rows, rhs))
+    assert 100 < feasible < 300 and rhs_only > 20
 
 
 def test_verify_fraction_witness():

@@ -5,7 +5,12 @@ import json
 import pytest
 
 import gradal.harness as harness
-from gradal.errors import GradalError, UnknownCheckIdError
+from gradal.errors import (
+    GradalError,
+    HypothesisViolatedError,
+    InternalInvariantError,
+    UnknownCheckIdError,
+)
 from gradal.harness import (
     CHECK_IDS,
     PROFILES,
@@ -86,6 +91,31 @@ def test_counterexample_captures_first_fail(monkeypatch):
     obj = json.loads(report_json(rep))
     assert obj["counterexample"]["detail"] == "1/2"
     assert isinstance(obj["counterexample"]["trial_seed"], int)
+
+
+def test_raising_trial_is_an_error_verdict(monkeypatch):
+    """A raising trial does not abort the report: it is an "error"
+    with the seed that replays it, and the other trials still run."""
+    def fake(trial, tseed, bounds):
+        if trial == 2:
+            raise HypothesisViolatedError(f"planted at {tseed}")
+        if trial == 4:
+            raise InternalInvariantError("planted self-check")
+        return "pass", None
+
+    monkeypatch.setitem(harness._CHECKS, "P70", fake)
+    rep = run_check(CheckConfig(check_id="P70", trials=6, seed=1))
+    assert rep.results == ["pass", "pass", "error", "pass", "error", "pass"]
+    assert rep.passes == 4 and rep.fails == 0 and rep.counterexample is None
+    seed2 = harness._trial_seed(1, 2)
+    assert rep.errors[0] == {"trial": 2, "trial_seed": seed2,
+                             "type": "HypothesisViolatedError",
+                             "message": f"planted at {seed2}"}
+    assert rep.errors[1]["type"] == "InternalInvariantError"
+    obj = json.loads(report_json(rep))
+    assert obj["errors"] == 2 and obj["first_error"] == rep.errors[0]
+    with pytest.raises(HypothesisViolatedError):
+        fake(2, obj["first_error"]["trial_seed"], {})
 
 
 def test_jsonable_values():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import det_bareiss, is_divisibility_chain, mat_mul_plain
+from _oracles import det_bareiss, is_divisibility_chain, mat_mul_plain, rref_dense
 from gradal.intmat import (
+    _rref,
     hermite_columns,
     identity,
     inverse_unimodular,
@@ -215,3 +216,120 @@ def test_rational_routines_match_sympy_rref():
             v = reduced[i, n]
             want[c] = Fraction(int(v.p), int(v.q))
         assert x == want
+
+
+def random_sparse_system(rng):
+    """A witness-like system: 20-60 rows and columns at 2-10 % density
+    (log-uniform, so most draws are sparse and fill-in stays cheap),
+    Fraction entries, some rows and columns forced to zero, and a
+    right-hand side that is a*x0 (feasible) or random (mostly not)."""
+    m, n = rng.randint(20, 60), rng.randint(20, 60)
+    density = 0.02 * 5 ** rng.random()
+    a = [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 2))
+          if rng.random() < density else 0 for _ in range(n)]
+         for _ in range(m)]
+    for i in rng.sample(range(m), rng.randint(0, 3)):
+        a[i] = [0] * n
+    for j in rng.sample(range(n), rng.randint(0, 3)):
+        for row in a:
+            row[j] = 0
+    if rng.random() < 0.5:
+        x0 = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+        b = [sum(v * w for v, w in zip(row, x0)) for row in a]
+    else:
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             if rng.random() < 0.3 else 0 for _ in range(m)]
+    return a, b, n
+
+
+def dense_reference(a, b, n):
+    """Pivots, reduced rows, solution and nullspace by rref_dense.
+
+    The pivots over the first n columns do not depend on the carried
+    right-hand side, so one reduction of [a | b] serves both answers."""
+    rows = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
+    piv = rref_dense(rows, n)
+    x = None
+    if not any(row[n] for row in rows[len(piv):]):
+        x = [Fraction(0)] * n
+        for row, c in zip(rows, piv):
+            x[c] = row[n]
+    basis = []
+    for fc in range(n):
+        if fc not in piv:
+            vec = [Fraction(0)] * n
+            vec[fc] = Fraction(1)
+            for row, c in zip(rows, piv):
+                vec[c] = -row[fc]
+            basis.append(vec)
+    return piv, rows, x, basis
+
+
+def assert_kernel_matches_dense(a, b, n):
+    piv, reduced, x, basis = dense_reference(a, b, n)
+    sparse = [{j: Fraction(v) for j, v in enumerate([*row, bv]) if v}
+              for row, bv in zip(a, b)]
+    assert _rref(sparse, n) == piv
+    assert [[row.get(j, 0) for j in range(n + 1)] for row in sparse] == reduced
+    sol = solve_rational(a, b, n)
+    assert sol == x
+    got = nullspace_rational(a, n)
+    assert got == basis
+    # The last nonzero entry of each basis vector is its free column.
+    free = {max(j for j in range(n) if vec[j]) for vec in got}
+    assert [j for j in range(n) if j not in free] == piv
+    for vec in ([] if sol is None else [sol]) + got:
+        assert all(type(v) is Fraction for v in vec)
+    return sol is not None
+
+
+def test_sparse_kernel_matches_dense_oracle():
+    """The sparse elimination reproduces the dense Gauss-Jordan step for
+    step: same pivots, same reduced rows, same solution and nullspace."""
+    rng = random.Random(20240)
+    feasible = sum(assert_kernel_matches_dense(*random_sparse_system(rng))
+                   for _ in range(200))
+    assert 50 < feasible < 150
+    zero_rows = [[0, 0], [0, 0], [0, 0]]
+    for a, b, n in (([], [], 0), ([], [], 4),
+                    ([[], []], [0, 0], 0), ([[], []], [0, Fraction(1, 2)], 0),
+                    (zero_rows, [0, 0, 1], 2), (zero_rows, [0, 0, 0], 2),
+                    ([[1, 0], [0, 2]], [0, 1], 2)):
+        assert_kernel_matches_dense(a, b, n)
+    assert solve_rational([[], []], [0, Fraction(1, 2)], 0) is None
+    assert nullspace_rational([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def dense_inverse(u):
+    n = len(u)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(u)]
+    if len(rref_dense(rows, n)) < n or any(x.denominator != 1
+                                           for row in rows for x in row[n:]):
+        return None
+    return [[int(x) for x in row[n:]] for row in rows]
+
+
+def test_inverse_unimodular_matches_dense_oracle():
+    """Random unimodular products of elementary operations, and random
+    sparse integer matrices that are mostly singular or of |det| > 1."""
+    rng = random.Random(4242)
+    for trial in range(200):
+        n = rng.randint(1, 12)
+        if trial % 2:
+            u = identity(n)
+            for _ in range(3 * n):
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if i != j:
+                    q = rng.randint(-3, 3)
+                    u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        else:
+            u = [[rng.randint(-2, 2) if rng.random() < 0.3 else 0
+                  for _ in range(n)] for _ in range(n)]
+        want = dense_inverse(u)
+        if want is None:
+            with pytest.raises(ValueError, match="matrix is not unimodular"):
+                inverse_unimodular(u)
+        else:
+            assert inverse_unimodular(u) == want
+    assert inverse_unimodular([]) == dense_inverse([]) == []
