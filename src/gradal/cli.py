@@ -1005,8 +1005,15 @@ def main(argv=None):
     env = {}
     try:
         if args.script:
-            text = (sys.stdin.read() if args.script == "-"
-                    else open(args.script, encoding="utf-8").read())
+            try:
+                if args.script == "-":
+                    text = sys.stdin.read()
+                else:
+                    with open(args.script, encoding="utf-8") as fh:
+                        text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                _error_json("script", exc)
+                return 2
             for name, value in parse_lets(text):
                 _eval_let(name, value, env)
         result = args.fn(args, env)

@@ -445,6 +445,9 @@ class Fraction:
         return Fraction(self.num * other.num, self.den * other.den)
 
     def __pow__(self, n):
+        if n < 0:
+            raise GradalError("negative powers of a fraction are not "
+                              "supported; swap numerator and denominator")
         out = Fraction.from_element(Element.one(self.parent))
         for _ in range(n):
             out = out * self

@@ -60,8 +60,6 @@ from .errors import GradalError, UnknownCheckIdError
 from .ringexpr import (
     BaseQ,
     BaseZ,
-    FineGroupAlgebra,
-    NormalForm,
     classify,
     coarsen,
     group_algebra,
@@ -222,18 +220,18 @@ def _build_profile(rng, profile):
         k = FgGroup(rng.randint(1, 2), ())
         h = _sample_group(rng, max_rank=1)
         ds = direct_sum(k, h)
-        nf = normalize(FineGroupAlgebra(_base(rng), ds.group))
+        nf = group_algebra(normalize(_base(rng)), ds.group, "fine")
         return nf, ds.proj2
     if profile == "torsion-kernel":
         n = rng.choice(_A90_ORDERS)
         g = FgGroup(rng.randint(0, 1), (n,))
         tgen = g.element((0,) * g.rank + (1,))
         _, proj = quotient_by(g, [tgen])
-        nf = normalize(FineGroupAlgebra(_base(rng), g))
+        nf = group_algebra(normalize(_base(rng)), g, "fine")
         return nf, proj
     if profile == "simple-full-support":
         g = _sample_group(rng, max_rank=2)
-        nf = normalize(FineGroupAlgebra(BaseQ(), g))
+        nf = group_algebra(normalize(BaseQ()), g, "fine")
         return nf, None
     # free-summand: G = F + H with F free, R simple, psi(D) inside D
     f = FgGroup(rng.randint(1, 2), ())
@@ -246,9 +244,10 @@ def _build_profile(rng, profile):
         gens = [d * ds.inj1.apply(x) for x in f.generators()]
         gens += [ds.inj2.apply(x) for x in h.generators()]
         sub, iota = subgroup_generated_by(g, gens)
-        nf = regrade_extend(normalize(FineGroupAlgebra(BaseQ(), sub)), iota)
+        nf = regrade_extend(group_algebra(normalize(BaseQ()), sub, "fine"),
+                            iota)
     else:
-        nf = normalize(FineGroupAlgebra(BaseQ(), g))
+        nf = group_algebra(normalize(BaseQ()), g, "fine")
     return nf, ds.proj2
 
 
@@ -268,8 +267,8 @@ def _profile_ok(nf, psi, profile):
 
 def _zq_pair(ggroup):
     """The base-change inclusion pair Z[G-algebra] inside Q[G-algebra]."""
-    r = normalize(FineGroupAlgebra(BaseZ(), ggroup))
-    s = normalize(FineGroupAlgebra(BaseQ(), ggroup))
+    r = group_algebra(normalize(BaseZ()), ggroup, "fine")
+    s = group_algebra(normalize(BaseQ()), ggroup, "fine")
     return r, s
 
 
@@ -357,7 +356,7 @@ def _check_p90(trial, seed, bounds):
 def _check_p100(trial, seed, bounds):
     rng = Rng(seed ^ 0x100)
     g0 = _sample_group(rng, max_rank=1)
-    r0 = normalize(FineGroupAlgebra(_base(rng), g0))
+    r0 = group_algebra(normalize(_base(rng)), g0, "fine")
     f = _sample_group(rng, max_rank=1)
     fine = group_algebra(r0, f, "fine")
     coarse = group_algebra(r0, f, "coarse")
@@ -560,7 +559,7 @@ def _shuffled_copy(rng, x):
 def _check_f20(trial, seed, bounds):
     rng = Rng(seed ^ 0xF20)
     if trial % 2 == 0:
-        base = normalize(FineGroupAlgebra(BaseQ(), FgGroup(0, ())))
+        base = group_algebra(normalize(BaseQ()), FgGroup(0, ()), "fine")
     else:
         base, _, _ = generate_instance(seed, "simple-full-support")
     struct = laurent_extension(base)
@@ -632,10 +631,9 @@ def _check_lem50(trial, seed, bounds):
 
 def _t4800_ring(rng):
     """Entire, torsionfree-graded, with two exponents over each degree."""
-    e = FgGroup(2, ())
-    g = FgGroup(1, ())
-    delta = GroupHom(e, g, ((1, 1),))
-    return NormalForm("Z" if rng.randint(0, 1) else "Q", e, g, delta, False)
+    base = normalize(BaseZ() if rng.randint(0, 1) else BaseQ())
+    fine = group_algebra(base, FgGroup(2, ()), "fine")
+    return coarsen(fine, GroupHom(fine.ggroup, FgGroup(1, ()), ((1, 1),)))
 
 
 def _check_t4800(trial, seed, bounds):

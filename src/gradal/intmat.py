@@ -61,6 +61,20 @@ def _pivot_position(d, m, n, start):
     return None if best is None else (best[1], best[2])
 
 
+def _move_pivot(d, u, v, t, pos):
+    """Swap the pivot at pos into (t, t), carrying the row swap into u
+    and the column swap into v."""
+    pi, pj = pos
+    if pi != t:
+        d[t], d[pi] = d[pi], d[t]
+        u[t], u[pi] = u[pi], u[t]
+    if pj != t:
+        for row in d:
+            row[t], row[pj] = row[pj], row[t]
+        for row in v:
+            row[t], row[pj] = row[pj], row[t]
+
+
 def smith_normal_form(a, m=None, n=None):
     """Return (u, d, v) with u*a*v = d in Smith normal form.
 
@@ -79,15 +93,7 @@ def smith_normal_form(a, m=None, n=None):
         pos = _pivot_position(d, m, n, t)
         if pos is None:
             break
-        pi, pj = pos
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in d:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
+        _move_pivot(d, u, v, t, pos)
         # Clear row and column t; restart whenever a remainder shrinks
         # below the pivot, which guarantees termination.
         while True:
@@ -111,16 +117,7 @@ def smith_normal_form(a, m=None, n=None):
                     if d[t][j]:
                         restart = True
             if restart:
-                pos = _pivot_position(d, m, n, t)
-                pi, pj = pos
-                if pi != t:
-                    d[t], d[pi] = d[pi], d[t]
-                    u[t], u[pi] = u[pi], u[t]
-                if pj != t:
-                    for row in d:
-                        row[t], row[pj] = row[pj], row[t]
-                    for row in v:
-                        row[t], row[pj] = row[pj], row[t]
+                _move_pivot(d, u, v, t, _pivot_position(d, m, n, t))
                 continue
             # Row and column are clear.  Force divisibility of the rest.
             offender = None

@@ -1,4 +1,4 @@
-"""Ring expressions and their normal form.
+"""Ring constructions and their normal form.
 
 Every ring this package handles is determined by four pieces of data: a
 base (Z or Q), an exponent group E, a grading group G, a degree map
@@ -6,17 +6,19 @@ delta: E -> G, plus a flag marking the graded ring of fractions.  The
 monomials are e_f for f in E, the degree of e_f is delta(f), and the
 underlying ring is the group algebra base[E].
 
-Constructors build an expression tree; normalize folds the tree into a
-NormalForm.  The fold is designed so that re-expressing a normal form
-with as_expr and normalizing again reproduces it field for field, which
-the tests rely on.
+A NormalForm holds those five fields, and the constructor functions here
+are the only code that builds one: start from normalize(BaseZ()) or
+normalize(BaseQ()) and apply group_algebra, coarsen, regrade_restrict,
+regrade_extend and fraction_field.  Every ring is reached this way as
+regrade_extend(coarsen(group_algebra(base, E, "fine"), onto_support), emb)
+with emb the embedding of the degree support into G, and fraction_field
+on top for a fraction ring.
 """
 
 from dataclasses import dataclass
 
 from .abelian import (
     FgGroup,
-    GroupElem,
     GroupHom,
     add_homs,
     compose,
@@ -42,12 +44,6 @@ __all__ = [
     "Classification",
     "BaseZ",
     "BaseQ",
-    "FineGroupAlgebra",
-    "CoarseGroupAlgebra",
-    "Coarsen",
-    "RestrictGrading",
-    "ExtendGrading",
-    "FractionField",
     "normalize",
     "classify",
     "coarsen",
@@ -56,7 +52,6 @@ __all__ = [
     "regrade_extend",
     "restrict_data",
     "fraction_field",
-    "as_expr",
 ]
 
 
@@ -85,7 +80,6 @@ class Classification:
     simple: bool
     noetherian: bool
     support: FgGroup
-    support_embedding: GroupHom
     full_support: bool
 
 
@@ -97,41 +91,6 @@ class BaseZ:
 @dataclass(frozen=True)
 class BaseQ:
     pass
-
-
-@dataclass(frozen=True)
-class FineGroupAlgebra:
-    inner: object
-    group: FgGroup
-
-
-@dataclass(frozen=True)
-class CoarseGroupAlgebra:
-    inner: object
-    group: FgGroup
-
-
-@dataclass(frozen=True)
-class Coarsen:
-    inner: object
-    psi: GroupHom
-
-
-@dataclass(frozen=True)
-class RestrictGrading:
-    inner: object
-    gens: tuple[GroupElem, ...]
-
-
-@dataclass(frozen=True)
-class ExtendGrading:
-    inner: object
-    embed: GroupHom
-
-
-@dataclass(frozen=True)
-class FractionField:
-    inner: object
 
 
 _TRIVIAL = FgGroup(0, ())
@@ -228,24 +187,13 @@ def fraction_field(nf):
 
 
 def normalize(expr):
+    """The normal form of a base marker; a NormalForm passes through."""
     if isinstance(expr, BaseZ):
         return _base_nf("Z")
     if isinstance(expr, BaseQ):
         return _base_nf("Q")
     if isinstance(expr, NormalForm):
         return expr
-    if isinstance(expr, FineGroupAlgebra):
-        return group_algebra(normalize(expr.inner), expr.group, "fine")
-    if isinstance(expr, CoarseGroupAlgebra):
-        return group_algebra(normalize(expr.inner), expr.group, "coarse")
-    if isinstance(expr, Coarsen):
-        return coarsen(normalize(expr.inner), expr.psi)
-    if isinstance(expr, RestrictGrading):
-        return regrade_restrict(normalize(expr.inner), expr.gens)
-    if isinstance(expr, ExtendGrading):
-        return regrade_extend(normalize(expr.inner), expr.embed)
-    if isinstance(expr, FractionField):
-        return fraction_field(normalize(expr.inner))
     raise GradalError(f"not a ring expression: {expr!r}")
 
 
@@ -266,22 +214,7 @@ def classify(nf):
     else:
         entire = k.is_torsionfree
         simple = nf.base == "Q" and k.is_trivial
-    support, emb = hom_image(nf.delta)
+    support, _ = hom_image(nf.delta)
     q, _ = quotient_by(nf.ggroup,
                        [nf.delta.apply(g) for g in nf.egroup.generators()])
-    return Classification(entire, simple, True, support, emb, q.is_trivial)
-
-
-def as_expr(nf):
-    """Rebuild an expression whose normal form is nf, field for field."""
-    base = BaseZ() if nf.base == "Z" else BaseQ()
-    expr = FineGroupAlgebra(base, nf.egroup)
-    _, emb = hom_image(nf.delta)
-    onto_support = lift_hom(emb, nf.delta)
-    if onto_support is None:
-        raise NotASubgroupError("degree map escaped its own image")
-    expr = Coarsen(expr, onto_support)
-    expr = ExtendGrading(expr, emb)
-    if nf.fraction:
-        expr = FractionField(expr)
-    return expr
+    return Classification(entire, simple, True, support, q.is_trivial)

@@ -1,9 +1,11 @@
 """Command line surface: golden outputs, exit codes, DSL round trips."""
 
+import gc
 import json
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -245,6 +247,28 @@ def test_script_parse_error(capsys, tmp_path):
                           "classify", "Q[Z]fine")
     assert rc == 2
     assert json.loads(err)["error"] == "parse-or-type"
+
+
+def test_unreadable_script_exit_2(capsys, tmp_path):
+    latin = tmp_path / "latin1.gradal"
+    latin.write_bytes("let R = Q[Z]fine; # caf\xe9\n".encode("latin-1"))
+    for path in (tmp_path / "missing.gradal", latin, tmp_path):
+        rc, out, err = run_main(capsys, "--script", str(path),
+                                "classify", "Q[Z]fine")
+        assert rc == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "script" and payload["message"]
+
+
+def test_script_file_is_closed(capsys, tmp_path):
+    script = tmp_path / "defs.gradal"
+    script.write_text("let R = Q[Z]fine;\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        rc, _, _ = run_main(capsys, "--script", str(script), "classify", "R")
+        gc.collect()
+    assert rc == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # --- parse and unparse ---

@@ -42,9 +42,8 @@ from gradal.errors import (
 from gradal.ringexpr import (
     BaseQ,
     BaseZ,
-    FineGroupAlgebra,
-    FractionField,
     coarsen,
+    fraction_field,
     group_algebra,
     normalize,
 )
@@ -370,7 +369,7 @@ def test_laurent_structure_shape():
     assert struct.base_ring == Q
     assert struct.ring == group_algebra(Q, FgGroup(1, ()), "coarse")
     assert struct.z_proj.apply(struct.z_gen).coords == (1,)
-    frac = normalize(FractionField(FineGroupAlgebra(BaseQ(), FgGroup(1, ()))))
+    frac = fraction_field(group_algebra(Q, FgGroup(1, ()), "fine"))
     with pytest.raises(GradalError):
         laurent_extension(frac)
 

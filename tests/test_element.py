@@ -294,6 +294,13 @@ def test_fraction_pow():
     assert f ** 2 == f * f
 
 
+def test_fraction_negative_pow_rejected():
+    f = Fraction(e(QZ, 1, c=2), e(QZ, 0))
+    for n in (-1, -3):
+        with pytest.raises(GradalError, match="negative powers"):
+            f ** n
+
+
 # --- the homogeneity transfer statement ---
 
 def test_p70_positive():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and every
-function the bench tracer wraps still exists.
+"""Source hygiene: no module imports a name it never uses, every
+function the bench tracer wraps still exists, every __all__ entry
+resolves, and rings are built only by the ringexpr constructors.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
 is read anywhere in the module or listed in the module's __all__.  The
@@ -81,3 +82,47 @@ def test_traced_functions_resolve():
         if not callable(owner):
             missing.append(f"gradal.{module}.{qual}")
     assert not missing, "traced but gone:\n" + "\n".join(missing)
+
+
+def normal_form_calls(source):
+    """Lines that call NormalForm(...), by bare name or as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr",
+                                                                  None)
+            if name == "NormalForm":
+                out.append(node.lineno)
+    return out
+
+
+def test_normal_form_scanner():
+    src = ("a = NormalForm('Q', e, g, d)\nb = ringexpr.NormalForm(1)\n"
+           "c: NormalForm = f(NormalForm)\n")
+    assert normal_form_calls(src) == [1, 2]
+
+
+def test_normal_form_built_only_in_ringexpr():
+    found = []
+    for path in sorted((ROOT / "src" / "gradal").glob("*.py")):
+        if path.name == "ringexpr.py":
+            continue
+        for line in normal_form_calls(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}")
+    assert not found, ("NormalForm built outside ringexpr, use its "
+                       "constructors:\n" + "\n".join(found))
+
+
+def test_all_entries_resolve():
+    missing = []
+    names = ["gradal"] + sorted(
+        "gradal." + p.stem for p in (ROOT / "src" / "gradal").glob("*.py")
+        if p.stem != "__init__")
+    for name in names:
+        module = importlib.import_module(name)
+        for entry in getattr(module, "__all__", ()):
+            if not hasattr(module, entry):
+                missing.append(f"{name}.{entry}")
+    assert not missing, "listed in __all__ but undefined:\n" + "\n".join(
+        missing)

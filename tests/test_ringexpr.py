@@ -3,12 +3,18 @@
 import pytest
 
 from _oracles import zero_divisor_pair_bruteforce
-from gradal.abelian import FgGroup, GroupHom, hom_equal, identity_hom
+from gradal.abelian import (
+    FgGroup,
+    GroupHom,
+    hom_equal,
+    hom_image,
+    identity_hom,
+    lift_hom,
+)
 from gradal.errors import GradalError, NotEntireError, NotSurjectiveError
 from gradal.ringexpr import (
     BaseQ,
     BaseZ,
-    as_expr,
     classify,
     coarsen,
     fraction_field,
@@ -125,17 +131,33 @@ def test_fraction_field_gates():
         fraction_field(not_ent)
 
 
-def test_normalize_as_expr_round_trip():
+def rebuild(nf):
+    """nf from its base and exponent group through the constructors only:
+    fine algebra, coarsening onto the degree support, extension along the
+    support embedding, and fractions for a fraction ring."""
+    fine = group_algebra(normalize(BaseZ() if nf.base == "Z" else BaseQ()),
+                         nf.egroup, "fine")
+    _, emb = hom_image(nf.delta)
+    onto_support = lift_hom(emb, nf.delta)
+    out = regrade_extend(coarsen(fine, onto_support), emb)
+    return fraction_field(out) if nf.fraction else out
+
+
+def test_constructor_round_trip():
     for nf in catalog():
-        assert normalize(as_expr(nf)) == nf
+        assert rebuild(nf) == nf
 
 
 def test_normalize_idempotent_on_constructors():
-    expr = BaseQ()
-    nf = normalize(expr)
-    assert normalize(as_expr(nf)) == nf
+    nf = normalize(BaseQ())
+    assert normalize(nf) is nf
+    assert rebuild(nf) == nf
     nf2 = group_algebra(nf, FgGroup(1, (2,)), "coarse")
-    assert normalize(as_expr(nf2)) == nf2
+    assert rebuild(nf2) == nf2
+    fine2 = group_algebra(Z, FgGroup(2, ()), "fine")
+    nf3 = regrade_restrict(fine2, [fine2.ggroup.element((2, 0)),
+                                   fine2.ggroup.element((0, 1))])
+    assert rebuild(nf3) == nf3
 
 
 def test_classification_flags_against_bruteforce():
