@@ -26,7 +26,6 @@ from .errors import (
     GradalError,
     InternalInvariantError,
     NotAHomomorphismError,
-    NotASectionError,
     NotSurjectiveError,
     ParentMismatchError,
 )
@@ -517,7 +516,8 @@ def find_section(psi):
         raise NotSurjectiveError(f"{a} -> {b} is not onto")
     pi = lift_hom(psi, identity_hom(b))
     if pi is not None and not hom_equal(compose(psi, pi), identity_hom(b)):
-        raise NotASectionError("constructed map fails psi . pi = id")
+        # lift_hom returns pi with psi . pi = id(b) or None, never another map
+        raise InternalInvariantError("constructed map fails psi . pi = id")
     return pi
 
 

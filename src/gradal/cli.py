@@ -25,7 +25,9 @@ annotation the domain is the grading group of the ring at hand and the
 codomain is free of rank equal to the row count.  Groups are normalized
 to invariant-factor form (free coordinates first, then torsion in an
 ascending divisibility chain); exponent tuples in homs and elements
-refer to the normalized coordinates.
+refer to the normalized coordinates.  Integers are ASCII digits.  A let
+whose value parses as a ring, a bare name included, binds a ring: "let
+G = Z;" binds the ring Z, "let G = Z^1;" the group.
 """
 
 import argparse
@@ -68,7 +70,7 @@ from .ringexpr import (
     regrade_restrict,
 )
 
-__all__ = ["main", "parse_script", "unparse"]
+__all__ = ["main", "parse_script"]
 
 _NO_SPAN = (0, 0, 0)
 
@@ -112,9 +114,9 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Tok("int", text[i:j], line, col))
             col += j - i
@@ -169,8 +171,7 @@ class ElemAst:
 
 @dataclass(frozen=True)
 class RingAst:
-    kind: str  # Z, Q, name, algebra, coarsen, restrict, frac
-    name: str = ""
+    kind: str  # Z, Q, algebra, coarsen, restrict, frac
     inner: object = None
     group: object = None
     alg_kind: str = ""
@@ -195,17 +196,15 @@ class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.last_line = 1
         self.last_end = 1
 
-    def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self):
+        return self.toks[self.pos]
 
     def next(self):
         t = self.toks[self.pos]
         if t.kind != "end":
             self.pos += 1
-            self.last_line = t.line
             self.last_end = t.col + len(t.text)
         return t
 
@@ -231,6 +230,15 @@ class _Parser:
     def close(self, mark):
         return (mark[0], mark[1], self.last_end)
 
+    def ref(self, *reserved):
+        """A name reference if the next token is a name outside reserved."""
+        t = self.peek()
+        if t.kind != "name" or t.text in reserved:
+            return None
+        mark = self.mark()
+        self.next()
+        return RefAst(t.text, span=self.close(mark))
+
     # groups
 
     def group(self):
@@ -243,11 +251,11 @@ class _Parser:
         return node
 
     def gatom(self):
+        ref = self.ref("Z")
+        if ref is not None:
+            return ref
         mark = self.mark()
         t = self.peek()
-        if t.kind == "name" and t.text != "Z":
-            self.next()
-            return RefAst(t.text, span=self.close(mark))
         if t.text == "0":
             self.next()
             return GroupAst("zero", span=self.close(mark))
@@ -314,11 +322,10 @@ class _Parser:
     # generator lists
 
     def gens(self):
+        ref = self.ref()
+        if ref is not None:
+            return ref
         mark = self.mark()
-        t = self.peek()
-        if t.kind == "name":
-            self.next()
-            return RefAst(t.text, span=self.close(mark))
         self.expect("<")
         spans = []
         tuples = [self.coord_tuple(spans)]
@@ -375,7 +382,7 @@ class _Parser:
             self.expect("(")
             inner = self.ring()
             self.expect(",")
-            h = self.ref_or(self.hom)
+            h = self.ref("fine", "coarse", "let") or self.hom()
             self.expect(")")
             return RingAst("coarsen", inner=inner, hom=h,
                            span=self.close(mark))
@@ -384,7 +391,7 @@ class _Parser:
             self.expect("(")
             inner = self.ring()
             self.expect(",")
-            g = self.ref_or(self.gens)
+            g = self.gens()
             self.expect(")")
             return RingAst("restrict", inner=inner, gens=g,
                            span=self.close(mark))
@@ -394,27 +401,18 @@ class _Parser:
             inner = self.ring()
             self.expect(")")
             return RingAst("frac", inner=inner, span=self.close(mark))
-        if t.kind == "name":
-            self.next()
-            return RingAst("name", name=t.text, span=self.close(mark))
-        self.fail("expected a ring")
-
-    def ref_or(self, production):
-        t = self.peek()
-        if t.kind == "name" and t.text not in ("fine", "coarse", "let"):
-            mark = self.mark()
-            self.next()
-            return RefAst(t.text, span=self.close(mark))
-        return production()
+        ref = self.ref()
+        if ref is None:
+            self.fail("expected a ring")
+        return ref
 
     # elements
 
     def elem(self):
+        ref = self.ref("e")
+        if ref is not None:
+            return ref
         mark = self.mark()
-        t = self.peek()
-        if t.kind == "name" and t.text != "e":
-            self.next()
-            return RefAst(t.text, span=self.close(mark))
         terms = []
         spans = []
         sign = 1
@@ -478,20 +476,14 @@ class _Parser:
         if t.text == "<":
             return self.gens()
         mark = self.pos
-        try:
-            node = self.ring()
-            if self.peek().text == ";" or self.at_end():
-                return node
-        except DslSyntaxError:
-            pass
-        self.pos = mark
-        try:
-            node = self.group()
-            if self.peek().text == ";" or self.at_end():
-                return node
-        except DslSyntaxError:
-            pass
-        self.pos = mark
+        for production in (self.ring, self.group):
+            try:
+                node = production()
+                if self.peek().text == ";" or self.at_end():
+                    return node
+            except DslSyntaxError:
+                pass
+            self.pos = mark
         return self.elem()
 
 
@@ -510,60 +502,6 @@ def parse_lets(text):
     if not p.at_end():
         p.fail("script files may only contain let-bindings")
     return lets
-
-
-# --- printing (parse of unparse gives an equal tree) ---
-
-def unparse(node):
-    if isinstance(node, Script):
-        parts = [f"let {n} = {unparse(v)};" for n, v in node.lets]
-        parts.append(unparse(node.final))
-        return " ".join(parts)
-    if isinstance(node, GroupAst):
-        if node.kind == "zero":
-            return "0"
-        if node.kind == "free":
-            return "Z" if node.n == 1 else f"Z^{node.n}"
-        if node.kind == "torsion":
-            return f"Z/{node.n}"
-        return f"{unparse(node.left)} x {unparse(node.right)}"
-    if isinstance(node, HomAst):
-        body = "[" + ",".join("[" + ",".join(str(v) for v in row) + "]"
-                              for row in node.rows) + "]"
-        if node.dom is not None:
-            body += f" : {unparse(node.dom)} -> {unparse(node.cod)}"
-        return body
-    if isinstance(node, GensAst):
-        return "<" + ",".join("(" + ",".join(str(v) for v in t) + ")"
-                              for t in node.tuples) + ">"
-    if isinstance(node, RefAst):
-        return node.name
-    if isinstance(node, ElemAst):
-        out = []
-        for i, (num, den, coords) in enumerate(node.terms):
-            mono = "e(" + ",".join(str(v) for v in coords) + ")"
-            mag = abs(num)
-            body = mono if (mag == 1 and den == 1) else (
-                f"{mag}*{mono}" if den == 1 else f"{mag}/{den}*{mono}")
-            if i == 0:
-                out.append(("-" if num < 0 else "") + body)
-            else:
-                out.append(("-" if num < 0 else "+") + body)
-        return "".join(out)
-    if isinstance(node, RingAst):
-        if node.kind in ("Z", "Q"):
-            return node.kind
-        if node.kind == "name":
-            return node.name
-        if node.kind == "algebra":
-            return (f"{unparse(node.inner)}[{unparse(node.group)}]"
-                    f"{node.alg_kind}")
-        if node.kind == "coarsen":
-            return f"coarsen({unparse(node.inner)},{unparse(node.hom)})"
-        if node.kind == "restrict":
-            return f"restrict({unparse(node.inner)},{unparse(node.gens)})"
-        return f"Frac({unparse(node.inner)})"
-    raise GradalError(f"cannot print {node!r}")
 
 
 # --- evaluation ---
@@ -586,7 +524,7 @@ def _eval_group(node, env):
                       _eval_group(node.right, env)).group
 
 
-def _eval_hom(node, domain, env, ring_span=_NO_SPAN):
+def _eval_hom(node, domain, env, ring_span):
     dom = _eval_group(node.dom, env) if node.dom is not None else domain
     if node.dom is not None and domain is not None and dom != domain:
         raise DslTypeError(
@@ -619,8 +557,7 @@ def _eval_hom(node, domain, env, ring_span=_NO_SPAN):
 
 def _eval_gens(node, group):
     out = []
-    for t, span in zip(node.tuples,
-                       node.tuple_spans or (_NO_SPAN,) * len(node.tuples)):
+    for t, span in zip(node.tuples, node.tuple_spans):
         if len(t) != group.dim:
             raise DslTypeError(
                 f"generator {t} has {len(t)} coordinates, "
@@ -634,8 +571,7 @@ def _eval_elem(node, nf, env):
         node = _deref(node, env, "elem")
     terms = {}
     e = nf.egroup
-    for (num, den, coords), span in zip(
-            node.terms, node.term_spans or (_NO_SPAN,) * len(node.terms)):
+    for (num, den, coords), span in zip(node.terms, node.term_spans):
         if len(coords) != e.dim:
             raise DslTypeError(
                 f"exponent {coords} has {len(coords)} coordinates, "
@@ -655,15 +591,12 @@ def _eval_elem(node, nf, env):
 
 
 def _eval_ring(node, env):
+    if isinstance(node, RefAst):
+        return _deref(node, env, "ring")[0]
     if node.kind == "Z":
         return normalize(BaseZ())
     if node.kind == "Q":
         return normalize(BaseQ())
-    if node.kind == "name":
-        if node.name not in env or env[node.name][0] != "ring":
-            raise DslTypeError(f"{node.name!r} is not a bound ring",
-                               (node.span,))
-        return env[node.name][1]
     if node.kind == "algebra":
         inner = _eval_ring(node.inner, env)
         return group_algebra(inner, _eval_group(node.group, env),
@@ -690,20 +623,32 @@ def _deref(node, env, kind):
     return bound[1]
 
 
+def _ring_binding(node, env):
+    """(ring, constructor AST); for a name, the pair it is bound to."""
+    if isinstance(node, RefAst):
+        return _deref(node, env, "ring")
+    return _eval_ring(node, env), node
+
+
 def _eval_let(name, node, env):
-    if isinstance(node, RingAst):
-        env[name] = ("ring", _eval_ring(node, env), node)
+    """Bind name in env.  Rings and groups are evaluated now; homs, gens
+    and elements keep their AST and are evaluated where they are used."""
+    if isinstance(node, (RingAst, RefAst)):
+        env[name] = ("ring", _ring_binding(node, env))
     elif isinstance(node, GroupAst):
-        env[name] = ("group", _eval_group(node, env), node)
+        env[name] = ("group", _eval_group(node, env))
     elif isinstance(node, HomAst):
-        env[name] = ("hom", node, node)
+        env[name] = ("hom", node)
     elif isinstance(node, GensAst):
-        env[name] = ("gens", node, node)
+        env[name] = ("gens", node)
     else:
-        env[name] = ("elem", node, node)
+        env[name] = ("elem", node)
 
 
-def _run_script(script, env):
+def _parse_arg(text, expect, env):
+    """Parse one argument; return its final node and a copy of env with
+    the argument's let-bindings added."""
+    script = parse_script(text, expect)
     env = dict(env)
     for name, value in script.lets:
         _eval_let(name, value, env)
@@ -711,32 +656,25 @@ def _run_script(script, env):
 
 
 def _ring_arg(text, env):
-    script = parse_script(text, "ring")
-    final, env2 = _run_script(script, env)
-    return _eval_ring(final, env2), final, env2
+    node, env = _parse_arg(text, "ring", env)
+    return (*_ring_binding(node, env), env)
 
 
 def _elem_arg(text, nf, env):
-    script = parse_script(text, "elem")
-    final, env2 = _run_script(script, env)
-    return _eval_elem(final, nf, env2)
+    node, env = _parse_arg(text, "elem", env)
+    return _eval_elem(node, nf, env)
 
 
 def _gens_arg(text, group, env):
-    script = parse_script(text, "gens")
-    final, env2 = _run_script(script, env)
-    return _eval_gens(_deref(final, env2, "gens"), group)
+    node, env = _parse_arg(text, "gens", env)
+    return _eval_gens(_deref(node, env, "gens"), group)
 
 
-def _resolve_ring_ast(node, env):
-    """Chase name bindings so syntactic shape checks see the constructor."""
-    while isinstance(node, RingAst) and node.kind == "name":
-        bound = env.get(node.name)
-        if bound is None or bound[0] != "ring":
-            raise DslTypeError(f"{node.name!r} is not a bound ring",
-                               (node.span,))
-        node = bound[2]
-    return node
+def _inclusion_args(args, env):
+    """The subring, the ring and the element of integrality and almost."""
+    r, _, env = _ring_arg(args.subring, env)
+    s, _, env = _ring_arg(args.ring, env)
+    return r, s, _elem_arg(args.elem, s, env)
 
 
 def _coords_str(x):
@@ -770,9 +708,7 @@ def _cmd_components(args, env):
 
 
 def _cmd_integrality(args, env):
-    r, _, env2 = _ring_arg(args.subring, env)
-    s, _, env3 = _ring_arg(args.ring, env2)
-    x = _elem_arg(args.elem, s, env3)
+    r, s, x = _inclusion_args(args, env)
     res = find_integral_equation(r, s, x, args.max_deg, args.box)
     if isinstance(res, IntegralityWitness):
         return [{"found": True, "degree": res.degree,
@@ -781,9 +717,7 @@ def _cmd_integrality(args, env):
 
 
 def _cmd_almost(args, env):
-    r, _, env2 = _ring_arg(args.subring, env)
-    s, _, env3 = _ring_arg(args.ring, env2)
-    x = _elem_arg(args.elem, s, env3)
+    r, s, x = _inclusion_args(args, env)
     res = find_almost_integral_witness(r, s, x, args.kmax, args.box)
     if isinstance(res, AlmostIntegralWitness):
         return [{"found": True, "k": res.k,
@@ -793,9 +727,7 @@ def _cmd_almost(args, env):
 
 def _cmd_divide(args, env):
     nf, ast, env2 = _ring_arg(args.ring, env)
-    ast = _resolve_ring_ast(ast, env2)
-    if not (isinstance(ast, RingAst) and ast.kind == "algebra"
-            and ast.alg_kind == "coarse"
+    if not (ast.kind == "algebra" and ast.alg_kind == "coarse"
             and _eval_group(ast.group, env2) == FgGroup(1, ())):
         raise HypothesisViolatedError(
             "divide needs a ring written as R[Z]coarse")

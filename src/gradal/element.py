@@ -61,13 +61,15 @@ __all__ = [
 
 
 def _coerce(base, c):
+    if isinstance(c, bool) or not isinstance(c, (int, Rational)):
+        raise GradalError(f"coefficient {c!r} is not an int or a Fraction")
     if base == "Q":
-        return Rational(c)
+        return c if isinstance(c, Rational) else Rational(c)
     if isinstance(c, Rational):
         if c.denominator != 1:
             raise GradalError(f"coefficient {c} is not an integer")
-        return int(c)
-    return int(c)
+        return c.numerator
+    return c
 
 
 def _term_str(c, f):
@@ -94,9 +96,9 @@ class Element:
                     f"exponent in {f.group}, ring exponents in {parent.egroup}")
             c = _coerce(parent.base, c)
             if c:
-                clean[f] = clean.get(f, 0) + c if f in clean else c
+                clean[f] = c
         self.parent = parent
-        self.terms = {f: c for f, c in clean.items() if c}
+        self.terms = clean
 
     @classmethod
     def zero(cls, parent):
@@ -252,7 +254,8 @@ def _kernel_coordinates(x, sub, iota):
     for f in x.terms:
         u = solve_in_subgroup(iota, f)
         if u is None:
-            raise GradalError("support escaped the subgroup")
+            # callers pass differences in sub (their span, or ker delta)
+            raise InternalInvariantError("support escaped the subgroup")
         coords[f] = u
     return coords
 

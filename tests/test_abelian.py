@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradal.abelian as abelian
 from _oracles import torsionfree_summand_bruteforce
 from gradal.abelian import (
     FgGroup,
@@ -27,7 +28,11 @@ from gradal.abelian import (
     torsion_decomposition,
     zero_hom,
 )
-from gradal.errors import GradalError, NotAHomomorphismError
+from gradal.errors import (
+    GradalError,
+    InternalInvariantError,
+    NotAHomomorphismError,
+)
 
 SMALL_GROUPS = [
     FgGroup(0, ()),
@@ -300,6 +305,16 @@ def test_find_section_none_for_nonsplit():
     q, proj = quotient_by(g, [g.element((2,))])
     assert q.order() == 2
     assert find_section(proj) is None
+
+
+def test_find_section_self_check_is_internal(monkeypatch):
+    """A lift that breaks psi . pi = id is a bug in lift_hom (exit 5),
+    not a property of the input."""
+    psi = GroupHom(FgGroup(2, ()), FgGroup(1, ()), ((1, 1),))
+    monkeypatch.setattr(abelian, "lift_hom",
+                        lambda iota, phi: zero_hom(phi.domain, iota.domain))
+    with pytest.raises(InternalInvariantError):
+        find_section(psi)
 
 
 def test_find_section_mixed():

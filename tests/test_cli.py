@@ -1,4 +1,5 @@
-"""Command line surface: golden outputs, exit codes, DSL round trips."""
+"""Command line surface: golden outputs, exit codes, DSL parsing and
+name binding."""
 
 import gc
 import json
@@ -9,10 +10,13 @@ import warnings
 
 import pytest
 
+import gradal.cli as cli
 import gradal.closure as closure
 import gradal.harness as harness
-from gradal.cli import main, parse_script, unparse
+from gradal.abelian import FgGroup
+from gradal.cli import main
 from gradal.errors import GradalError
+from gradal.ringexpr import BaseQ, group_algebra, normalize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -87,6 +91,37 @@ def test_hypothesis_error_exit_3(capsys):
                             "e(1)-e(0)", "e(2)+e(0)")
     assert rc == 3 and out == ""
     assert json.loads(err)["error"] == "hypothesis"
+
+
+def test_almost_output(capsys):
+    rc, out, err = run_main(capsys, "almost", "Z[Z/2]coarse", "Q[Z/2]coarse",
+                            "1/2*e(0)+1/2*e(1)")
+    assert rc == 0 and err == ""
+    assert out == '{"found":true,"k":1,"combination":["0","e(0)"]}\n'
+
+
+def test_idempotent_output(capsys):
+    rc, out, err = run_main(capsys, "idempotent", "--n", "3")
+    assert rc == 0 and err == ""
+    assert out == (
+        '{"n":3,"f":"1/3*e(0)+1/3*e(1)+1/3*e(2)","c":"e(0)+2*e(2)",'
+        '"d":"e(0)+e(1)+e(2)",'
+        '"witness":"monic 2; a1 = 2*e(2); a2 = -e(0)-e(1)-e(2)",'
+        '"idempotent":true,"in_integer_ring":false,"witness_verified":true}\n')
+    rc, out, err = run_main(capsys, "idempotent", "--n", "1")
+    assert rc == 3 and out == ""
+    assert json.loads(err) == {"error": "hypothesis",
+                               "message": "need n >= 2, got 1"}
+
+
+@pytest.mark.parametrize("ring", ["Q[Z^\u00b2]fine", "Q[Z^\u0663]fine",
+                                  "Q[Z/\uff12]fine"])
+def test_non_ascii_digits_exit_2(capsys, ring):
+    rc, out, err = run_main(capsys, "classify", ring)
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "parse-or-type"
+    assert "unexpected character" in payload["message"]
 
 
 def test_iso_lem50_non_summand_exit_3(capsys):
@@ -230,6 +265,10 @@ def test_name_refs_in_every_position(capsys, tmp_path):
     (("classify", "Q[G]fine"), "'G' is not a bound group"),
     (("components", "Q[Z]fine", "y"), "'y' is not a bound elem"),
     (("classify", "let x = e(1); Q[x]fine"), "'x' is not a bound group"),
+    (("classify", "let G = Z; Q[G]fine"), "'G' is not a bound group"),
+    (("classify", "let G = Z^2; let S = G; S"), "'G' is not a bound ring"),
+    (("classify", "let x = e(1); x"), "'x' is not a bound ring"),
+    (("components", "Q[Z]fine", "let H = (G); H"), "'G' is not a bound ring"),
 ])
 def test_unbound_or_wrong_kind_ref(capsys, argv, missing):
     rc, _, err = run_main(capsys, *argv)
@@ -271,56 +310,89 @@ def test_script_file_is_closed(capsys, tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-# --- parse and unparse ---
+def test_ring_aliases(capsys):
+    rc, out, _ = run_main(capsys, "classify",
+                          "let R = Q[Z]fine; let S = R; let R = Z; S")
+    assert rc == 0
+    assert json.loads(out)["ring"] == "Q[Z] graded by Z"
+    rc, out, _ = run_main(capsys, "classify", "let G = Z^1; Q[G]fine")
+    assert rc == 0
+    assert json.loads(out)["ring"] == "Q[Z] graded by Z"
 
-ROUND_TRIPS = [
-    ("ring", "Q[Z]fine"),
-    ("ring", "Z[Z/4]coarse"),
-    ("ring", "Q[Z^2 x Z/2]fine"),
-    ("ring", "Frac(Q[Z]fine)"),
-    ("ring", "coarsen(Q[Z^2]fine, [[1,1]]: Z^2 -> Z)"),
-    ("ring", "restrict(Q[Z^2]fine, <(1,0), (0,2)>)"),
-    ("ring", "Q[Z/2]coarse[Z]fine"),
-    ("ring", "Q[G]fine"),
-    ("group", "Z^3 x Z/2 x Z/4"),
-    ("group", "G x Z/2"),
-    ("group", "0"),
-    ("elem", "e(0)"),
-    ("elem", "-e(1)+2*e(-2)"),
-    ("elem", "1/2*e(0,1)-3/4*e(2,-1)+e(0,0)"),
-    ("gens", "<(1,0), (0,2)>"),
-    ("hom", "[[1,0],[0,2]]: Z^2 -> Z^2"),
-    ("hom", "[[1,1]]"),
+
+@pytest.mark.parametrize("ring", [
+    "let R = Q[Z]coarse; let R = R; R",
+    "let B = Q[Z]coarse; let S = B; let B = Z[Z]coarse; S",
+])
+def test_divide_through_aliases(ring):
+    """A ring alias carries the constructor it was bound to, so divide
+    sees Q[Z]coarse however the names were rebound (run in a subprocess
+    so that a cycle in the name chase fails instead of hanging)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradal.cli", "divide", ring, "e(1)", "e(2)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"u": "e(1)", "v": "0"}
+
+
+def test_divide_reevaluates_the_inner_ring(capsys):
+    rc, out, err = run_main(capsys, "divide",
+                            "let B = Q; let L = B[Z]coarse; let B = Z; L",
+                            "e(1)", "e(1)")
+    assert rc == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "hypothesis",
+        "message": "ring does not match its own Laurent extension"}
+
+
+# --- parse and evaluate ---
+
+PARSED = [
+    ("ring", "Q[Z]fine", "Q[Z] graded by Z"),
+    ("ring", "Z[Z/4]coarse", "Z[Z/4] graded by 0"),
+    ("ring", "Q[Z^2 x Z/2]fine", "Q[Z^2 x Z/2] graded by Z^2 x Z/2"),
+    ("ring", "Frac(Q[Z]fine)", "Frac(Q[Z] graded by Z)"),
+    ("ring", "coarsen(Q[Z^2]fine, [[1,1]]: Z^2 -> Z)", "Q[Z^2] graded by Z"),
+    ("ring", "restrict(Q[Z^2]fine, <(1,0), (0,2)>)", "Q[Z^2] graded by Z^2"),
+    ("ring", "Q[Z/2]coarse[Z]fine", "Q[Z x Z/2] graded by Z"),
+    ("ring", "Q[G]fine", "Q[Z^2] graded by Z^2"),
+    ("group", "Z^3 x Z/2 x Z/4", "Z^3 x Z/2 x Z/4"),
+    ("group", "G x Z/2", "Z^2 x Z/2"),
+    ("group", "0", "0"),
+    ("elem", "e(0)", "e(0)"),
+    ("elem", "-e(1)+2*e(-2)", "2*e(-2)-e(1)"),
+    ("elem", "1/2*e(0,1)-3/4*e(2,-1)+e(0,0)",
+     "e(0,0)+1/2*e(0,1)-3/4*e(2,-1)"),
+    ("gens", "<(1,0), (0,2)>", [(1, 0), (0, 2)]),
+    ("hom", "[[1,0],[0,2]]: Z^2 -> Z^2", ("Z^2", "Z^2", ((1, 0), (0, 2)))),
+    ("hom", "[[1,1]]", ("Z^2", "Z", ((1, 1),))),
 ]
 
 
-@pytest.mark.parametrize("expect,text", ROUND_TRIPS)
-def test_parse_unparse_round_trip(expect, text):
-    ast = parse_script(text, expect)
-    printed = unparse(ast)
-    again = parse_script(printed, expect)
-    assert again == ast
-    assert unparse(again) == printed
+def _evaluate(expect, text):
+    """Parse text with G bound to Z^2 and evaluate it; homs and gens on
+    the grading group Z^2, elements in Q[Z^n] for their exponent width."""
+    z2 = FgGroup(2, ())
+    node, env = cli._parse_arg(text, expect,
+                               cli._parse_arg("let G = Z^2; Q", "ring", {})[1])
+    if expect == "ring":
+        return cli._eval_ring(node, env).describe()
+    if expect == "group":
+        return str(cli._eval_group(node, env))
+    if expect == "elem":
+        nf = group_algebra(normalize(BaseQ()),
+                           FgGroup(len(node.terms[0][2]), ()), "fine")
+        return str(cli._eval_elem(node, nf, env))
+    if expect == "gens":
+        return [x.coords for x in cli._eval_gens(node, z2)]
+    h = cli._eval_hom(node, z2, env, node.span)
+    return str(h.domain), str(h.codomain), h.matrix
 
 
-def test_unparse_of_script_lets():
-    from gradal.cli import parse_lets
-    text = "let R = Q[Z]fine;\nlet x = e(1)-e(0);\n"
-    lets = parse_lets(text)
-    assert [name for name, _ in lets] == ["R", "x"]
-    for _, node in lets:
-        assert parse_script(unparse(node), _expect_of(node)).final == node
-
-
-def _expect_of(node):
-    from gradal.cli import ElemAst, GroupAst, RingAst
-    if isinstance(node, RingAst):
-        return "ring"
-    if isinstance(node, GroupAst):
-        return "group"
-    if isinstance(node, ElemAst):
-        return "elem"
-    raise AssertionError(type(node))
+@pytest.mark.parametrize("expect,text,value", PARSED,
+                         ids=[f"{kind}-{text}" for kind, text, _ in PARSED])
+def test_parse_and_evaluate(expect, text, value):
+    assert _evaluate(expect, text) == value
 
 
 # --- module execution ---

@@ -5,6 +5,7 @@ from fractions import Fraction as Rational
 
 import pytest
 
+import gradal.element as element
 from _oracles import zero_divisor_pair_bruteforce
 from gradal.abelian import FgGroup, GroupHom
 from gradal.element import (
@@ -25,6 +26,7 @@ from gradal.element import (
 )
 from gradal.errors import (
     GradalError,
+    InternalInvariantError,
     NotEntireError,
     NotHomogeneousError,
     ParentMismatchError,
@@ -359,3 +361,38 @@ def test_p70_random_trials():
         assert rep.passed
         hits += 1
     assert hits > 20
+
+
+@pytest.mark.parametrize("nf,c", [
+    (ZZ, 1.5), (ZZ, 2.0), (ZZ, "3"), (ZZ, True), (ZZ, None),
+    (QZ, 0.5), (QZ, "1/2"), (QZ, False),
+])
+def test_coefficients_are_int_or_fraction(nf, c):
+    with pytest.raises(GradalError):
+        Element(nf, {nf.egroup.element((1,)): c})
+
+
+def test_scale_by_float_rejected():
+    for nf in (ZZ, QZ):
+        with pytest.raises(GradalError):
+            (3 * e(nf, 1)).scale(0.5)
+
+
+def test_coefficient_types_kept():
+    c = Rational(2, 3)
+    assert e(QZ, 1, c=c).coeff(QZ.egroup.element((1,))) is c
+    x = e(ZZ, 1, c=Rational(4, 2))
+    assert [type(v) for v in x.terms.values()] == [int]
+    assert str(x) == "2*e(1)"
+    assert [type(v) for v in e(QZ, 1, c=3).terms.values()] == [Rational]
+
+
+def test_kernel_coordinates_self_check_is_internal(monkeypatch):
+    """Both callers pass support differences that lie in the subgroup, so
+    a failed membership solve is a bug (exit 5)."""
+    monkeypatch.setattr(element, "solve_in_subgroup", lambda iota, f: None)
+    x = e(QT, 0) + e(QT, 2)
+    with pytest.raises(InternalInvariantError):
+        nzd_test(x)
+    with pytest.raises(InternalInvariantError):
+        homogeneous_unit_test(x)

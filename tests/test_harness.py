@@ -153,3 +153,10 @@ def test_generate_instance_profiles(profile):
 def test_generate_instance_rejects_unknown_profile():
     with pytest.raises(GradalError):
         generate_instance(1, "mystery")
+
+
+def test_profile_miss_is_internal(monkeypatch):
+    """Every profile builds instances with its properties; a miss is a bug."""
+    monkeypatch.setattr(harness, "_profile_ok", lambda nf, psi, profile: False)
+    with pytest.raises(InternalInvariantError):
+        generate_instance(5, "torsion-kernel")

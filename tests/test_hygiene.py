@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every
 function the bench tracer wraps still exists, every __all__ entry
-resolves, and rings are built only by the ringexpr constructors.
+resolves, rings are built only by the ringexpr constructors, and every
+CLI subcommand is run by some test in tests/test_cli.py.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
 is read anywhere in the module or listed in the module's __all__.  The
@@ -8,6 +9,7 @@ tracer's TRACED table is read from bench/tracer.py with ast as well, so
 the bench package is never imported.
 """
 
+import argparse
 import ast
 import importlib
 import pathlib
@@ -126,3 +128,35 @@ def test_all_entries_resolve():
                 missing.append(f"{name}.{entry}")
     assert not missing, "listed in __all__ but undefined:\n" + "\n".join(
         missing)
+
+
+def invoked_strings(source):
+    """String constants passed to a call or listed in a tuple or list:
+    the places a CLI test spells out its argv."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            items = node.args
+        elif isinstance(node, (ast.Tuple, ast.List)):
+            items = node.elts
+        else:
+            continue
+        out.update(a.value for a in items
+                   if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    return out
+
+
+def test_invoked_strings_scanner():
+    src = ("run_main(capsys, 'classify', ring)\nX = [('demo', 'a90')]\n"
+           "y = {'almost': 1}\nz = 'idempotent'\n")
+    assert invoked_strings(src) == {"classify", "demo", "a90"}
+
+
+def test_every_subcommand_tested():
+    from gradal.cli import _parser
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    called = invoked_strings((ROOT / "tests" / "test_cli.py").read_text())
+    missing = sorted(set(sub.choices) - called)
+    assert not missing, ("subcommands no test in tests/test_cli.py runs: "
+                         + ", ".join(missing))
