@@ -11,13 +11,14 @@ hypothesis violation, 4 check failure, 5 failed self-verification.
 Grammar (";"-separated let-bindings may precede any expression):
 
     group  := gatom ("x" gatom)*
-    gatom  := "0" | "Z" ("^" int | "/" int)? | "(" group ")"
-    hom    := "[" rows "]" (":" group "->" group)?
+    gatom  := "0" | "Z" ("^" int | "/" int)? | "(" group ")" | name
+    hom    := "[" rows "]" (":" group "->" group)? | name
     ring   := ("Z" | "Q" | name | "coarsen(" ring "," hom ")"
                | "restrict(" ring "," gens ")" | "Frac(" ring ")")
               ("[" group "]" ("fine" | "coarse"))*
-    gens   := "<" "(" ints ")" ("," "(" ints ")")* ">"
-    elem   := sign? term (sign term)*   with term := (rat "*")? "e(" ints ")"
+    gens   := "<" "(" ints ")" ("," "(" ints ")")* ">" | name
+    elem   := sign? term (sign term)* | name
+              with term := (rat "*")? "e(" ints ")"
 
 Matrix rows are codomain coordinates: entry (i, j) is the i-th
 coordinate of the image of the j-th domain generator.  Without an
@@ -25,16 +26,21 @@ annotation the domain is the grading group of the ring at hand and the
 codomain is free of rank equal to the row count.  Groups are normalized
 to invariant-factor form (free coordinates first, then torsion in an
 ascending divisibility chain); exponent tuples in homs and elements
-refer to the normalized coordinates.  Integers are ASCII digits.  A let
+refer to the normalized coordinates.  Integers are ASCII digits.
+
+A name means what the latest let before it bound (lets carry over from
+--script and from earlier arguments): a later rebinding changes nothing
+already written, and evaluation reads the syntax tree alone.  A let
 whose value parses as a ring, a bare name included, binds a ring: "let
-G = Z;" binds the ring Z, "let G = Z^1;" the group.
+G = Z;" binds the ring Z, "let G = Z^1;" the group.  The grammar words
+Z Q e fine coarse let coarsen restrict Frac cannot be bound.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as Rational
 
 from .abelian import FgGroup, GroupHom, direct_sum, find_section, quotient_by
@@ -70,9 +76,14 @@ from .ringexpr import (
     regrade_restrict,
 )
 
-__all__ = ["main", "parse_script"]
+__all__ = ["main"]
 
 _NO_SPAN = (0, 0, 0)
+
+# Grammar words; a let may not bind them.  "x" is the infix product of
+# groups, and a name x still resolves wherever a name is read.
+_KEYWORDS = frozenset(("Z", "Q", "e", "fine", "coarse", "let", "coarsen",
+                       "restrict", "Frac"))
 
 
 # --- tokens ---
@@ -182,21 +193,27 @@ class RingAst:
 
 @dataclass(frozen=True)
 class RefAst:
+    """A name that is unbound, or bound to another kind, where it is
+    written; evaluating it reports "'name' is not a bound kind"."""
     name: str
+    kind: str
     span: tuple = field(default=_NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class Script:
-    lets: tuple  # ((name, ast), ...)
-    final: object
+def _unbound(node):
+    return DslTypeError(f"{node.name!r} is not a bound {node.kind}",
+                        (node.span,))
 
 
 class _Parser:
-    def __init__(self, text):
+    """Recursive descent with a lexical scope: a name resolves, when it is
+    read, to the AST that the latest let before it bound."""
+
+    def __init__(self, text, scope):
         self.toks = _tokenize(text)
         self.pos = 0
         self.last_end = 1
+        self.scope = dict(scope)  # name -> (kind, AST)
 
     def peek(self):
         return self.toks[self.pos]
@@ -213,7 +230,6 @@ class _Parser:
         if t.text != text:
             raise DslSyntaxError(f"expected {text!r}, found {t.text or 'end'!r}",
                                  t.line, t.col)
-        return t
 
     def at_end(self):
         return self.peek().kind == "end"
@@ -230,14 +246,21 @@ class _Parser:
     def close(self, mark):
         return (mark[0], mark[1], self.last_end)
 
-    def ref(self, *reserved):
-        """A name reference if the next token is a name outside reserved."""
+    def ref(self, kind, *reserved):
+        """If the next token is a name outside reserved, read it: the AST
+        bound to it as a kind, with the name's span, else a RefAst."""
         t = self.peek()
         if t.kind != "name" or t.text in reserved:
             return None
         mark = self.mark()
         self.next()
-        return RefAst(t.text, span=self.close(mark))
+        return self.resolve(RefAst(t.text, kind, span=self.close(mark)))
+
+    def resolve(self, ref):
+        bound = self.scope.get(ref.name)
+        if bound is None or bound[0] != ref.kind:
+            return ref
+        return replace(bound[1], span=ref.span)
 
     # groups
 
@@ -251,7 +274,7 @@ class _Parser:
         return node
 
     def gatom(self):
-        ref = self.ref("Z")
+        ref = self.ref("group", "Z")
         if ref is not None:
             return ref
         mark = self.mark()
@@ -322,7 +345,7 @@ class _Parser:
     # generator lists
 
     def gens(self):
-        ref = self.ref()
+        ref = self.ref("gens")
         if ref is not None:
             return ref
         mark = self.mark()
@@ -371,18 +394,15 @@ class _Parser:
     def ratom(self):
         mark = self.mark()
         t = self.peek()
-        if t.text == "Z":
+        if t.text in ("Z", "Q"):
             self.next()
-            return RingAst("Z", span=self.close(mark))
-        if t.text == "Q":
-            self.next()
-            return RingAst("Q", span=self.close(mark))
+            return RingAst(t.text, span=self.close(mark))
         if t.text == "coarsen":
             self.next()
             self.expect("(")
             inner = self.ring()
             self.expect(",")
-            h = self.ref("fine", "coarse", "let") or self.hom()
+            h = self.ref("hom", "fine", "coarse", "let") or self.hom()
             self.expect(")")
             return RingAst("coarsen", inner=inner, hom=h,
                            span=self.close(mark))
@@ -401,7 +421,7 @@ class _Parser:
             inner = self.ring()
             self.expect(")")
             return RingAst("frac", inner=inner, span=self.close(mark))
-        ref = self.ref()
+        ref = self.ref("ring")
         if ref is None:
             self.fail("expected a ring")
         return ref
@@ -409,7 +429,7 @@ class _Parser:
     # elements
 
     def elem(self):
-        ref = self.ref("e")
+        ref = self.ref("elem", "e")
         if ref is not None:
             return ref
         mark = self.mark()
@@ -450,65 +470,70 @@ class _Parser:
     # scripts
 
     def lets(self):
-        lets = []
+        """Bind each let into the scope; return the ring and group values,
+        which are evaluated once the whole text parses."""
+        eager = []
         while self.peek().text == "let":
             self.next()
             name = self.next()
             if name.kind != "name":
                 raise DslSyntaxError("expected a name after let",
                                      name.line, name.col)
+            if name.text in _KEYWORDS:
+                raise DslSyntaxError(f"{name.text!r} is a keyword and "
+                                     "cannot be bound", name.line, name.col)
             self.expect("=")
-            lets.append((name.text, self.let_value()))
+            kind, value = self.let_value()
+            self.scope[name.text] = (kind, value)
+            if kind in ("ring", "group"):
+                eager.append((kind, value))
             self.expect(";")
-        return tuple(lets)
-
-    def script(self, final):
-        lets = self.lets()
-        node = final(self)
-        if not self.at_end():
-            self.fail("trailing input")
-        return Script(lets, node)
+        return eager
 
     def let_value(self):
+        """(kind, AST) of the first of hom, gens, ring, group and element
+        that reads the whole value.  A name left unresolved binds a ring,
+        which reports "'name' is not a bound ring" when evaluated."""
         t = self.peek()
         if t.text == "[":
-            return self.hom()
+            return "hom", self.hom()
         if t.text == "<":
-            return self.gens()
+            return "gens", self.gens()
         mark = self.pos
-        for production in (self.ring, self.group):
+        for kind, production in (("ring", self.ring), ("group", self.group)):
             try:
                 node = production()
                 if self.peek().text == ";" or self.at_end():
-                    return node
+                    if isinstance(node, RefAst):
+                        return "ring", self.resolve(replace(node, kind="ring"))
+                    return kind, node
             except DslSyntaxError:
                 pass
             self.pos = mark
-        return self.elem()
+        return "elem", self.elem()
 
 
-def parse_script(text, expect):
-    """Parse let-bindings plus one final expression of the given kind."""
-    goal = {"ring": _Parser.ring, "group": _Parser.group,
-            "elem": _Parser.elem, "gens": _Parser.gens,
-            "hom": _Parser.hom}[expect]
-    return _Parser(text).script(goal)
-
-
-def parse_lets(text):
-    """Parse a bindings-only script (for --script files)."""
-    p = _Parser(text)
-    lets = p.lets()
+def _parse(text, scope, goal=None):
+    """Parse let-bindings, then the goal expression (a _Parser method; a
+    --script file has none).  Returns the goal's AST and the scope with
+    the lets added.  Ring and group lets are evaluated here, in order, so
+    that their errors show at the let even when nothing uses them."""
+    p = _Parser(text, scope)
+    eager = p.lets()
+    node = goal(p) if goal is not None else None
     if not p.at_end():
-        p.fail("script files may only contain let-bindings")
-    return lets
+        p.fail("trailing input" if goal is not None
+               else "script files may only contain let-bindings")
+    for kind, value in eager:
+        (_eval_ring if kind == "ring" else _eval_group)(value)
+    return node, p.scope
 
 
-# --- evaluation ---
+# --- evaluation (a pure function of the AST: names resolved when parsed) ---
 
-def _eval_group(node, env):
+def _eval_group(node):
     if isinstance(node, RefAst):
-        return _deref(node, env, "group")
+        raise _unbound(node)
     if node.kind == "zero":
         return FgGroup(0, ())
     if node.kind == "free":
@@ -520,20 +545,20 @@ def _eval_group(node, env):
             raise DslTypeError(f"Z/{node.n} needs a modulus of at least 2",
                                (node.span,))
         return FgGroup(0, (node.n,))
-    return direct_sum(_eval_group(node.left, env),
-                      _eval_group(node.right, env)).group
+    return direct_sum(_eval_group(node.left), _eval_group(node.right)).group
 
 
-def _eval_hom(node, domain, env, ring_span):
-    dom = _eval_group(node.dom, env) if node.dom is not None else domain
-    if node.dom is not None and domain is not None and dom != domain:
-        raise DslTypeError(
-            f"hom domain {dom} does not match the ring grading {domain}",
-            (node.dom.span, ring_span))
-    if dom is None:
-        raise DslTypeError("hom needs a domain annotation here",
-                           (node.span,))
-    cod = (_eval_group(node.cod, env) if node.cod is not None
+def _eval_hom(node, domain, ring_span):
+    if isinstance(node, RefAst):
+        raise _unbound(node)
+    dom = domain
+    if node.dom is not None:
+        dom = _eval_group(node.dom)
+        if dom != domain:
+            raise DslTypeError(
+                f"hom domain {dom} does not match the ring grading {domain}",
+                (node.dom.span, ring_span))
+    cod = (_eval_group(node.cod) if node.cod is not None
            else FgGroup(len(node.rows), ()))
     if len(node.rows) != cod.dim:
         spans = ((node.mat_span,) if node.cod is None
@@ -556,6 +581,8 @@ def _eval_hom(node, domain, env, ring_span):
 
 
 def _eval_gens(node, group):
+    if isinstance(node, RefAst):
+        raise _unbound(node)
     out = []
     for t, span in zip(node.tuples, node.tuple_spans):
         if len(t) != group.dim:
@@ -566,9 +593,9 @@ def _eval_gens(node, group):
     return out
 
 
-def _eval_elem(node, nf, env):
+def _eval_elem(node, nf):
     if isinstance(node, RefAst):
-        node = _deref(node, env, "elem")
+        raise _unbound(node)
     terms = {}
     e = nf.egroup
     for (num, den, coords), span in zip(node.terms, node.term_spans):
@@ -590,91 +617,38 @@ def _eval_elem(node, nf, env):
     return Element(nf, terms)
 
 
-def _eval_ring(node, env):
+def _eval_ring(node):
     if isinstance(node, RefAst):
-        return _deref(node, env, "ring")[0]
-    if node.kind == "Z":
-        return normalize(BaseZ())
-    if node.kind == "Q":
-        return normalize(BaseQ())
+        raise _unbound(node)
+    if node.kind in ("Z", "Q"):
+        return normalize(BaseZ() if node.kind == "Z" else BaseQ())
+    inner = _eval_ring(node.inner)
     if node.kind == "algebra":
-        inner = _eval_ring(node.inner, env)
-        return group_algebra(inner, _eval_group(node.group, env),
-                             node.alg_kind)
+        return group_algebra(inner, _eval_group(node.group), node.alg_kind)
     if node.kind == "coarsen":
-        inner = _eval_ring(node.inner, env)
-        psi = _eval_hom(_deref(node.hom, env, "hom"), inner.ggroup, env,
-                        ring_span=node.inner.span)
-        return coarsen(inner, psi)
+        return coarsen(inner, _eval_hom(node.hom, inner.ggroup,
+                                        node.inner.span))
     if node.kind == "restrict":
-        inner = _eval_ring(node.inner, env)
-        gens = _eval_gens(_deref(node.gens, env, "gens"), inner.ggroup)
-        return regrade_restrict(inner, gens)
-    return fraction_field(_eval_ring(node.inner, env))
+        return regrade_restrict(inner, _eval_gens(node.gens, inner.ggroup))
+    return fraction_field(inner)
 
 
-def _deref(node, env, kind):
-    if not isinstance(node, RefAst):
-        return node
-    bound = env.get(node.name)
-    if bound is None or bound[0] != kind:
-        raise DslTypeError(f"{node.name!r} is not a bound {kind}",
-                           (node.span,))
-    return bound[1]
+def _ring_arg(text, scope):
+    """The ring, its AST and the scope its lets extend."""
+    node, scope = _parse(text, scope, _Parser.ring)
+    return _eval_ring(node), node, scope
 
 
-def _ring_binding(node, env):
-    """(ring, constructor AST); for a name, the pair it is bound to."""
-    if isinstance(node, RefAst):
-        return _deref(node, env, "ring")
-    return _eval_ring(node, env), node
+def _elem_arg(text, nf, scope):
+    node, _ = _parse(text, scope, _Parser.elem)
+    return _eval_elem(node, nf)
 
 
-def _eval_let(name, node, env):
-    """Bind name in env.  Rings and groups are evaluated now; homs, gens
-    and elements keep their AST and are evaluated where they are used."""
-    if isinstance(node, (RingAst, RefAst)):
-        env[name] = ("ring", _ring_binding(node, env))
-    elif isinstance(node, GroupAst):
-        env[name] = ("group", _eval_group(node, env))
-    elif isinstance(node, HomAst):
-        env[name] = ("hom", node)
-    elif isinstance(node, GensAst):
-        env[name] = ("gens", node)
-    else:
-        env[name] = ("elem", node)
-
-
-def _parse_arg(text, expect, env):
-    """Parse one argument; return its final node and a copy of env with
-    the argument's let-bindings added."""
-    script = parse_script(text, expect)
-    env = dict(env)
-    for name, value in script.lets:
-        _eval_let(name, value, env)
-    return script.final, env
-
-
-def _ring_arg(text, env):
-    node, env = _parse_arg(text, "ring", env)
-    return (*_ring_binding(node, env), env)
-
-
-def _elem_arg(text, nf, env):
-    node, env = _parse_arg(text, "elem", env)
-    return _eval_elem(node, nf, env)
-
-
-def _gens_arg(text, group, env):
-    node, env = _parse_arg(text, "gens", env)
-    return _eval_gens(_deref(node, env, "gens"), group)
-
-
-def _inclusion_args(args, env):
+def _inclusion_args(args, scope):
     """The subring, the ring and the element of integrality and almost."""
-    r, _, env = _ring_arg(args.subring, env)
-    s, _, env = _ring_arg(args.ring, env)
-    return r, s, _elem_arg(args.elem, s, env)
+    r, _, scope = _ring_arg(args.subring, scope)
+    s, _, scope = _ring_arg(args.ring, scope)
+    return r, s, _elem_arg(args.elem, s, scope)
 
 
 def _coords_str(x):
@@ -683,8 +657,8 @@ def _coords_str(x):
 
 # --- subcommands ---
 
-def _cmd_classify(args, env):
-    nf, _, _ = _ring_arg(args.ring, env)
+def _cmd_classify(args, scope):
+    nf, _, _ = _ring_arg(args.ring, scope)
     cls = classify(nf)
     return [{
         "ring": nf.describe(),
@@ -696,9 +670,9 @@ def _cmd_classify(args, env):
     }]
 
 
-def _cmd_components(args, env):
-    nf, _, env2 = _ring_arg(args.ring, env)
-    x = _elem_arg(args.elem, nf, env2)
+def _cmd_components(args, scope):
+    nf, _, scope = _ring_arg(args.ring, scope)
+    x = _elem_arg(args.elem, nf, scope)
     out = []
     for deg, part in homogeneous_components(x).items():
         out.append({"degree": _coords_str(deg), "element": str(part)})
@@ -707,8 +681,8 @@ def _cmd_components(args, env):
     return out
 
 
-def _cmd_integrality(args, env):
-    r, s, x = _inclusion_args(args, env)
+def _cmd_integrality(args, scope):
+    r, s, x = _inclusion_args(args, scope)
     res = find_integral_equation(r, s, x, args.max_deg, args.box)
     if isinstance(res, IntegralityWitness):
         return [{"found": True, "degree": res.degree,
@@ -716,8 +690,8 @@ def _cmd_integrality(args, env):
     return [{"found": False, "max_deg": args.max_deg, "box": args.box}]
 
 
-def _cmd_almost(args, env):
-    r, s, x = _inclusion_args(args, env)
+def _cmd_almost(args, scope):
+    r, s, x = _inclusion_args(args, scope)
     res = find_almost_integral_witness(r, s, x, args.kmax, args.box)
     if isinstance(res, AlmostIntegralWitness):
         return [{"found": True, "k": res.k,
@@ -725,19 +699,15 @@ def _cmd_almost(args, env):
     return [{"found": False, "k_max": args.kmax, "box": args.box}]
 
 
-def _cmd_divide(args, env):
-    nf, ast, env2 = _ring_arg(args.ring, env)
+def _cmd_divide(args, scope):
+    _, ast, scope = _ring_arg(args.ring, scope)
     if not (ast.kind == "algebra" and ast.alg_kind == "coarse"
-            and _eval_group(ast.group, env2) == FgGroup(1, ())):
+            and _eval_group(ast.group) == FgGroup(1, ())):
         raise HypothesisViolatedError(
             "divide needs a ring written as R[Z]coarse")
-    base = _eval_ring(ast.inner, env2)
-    struct = laurent_extension(base)
-    if struct.ring != nf:
-        raise HypothesisViolatedError(
-            "ring does not match its own Laurent extension")
-    f = _elem_arg(args.f, struct.ring, env2)
-    g = _elem_arg(args.g, struct.ring, env2)
+    struct = laurent_extension(_eval_ring(ast.inner))
+    f = _elem_arg(args.f, struct.ring, scope)
+    g = _elem_arg(args.g, struct.ring, scope)
     u, v = graded_euclidean_division(struct, f, g)
     return [{"u": str(u), "v": str(v)}]
 
@@ -749,16 +719,17 @@ def _idempotent_fields(n):
                  "d": str(rec.d), "witness": witness_str(rec.witness)}
 
 
-def _cmd_idempotent(args, env):
+def _cmd_idempotent(args, scope):
     rec, out = _idempotent_fields(args.n)
     out.update(idempotent=rec.f * rec.f == rec.f, in_integer_ring=False,
                witness_verified=True)
     return [out]
 
 
-def _cmd_iso_lem50(args, env):
-    nf, _, env2 = _ring_arg(args.ring, env)
-    fgens = _gens_arg(args.subgroup, nf.ggroup, env2)
+def _cmd_iso_lem50(args, scope):
+    nf, _, scope = _ring_arg(args.ring, scope)
+    node, _ = _parse(args.subgroup, scope, _Parser.gens)
+    fgens = _eval_gens(node, nf.ggroup)
     _, proj = quotient_by(nf.ggroup, fgens)
     section = find_section(proj)
     if section is None:
@@ -774,7 +745,7 @@ def _cmd_iso_lem50(args, env):
     }]
 
 
-def _cmd_check(args, env):
+def _cmd_check(args, scope):
     seed = args.seed
     if seed is None:
         try:
@@ -840,7 +811,7 @@ def _demo_p90():
     return [entire_side, torsion_side]
 
 
-def _cmd_demo(args, env):
+def _cmd_demo(args, scope):
     if args.which == "a90":
         return _demo_a90(args.n)
     if args.which == "a140":
@@ -934,7 +905,7 @@ def _error_json(kind, exc):
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    env = {}
+    scope = {}
     try:
         if args.script:
             try:
@@ -946,9 +917,8 @@ def main(argv=None):
             except (OSError, UnicodeDecodeError) as exc:
                 _error_json("script", exc)
                 return 2
-            for name, value in parse_lets(text):
-                _eval_let(name, value, env)
-        result = args.fn(args, env)
+            _, scope = _parse(text, scope)
+        result = args.fn(args, scope)
     except (DslSyntaxError, DslTypeError, UnknownCheckIdError) as exc:
         _error_json("parse-or-type", exc)
         return 2

@@ -15,7 +15,6 @@ trial index).
 """
 
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction as Rational
 
@@ -149,7 +148,6 @@ class CheckReport:
     fails: int
     inconclusive: int
     counterexample: dict | None
-    wall_time: float
     errors: list
 
 
@@ -196,7 +194,7 @@ def _base(rng):
 
 
 def generate_instance(seed, profile):
-    """Deterministic instance for a profile: (ring, psi or None, samples).
+    """Deterministic instance for a profile: (ring, psi or None).
 
     The returned ring satisfies the profile's hypotheses; this is checked
     here with classify and the group predicates.
@@ -209,7 +207,7 @@ def generate_instance(seed, profile):
         # every profile builds its ring and psi to have these properties
         raise InternalInvariantError(
             f"profile {profile!r} drew an instance outside it from {seed}")
-    return nf, psi, [_sample_element(rng, nf) for _ in range(3)]
+    return nf, psi
 
 
 def _build_profile(rng, profile):
@@ -280,7 +278,7 @@ def _payload(**kv):
 
 
 def _check_p70(trial, seed, bounds):
-    nf, psi, _ = generate_instance(seed, "entire-torsionfree-kernel")
+    nf, psi = generate_instance(seed, "entire-torsionfree-kernel")
     rng = Rng(seed ^ 0x70)
     coarse_degree = compose(psi, nf.delta)
     x = _sample_homogeneous(rng, nf, coarse_degree, max_terms=3)
@@ -300,7 +298,7 @@ def _check_p70(trial, seed, bounds):
 
 
 def _check_p80(trial, seed, bounds):
-    nf, psi, _ = generate_instance(seed, "entire-torsionfree-kernel")
+    nf, psi = generate_instance(seed, "entire-torsionfree-kernel")
     rng = Rng(seed ^ 0x80)
     rc = coarsen(nf, psi)
     if rng.randint(0, 2) == 0:
@@ -324,7 +322,7 @@ def _check_p80(trial, seed, bounds):
 def _check_p90(trial, seed, bounds):
     profile = ("entire-torsionfree-kernel" if trial % 2 == 0
                else "torsion-kernel")
-    nf, psi, _ = generate_instance(seed, profile)
+    nf, psi = generate_instance(seed, profile)
     rng = Rng(seed ^ 0x90)
     rc = coarsen(nf, psi)
     kern, _ = hom_kernel(psi)
@@ -558,7 +556,7 @@ def _check_f20(trial, seed, bounds):
     if trial % 2 == 0:
         base = group_algebra(normalize(BaseQ()), FgGroup(0, ()), "fine")
     else:
-        base, _, _ = generate_instance(seed, "simple-full-support")
+        base, _ = generate_instance(seed, "simple-full-support")
     struct = laurent_extension(base)
     ring = struct.ring
 
@@ -589,7 +587,7 @@ def _check_f20(trial, seed, bounds):
 
 
 def _check_lem50(trial, seed, bounds):
-    nf, psi, _ = generate_instance(seed, "free-summand")
+    nf, psi = generate_instance(seed, "free-summand")
     rng = Rng(seed ^ 0x50)
     kern, ik = hom_kernel(psi)
     fgens = [ik.apply(x) for x in kern.generators()]
@@ -683,7 +681,6 @@ def run_check(cfg):
     bounds = dict(DEFAULT_BOUNDS)
     bounds.update(cfg.bounds or {})
     fn = _CHECKS[cfg.check_id]
-    start = time.perf_counter()
     results = []
     errors = []
     counterexample = None
@@ -708,7 +705,6 @@ def run_check(cfg):
         fails=results.count("fail"),
         inconclusive=results.count("inconclusive"),
         counterexample=counterexample,
-        wall_time=time.perf_counter() - start,
         errors=errors,
     )
 

@@ -16,6 +16,7 @@ on top for a fraction ring.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import (
     FgGroup,
@@ -72,6 +73,21 @@ class NormalForm:
     def describe(self):
         body = f"{self.base}[{self.egroup}] graded by {self.ggroup}"
         return f"Frac({body})" if self.fraction else body
+
+    @cached_property
+    def _classification(self):
+        """classify(self), computed on first use and kept on the ring."""
+        k, _ = hom_kernel(self.delta)
+        if self.fraction:
+            entire = True
+            simple = True
+        else:
+            entire = k.is_torsionfree
+            simple = self.base == "Q" and k.is_trivial
+        support, _ = hom_image(self.delta)
+        q, _ = quotient_by(self.ggroup, [self.delta.apply(g)
+                                         for g in self.egroup.generators()])
+        return Classification(entire, simple, True, support, q.is_trivial)
 
 
 @dataclass(frozen=True)
@@ -179,8 +195,7 @@ def fraction_field(nf):
     """Graded ring of fractions: homogeneous nonzero denominators."""
     if nf.fraction:
         return nf
-    k, _ = hom_kernel(nf.delta)
-    if not k.is_torsionfree:
+    if not classify(nf).entire:
         raise NotEntireError(
             "ring has homogeneous zero divisors, no fraction ring")
     return NormalForm(nf.base, nf.egroup, nf.ggroup, nf.delta, True)
@@ -205,16 +220,6 @@ def classify(nf):
     element invertible; over Q that forces an injective degree map, over
     Z it never holds (2 is not invertible), and a fraction ring always
     qualifies.  noetherian: always, the exponent group is finitely
-    generated over a noetherian base.
+    generated over a noetherian base.  Computed once per ring.
     """
-    k, _ = hom_kernel(nf.delta)
-    if nf.fraction:
-        entire = True
-        simple = True
-    else:
-        entire = k.is_torsionfree
-        simple = nf.base == "Q" and k.is_trivial
-    support, _ = hom_image(nf.delta)
-    q, _ = quotient_by(nf.ggroup,
-                       [nf.delta.apply(g) for g in nf.egroup.generators()])
-    return Classification(entire, simple, True, support, q.is_trivial)
+    return nf._classification

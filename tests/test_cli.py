@@ -336,13 +336,67 @@ def test_divide_through_aliases(ring):
 
 
 def test_divide_reevaluates_the_inner_ring(capsys):
+    """divide rebuilds the Laurent structure from the inner ring of the
+    constructor, and B there is the ring bound where L was written."""
     rc, out, err = run_main(capsys, "divide",
                             "let B = Q; let L = B[Z]coarse; let B = Z; L",
                             "e(1)", "e(1)")
+    assert rc == 0 and err == ""
+    assert json.loads(out) == {"u": "e(0)", "v": "0"}
+
+
+REBOUND = "let G = Z^2;\nlet psi = [[1,1]]: G -> Z;\nlet G = Z^3;\n"
+
+
+def test_names_resolve_where_written(capsys, tmp_path):
+    """psi was written for Z^2, and rebinding G afterwards does not reach
+    it, in an argument or in a --script file."""
+    rc, out, err = run_main(capsys, "classify",
+                            REBOUND + "coarsen(Q[Z^2]fine, psi)")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["ring"] == "Q[Z^2] graded by Z"
+    script = tmp_path / "defs.gradal"
+    script.write_text(REBOUND, encoding="utf-8")
+    rc, out, err = run_main(capsys, "--script", str(script),
+                            "classify", "coarsen(Q[Z^2]fine, psi)")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["ring"] == "Q[Z^2] graded by Z"
+    rc, out, _ = run_main(capsys, "classify",
+                          "let G = Z^2; let H = (G); Q[H]fine")
+    assert rc == 0
+    assert json.loads(out)["ring"] == "Q[Z^2] graded by Z^2"
+
+
+def test_name_bound_after_its_use(capsys):
+    rc, out, err = run_main(
+        capsys, "classify",
+        "let psi = [[1,1]]: G -> Z; let G = Z^2; coarsen(Q[Z^2]fine, psi)")
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "parse-or-type",
+        "message": "'G' is not a bound group at [1:20-21]",
+        "spans": [[1, 20, 21]]}
+
+
+@pytest.mark.parametrize("word", ["Z", "Q", "e", "fine", "coarse", "let",
+                                  "coarsen", "restrict", "Frac"])
+def test_keywords_cannot_be_bound(capsys, word):
+    rc, out, err = run_main(capsys, "classify", f"let {word} = Z[Z]fine; Q")
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "parse-or-type",
+        "message": f"1:5: {word!r} is a keyword and cannot be bound",
+        "line": 1, "col": 5}
+
+
+def test_coarsen_fraction_ring_along_torsion_kernel_exit_3(capsys):
+    rc, out, err = run_main(capsys, "classify",
+                            "coarsen(Frac(Q[Z x Z/2]fine), [[1,0]])")
     assert rc == 3 and out == ""
     assert json.loads(err) == {
         "error": "hypothesis",
-        "message": "ring does not match its own Laurent extension"}
+        "message": "cannot coarsen a fraction ring along a map with "
+                   "torsion kernel"}
 
 
 # --- parse and evaluate ---
@@ -373,19 +427,19 @@ def _evaluate(expect, text):
     """Parse text with G bound to Z^2 and evaluate it; homs and gens on
     the grading group Z^2, elements in Q[Z^n] for their exponent width."""
     z2 = FgGroup(2, ())
-    node, env = cli._parse_arg(text, expect,
-                               cli._parse_arg("let G = Z^2; Q", "ring", {})[1])
+    _, scope = cli._parse("let G = Z^2;", {})
+    node, _ = cli._parse(text, scope, getattr(cli._Parser, expect))
     if expect == "ring":
-        return cli._eval_ring(node, env).describe()
+        return cli._eval_ring(node).describe()
     if expect == "group":
-        return str(cli._eval_group(node, env))
+        return str(cli._eval_group(node))
     if expect == "elem":
         nf = group_algebra(normalize(BaseQ()),
                            FgGroup(len(node.terms[0][2]), ()), "fine")
-        return str(cli._eval_elem(node, nf, env))
+        return str(cli._eval_elem(node, nf))
     if expect == "gens":
         return [x.coords for x in cli._eval_gens(node, z2)]
-    h = cli._eval_hom(node, z2, env, node.span)
+    h = cli._eval_hom(node, z2, node.span)
     return str(h.domain), str(h.codomain), h.matrix
 
 

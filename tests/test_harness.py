@@ -129,8 +129,7 @@ def test_jsonable_values():
 @pytest.mark.parametrize("profile", PROFILES)
 def test_generate_instance_profiles(profile):
     for seed in (1, 17, 303):
-        nf, psi, samples = generate_instance(seed, profile)
-        assert len(samples) == 3
+        nf, psi = generate_instance(seed, profile)
         cls = classify(nf)
         if profile == "simple-full-support":
             assert psi is None
@@ -146,8 +145,7 @@ def test_generate_instance_profiles(profile):
             k, _ = hom_kernel(psi)
             assert cls.entire and k.is_torsionfree
         # re-generation is deterministic
-        nf2, _, samples2 = generate_instance(seed, profile)
-        assert nf2 == nf and samples2 == samples
+        assert generate_instance(seed, profile) == (nf, psi)
 
 
 def test_generate_instance_rejects_unknown_profile():

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, every
 function the bench tracer wraps still exists, every __all__ entry
-resolves, rings are built only by the ringexpr constructors, and every
-CLI subcommand is run by some test in tests/test_cli.py.
+resolves, rings are built only by the ringexpr constructors, every
+CLI subcommand is run by some test in tests/test_cli.py, and every word
+the DSL parser reads as grammar is a keyword a let cannot bind.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
 is read anywhere in the module or listed in the module's __all__.  The
@@ -159,4 +160,64 @@ def test_every_subcommand_tested():
     called = invoked_strings((ROOT / "tests" / "test_cli.py").read_text())
     missing = sorted(set(sub.choices) - called)
     assert not missing, ("subcommands no test in tests/test_cli.py runs: "
+                         + ", ".join(missing))
+
+
+def _strings(node):
+    """The string constants of a constant or of a tuple, list or set."""
+    items = (node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+             else [node])
+    return {n.value for n in items
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def parser_words(source):
+    """Words (identifier-like strings) that _Parser compares token text
+    against: operands of a comparison with some `.text`, the argument of
+    `expect`, and the reserved words of `ref` (all but its first
+    argument, the kind of binding it resolves)."""
+    tree = ast.parse(source)
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "_Parser")
+    found = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Attribute) and o.attr == "text"
+                   for o in operands):
+                for o in operands:
+                    found |= _strings(o)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)):
+            args = {"expect": node.args,
+                    "ref": node.args[1:]}.get(node.func.attr, [])
+            for arg in args:
+                found |= _strings(arg)
+    return {w for w in found if w.isidentifier()}
+
+
+def test_parser_words_scanner():
+    src = ("class _Parser:\n"
+           "    def f(self, t, kind):\n"
+           "        if t.text == 'Z' or self.peek().text in ('fine', '['):\n"
+           "            self.expect('let')\n"
+           "        self.expect('(')\n"
+           "        self.ref('group', 'e')\n"
+           "        if kind == 'ring' or t.kind != 'name':\n"
+           "            pass\n"
+           "class Other:\n"
+           "    def g(self, t):\n"
+           "        return t.text == 'Q'\n")
+    assert parser_words(src) == {"Z", "fine", "let", "e"}
+
+
+def test_parser_words_are_keywords():
+    """Where the parser reads a word as grammar, a name spelled the same
+    cannot be referenced, so a let must not bind it.  "x", the infix
+    product of groups, is the exception: a name x resolves wherever a
+    name is read."""
+    from gradal.cli import _KEYWORDS
+    words = parser_words((ROOT / "src" / "gradal" / "cli.py").read_text())
+    missing = sorted(words - _KEYWORDS - {"x"})
+    assert not missing, ("words the parser reads but a let may bind: "
                          + ", ".join(missing))

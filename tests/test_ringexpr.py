@@ -11,7 +11,12 @@ from gradal.abelian import (
     identity_hom,
     lift_hom,
 )
-from gradal.errors import GradalError, NotEntireError, NotSurjectiveError
+from gradal.errors import (
+    GradalError,
+    NotEntireError,
+    NotSurjectiveError,
+    TorsionKernelError,
+)
 from gradal.ringexpr import (
     BaseQ,
     BaseZ,
@@ -129,6 +134,24 @@ def test_fraction_field_gates():
     not_ent = group_algebra(Q, FgGroup(0, (2,)), "coarse")
     with pytest.raises(NotEntireError):
         fraction_field(not_ent)
+
+
+def test_fraction_field_idempotent():
+    fr = fraction_field(group_algebra(Q, FgGroup(1, ()), "fine"))
+    assert fraction_field(fr) is fr
+
+
+def test_coarsen_a_fraction_ring():
+    """Coarsening commutes with fractions along a torsionfree kernel, and
+    is refused along a torsion kernel: the coarse ring has homogeneous
+    zero divisors, so it has no graded ring of fractions."""
+    fine = group_algebra(Q, FgGroup(2, ()), "fine")
+    psi = GroupHom(fine.ggroup, FgGroup(1, ()), ((1, 1),))
+    assert coarsen(fraction_field(fine), psi) == fraction_field(
+        coarsen(fine, psi))
+    fr = fraction_field(group_algebra(Q, FgGroup(1, (2,)), "fine"))
+    with pytest.raises(TorsionKernelError):
+        coarsen(fr, GroupHom(fr.ggroup, FgGroup(1, ()), ((1, 0),)))
 
 
 def rebuild(nf):
