@@ -18,9 +18,9 @@ instead, which keeps the two concerns independently testable.
 'Z x Z/4'
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm
+from operator import mod
 
 from .errors import (
     GradalError,
@@ -68,27 +68,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FgGroup:
-    """Z^rank x Z/torsion[0] x ... with the divisibility chain enforced."""
+    """Z^rank x Z/torsion[0] x ... with the divisibility chain enforced.
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    A value: compared and hashed by (rank, torsion).
+    """
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise GradalError(f"negative rank {self.rank}")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        for d in self.torsion:
+    __slots__ = ("rank", "torsion", "dim", "_key", "_hash")
+
+    def __init__(self, rank, torsion=()):
+        if rank < 0:
+            raise GradalError(f"negative rank {rank}")
+        torsion = tuple(int(d) for d in torsion)
+        for d in torsion:
             if d < 2:
                 raise GradalError(f"invariant factor {d} < 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise GradalError(f"invariant factors {a}, {b} break the chain")
+        self.rank = rank
+        self.torsion = torsion
+        self.dim = rank + len(torsion)
+        self._key = (rank, torsion)
+        self._hash = hash(self._key)
 
-    @property
-    def dim(self):
-        return self.rank + len(self.torsion)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FgGroup:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"FgGroup(rank={self.rank!r}, torsion={self.torsion!r})"
 
     @property
     def is_trivial(self):
@@ -108,13 +123,14 @@ class FgGroup:
         return n
 
     def reduce(self, coords):
-        coords = list(coords)
+        coords = tuple(coords)
         if len(coords) != self.dim:
             raise ParentMismatchError(
                 f"expected {self.dim} coordinates, got {len(coords)}")
-        for j, d in enumerate(self.torsion):
-            coords[self.rank + j] %= d
-        return tuple(coords)
+        if not self.torsion:
+            return coords
+        r = self.rank
+        return coords[:r] + tuple(map(mod, coords[r:], self.torsion))
 
     def element(self, coords):
         return GroupElem(self, self.reduce(coords))
@@ -168,10 +184,28 @@ class FgGroup:
         return " x ".join(parts)
 
 
-@dataclass(frozen=True)
 class GroupElem:
-    group: FgGroup
-    coords: tuple[int, ...]
+    """A coordinate tuple in a group; compared and hashed by (group, coords)."""
+
+    __slots__ = ("group", "coords", "_hash")
+
+    def __init__(self, group, coords):
+        self.group = group
+        self.coords = coords
+        self._hash = hash((group, coords))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not GroupElem:
+            return NotImplemented
+        return self.coords == other.coords and self.group == other.group
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"GroupElem(group={self.group!r}, coords={self.coords!r})"
 
     def _check(self, other):
         if self.group != other.group:
@@ -221,37 +255,53 @@ def _canonical_rows(codomain, matrix):
     return tuple(tuple(r) for r in rows)
 
 
-@dataclass(frozen=True)
 class GroupHom:
     """Homomorphism given by its matrix on standard generators.
 
     Column j is the image of the j-th generator of the domain, written in
     codomain coordinates.  Rows hitting torsion coordinates are stored
-    reduced, so structural equality of homs is equality of the maps.
+    reduced, so equality of homs, by (domain, codomain, matrix), is
+    equality of the maps.
     """
 
-    domain: FgGroup
-    codomain: FgGroup
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("domain", "codomain", "matrix", "_key", "_hash")
 
-    def __post_init__(self):
-        mat = _canonical_rows(self.codomain, self.matrix)
-        if len(mat) != self.codomain.dim:
+    def __init__(self, domain, codomain, matrix):
+        mat = _canonical_rows(codomain, matrix)
+        if len(mat) != codomain.dim:
             raise NotAHomomorphismError(
-                f"matrix has {len(mat)} rows, codomain dim {self.codomain.dim}")
+                f"matrix has {len(mat)} rows, codomain dim {codomain.dim}")
         for row in mat:
-            if len(row) != self.domain.dim:
+            if len(row) != domain.dim:
                 raise NotAHomomorphismError(
-                    f"matrix row width {len(row)}, domain dim {self.domain.dim}")
-        object.__setattr__(self, "matrix", mat)
+                    f"matrix row width {len(row)}, domain dim {domain.dim}")
         # A torsion generator of order d must map to an element killed by d.
-        for j, d in enumerate(self.domain.torsion):
-            col = self.domain.rank + j
-            img = self.codomain.element(tuple(row[col] for row in mat))
+        for j, d in enumerate(domain.torsion):
+            col = domain.rank + j
+            img = codomain.element(tuple(row[col] for row in mat))
             if not (d * img).is_zero:
                 raise NotAHomomorphismError(
                     f"generator of order {d} maps to an element of order "
                     f"{img.elem_order()}")
+        self.domain = domain
+        self.codomain = codomain
+        self.matrix = mat
+        self._key = (domain, codomain, mat)
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not GroupHom:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"GroupHom(domain={self.domain!r}, codomain={self.codomain!r}, "
+                f"matrix={self.matrix!r})")
 
     def apply(self, elem):
         if elem.group != self.domain:
@@ -464,13 +514,17 @@ def hom_inverse(phi):
     return inv
 
 
-@dataclass(frozen=True)
 class DirectSum:
-    group: FgGroup
-    inj1: GroupHom
-    inj2: GroupHom
-    proj1: GroupHom
-    proj2: GroupHom
+    """A group with the injections and projections of its two summands."""
+
+    __slots__ = ("group", "inj1", "inj2", "proj1", "proj2")
+
+    def __init__(self, group, inj1, inj2, proj1, proj2):
+        self.group = group
+        self.inj1 = inj1
+        self.inj2 = inj2
+        self.proj1 = proj1
+        self.proj2 = proj2
 
 
 def direct_sum(a, b):

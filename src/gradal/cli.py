@@ -37,10 +37,10 @@ Z Q e fine coarse let coarsen restrict Frac cannot be bound.
 """
 
 import argparse
+import copy
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction as Rational
 
 from .abelian import FgGroup, GroupHom, direct_sum, find_section, quotient_by
@@ -78,8 +78,6 @@ from .ringexpr import (
 
 __all__ = ["main"]
 
-_NO_SPAN = (0, 0, 0)
-
 # Grammar words; a let may not bind them.  "x" is the infix product of
 # groups, and a name x still resolves wherever a name is read.
 _KEYWORDS = frozenset(("Z", "Q", "e", "fine", "coarse", "let", "coarsen",
@@ -92,12 +90,14 @@ _TWO_CHAR = ("->",)
 _ONE_CHAR = "[]()<>,;*+-/^:="
 
 
-@dataclass(frozen=True)
 class _Tok:
-    kind: str  # name, int, sym, end
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind  # name, int, sym, end
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text):
@@ -146,58 +146,72 @@ def _tokenize(text):
     return toks
 
 
-# --- syntax trees (spans feed error reports and are ignored by equality) ---
+# --- syntax trees (spans, (line, first col, end col), feed error reports) ---
 
-@dataclass(frozen=True)
 class GroupAst:
-    kind: str  # zero, free, torsion, prod
-    n: int = 0
-    left: object = None
-    right: object = None
-    span: tuple = field(default=_NO_SPAN, compare=False)
+    __slots__ = ("kind", "n", "left", "right", "span")
+
+    def __init__(self, kind, span, n=0, left=None, right=None):
+        self.kind = kind  # zero, free, torsion, prod
+        self.span = span
+        self.n = n
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class HomAst:
-    rows: tuple
-    dom: object
-    cod: object
-    span: tuple = field(default=_NO_SPAN, compare=False)
-    mat_span: tuple = field(default=_NO_SPAN, compare=False)
+    __slots__ = ("rows", "dom", "cod", "span", "mat_span")
+
+    def __init__(self, rows, dom, cod, span, mat_span):
+        self.rows = rows
+        self.dom = dom
+        self.cod = cod
+        self.span = span
+        self.mat_span = mat_span
 
 
-@dataclass(frozen=True)
 class GensAst:
-    tuples: tuple
-    span: tuple = field(default=_NO_SPAN, compare=False)
-    tuple_spans: tuple = field(default=(), compare=False)
+    __slots__ = ("tuples", "span", "tuple_spans")
+
+    def __init__(self, tuples, span, tuple_spans):
+        self.tuples = tuples
+        self.span = span
+        self.tuple_spans = tuple_spans
 
 
-@dataclass(frozen=True)
 class ElemAst:
-    terms: tuple  # ((num, den, coords), ...), sign folded into num
-    span: tuple = field(default=_NO_SPAN, compare=False)
-    term_spans: tuple = field(default=(), compare=False)
+    __slots__ = ("terms", "span", "term_spans")
+
+    def __init__(self, terms, span, term_spans):
+        self.terms = terms  # ((num, den, coords), ...), sign folded into num
+        self.span = span
+        self.term_spans = term_spans
 
 
-@dataclass(frozen=True)
 class RingAst:
-    kind: str  # Z, Q, algebra, coarsen, restrict, frac
-    inner: object = None
-    group: object = None
-    alg_kind: str = ""
-    hom: object = None
-    gens: object = None
-    span: tuple = field(default=_NO_SPAN, compare=False)
+    __slots__ = ("kind", "span", "inner", "group", "alg_kind", "hom", "gens")
+
+    def __init__(self, kind, span, inner=None, group=None, alg_kind="",
+                 hom=None, gens=None):
+        self.kind = kind  # Z, Q, algebra, coarsen, restrict, frac
+        self.span = span
+        self.inner = inner
+        self.group = group
+        self.alg_kind = alg_kind
+        self.hom = hom
+        self.gens = gens
 
 
-@dataclass(frozen=True)
 class RefAst:
     """A name that is unbound, or bound to another kind, where it is
     written; evaluating it reports "'name' is not a bound kind"."""
-    name: str
-    kind: str
-    span: tuple = field(default=_NO_SPAN, compare=False)
+
+    __slots__ = ("name", "kind", "span")
+
+    def __init__(self, name, kind, span):
+        self.name = name
+        self.kind = kind
+        self.span = span
 
 
 def _unbound(node):
@@ -254,13 +268,17 @@ class _Parser:
             return None
         mark = self.mark()
         self.next()
-        return self.resolve(RefAst(t.text, kind, span=self.close(mark)))
+        return self.resolve(RefAst(t.text, kind, self.close(mark)))
 
     def resolve(self, ref):
+        """The AST bound to ref's name as ref's kind, copied to report
+        errors at ref's span; ref itself when there is none."""
         bound = self.scope.get(ref.name)
         if bound is None or bound[0] != ref.kind:
             return ref
-        return replace(bound[1], span=ref.span)
+        node = copy.copy(bound[1])
+        node.span = ref.span
+        return node
 
     # groups
 
@@ -493,24 +511,33 @@ class _Parser:
     def let_value(self):
         """(kind, AST) of the first of hom, gens, ring, group and element
         that reads the whole value.  A name left unresolved binds a ring,
-        which reports "'name' is not a bound ring" when evaluated."""
+        which reports "'name' is not a bound ring" when evaluated.  When
+        none reads it, the syntax error is that of the production that
+        read furthest (the later one on a tie)."""
         t = self.peek()
         if t.text == "[":
             return "hom", self.hom()
         if t.text == "<":
             return "gens", self.gens()
-        mark = self.pos
-        for kind, production in (("ring", self.ring), ("group", self.group)):
+        start = self.pos
+        furthest = None
+        for kind, production in (("ring", self.ring), ("group", self.group),
+                                 ("elem", self.elem)):
+            self.pos = start
             try:
                 node = production()
-                if self.peek().text == ";" or self.at_end():
-                    if isinstance(node, RefAst):
-                        return "ring", self.resolve(replace(node, kind="ring"))
-                    return kind, node
-            except DslSyntaxError:
-                pass
-            self.pos = mark
-        return "elem", self.elem()
+                if not (self.peek().text == ";" or self.at_end()):
+                    self.expect(";")
+            except DslSyntaxError as exc:
+                if furthest is None or ((exc.line, exc.col)
+                                        >= (furthest.line, furthest.col)):
+                    furthest = exc
+                continue
+            if isinstance(node, RefAst):
+                return "ring", self.resolve(RefAst(node.name, "ring",
+                                                   node.span))
+            return kind, node
+        raise furthest
 
 
 def _parse(text, scope, goal=None):

@@ -20,13 +20,11 @@ splitting a free grading summand into an adjoined exponent group, and
 the kernel-absorbing embedding attached to a section of a coarsening.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction as Rational
 from math import lcm
 
 from .abelian import (
     FgGroup,
-    GroupElem,
     GroupHom,
     add_homs,
     compose,
@@ -63,7 +61,6 @@ from .intmat import solve_int, solve_rational
 from .ringexpr import (
     BaseZ,
     BaseQ,
-    NormalForm,
     classify,
     coarsen,
     group_algebra,
@@ -97,28 +94,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class IntegralityWitness:
     """x^degree + coeffs[0]*x^(degree-1) + ... + coeffs[-1] = 0."""
 
-    degree: int
-    coeffs: tuple
+    __slots__ = ("degree", "coeffs")
+
+    def __init__(self, degree, coeffs):
+        self.degree = degree
+        self.coeffs = coeffs
 
 
-@dataclass(frozen=True)
 class AlmostIntegralWitness:
     """x^(k+1) = sum(combination[i] * x^i); generators span the module."""
 
-    k: int
-    generators: tuple
-    combination: tuple
+    __slots__ = ("k", "generators", "combination")
+
+    def __init__(self, k, generators, combination):
+        self.k = k
+        self.generators = generators
+        self.combination = combination
 
 
-@dataclass(frozen=True)
 class NoWitnessUpTo:
-    max_deg: int | None = None
-    k_max: int | None = None
-    box: int | None = None
+    """No witness within the bounds searched (a bound not used is None)."""
+
+    __slots__ = ("max_deg", "k_max", "box")
+
+    def __init__(self, max_deg=None, k_max=None, box=None):
+        self.max_deg = max_deg
+        self.k_max = k_max
+        self.box = box
 
 
 def witness_str(w):
@@ -128,7 +133,6 @@ def witness_str(w):
     return "; ".join(parts)
 
 
-@dataclass(frozen=True)
 class RingInclusion:
     """A base change of graded rings: Z into Z, Z into Q, or Q into Q.
 
@@ -136,8 +140,11 @@ class RingInclusion:
     degree map, so an element keeps its terms on either side.
     """
 
-    src: NormalForm
-    dst: NormalForm
+    __slots__ = ("src", "dst")
+
+    def __init__(self, src, dst):
+        self.src = src
+        self.dst = dst
 
     def cast(self, x):
         if x.parent != self.src:
@@ -288,9 +295,7 @@ def _search(r, s, x, max_deg, box):
         raise ZeroElementError("integrality of zero is trivial; pass nonzero x")
     num, den, _ = _num_den(x)
     g = degree_of(num) - degree_of(den)
-    by_degree = {}
-    for f in sorted(r.egroup.box_elements(box), key=lambda f: f.coords):
-        by_degree.setdefault(r.delta.apply(f), []).append(f)
+    by_degree = r.box_fibers(box)
     num_pows = [Element.one(s)]
     den_pows = [Element.one(s)]
     for _ in range(max_deg):
@@ -356,10 +361,14 @@ def find_almost_integral_witness_fraction(r, x, k_max=2, support_box=3):
     return find_almost_integral_witness(r, x.parent, x, k_max, support_box)
 
 
-@dataclass(frozen=True)
 class ComponentsReport:
-    coarse_result: object
-    fine_results: tuple
+    """The coarse search result and (degree, result) per fine component."""
+
+    __slots__ = ("coarse_result", "fine_results")
+
+    def __init__(self, coarse_result, fine_results):
+        self.coarse_result = coarse_result
+        self.fine_results = fine_results
 
     @property
     def coarse_found(self):
@@ -402,16 +411,20 @@ def components_integral_check(r, psi, x, max_deg=3, support_box=3):
     return ComponentsReport(coarse_result, tuple(fine))
 
 
-@dataclass(frozen=True)
 class TorsionIdempotent:
-    n: int
-    group: FgGroup
-    ring_z: NormalForm
-    ring_q: NormalForm
-    f: Element
-    c: Element
-    d: Element
-    witness: IntegralityWitness
+    """f in ring_q over ring_z, with f^2 + (c-1)f - d = 0 as witness."""
+
+    __slots__ = ("n", "group", "ring_z", "ring_q", "f", "c", "d", "witness")
+
+    def __init__(self, n, group, ring_z, ring_q, f, c, d, witness):
+        self.n = n
+        self.group = group
+        self.ring_z = ring_z
+        self.ring_q = ring_q
+        self.f = f
+        self.c = c
+        self.d = d
+        self.witness = witness
 
 
 def torsion_idempotent(n):
@@ -447,7 +460,6 @@ def torsion_idempotent(n):
     return TorsionIdempotent(n, grp, ring_z, ring_q, f, c, d, witness)
 
 
-@dataclass(frozen=True)
 class LaurentStructure:
     """A ring together with its Laurent extension by one invisible z.
 
@@ -455,12 +467,15 @@ class LaurentStructure:
     maps split every exponent of ring into (base exponent, z power).
     """
 
-    ring: NormalForm
-    base_ring: NormalForm
-    emb_e: GroupHom
-    proj_e: GroupHom
-    z_proj: GroupHom
-    z_gen: GroupElem
+    __slots__ = ("ring", "base_ring", "emb_e", "proj_e", "z_proj", "z_gen")
+
+    def __init__(self, ring, base_ring, emb_e, proj_e, z_proj, z_gen):
+        self.ring = ring
+        self.base_ring = base_ring
+        self.emb_e = emb_e
+        self.proj_e = proj_e
+        self.z_proj = z_proj
+        self.z_gen = z_gen
 
 
 def laurent_extension(r):
@@ -529,7 +544,6 @@ def graded_euclidean_division(struct, f, g):
     return u, v
 
 
-@dataclass(frozen=True)
 class RingMap:
     """Monomial ring morphism: e_f goes to e_(exponent_map(f)).
 
@@ -538,9 +552,12 @@ class RingMap:
     that build these maps.
     """
 
-    domain: NormalForm
-    codomain: NormalForm
-    exponent_map: GroupHom
+    __slots__ = ("domain", "codomain", "exponent_map")
+
+    def __init__(self, domain, codomain, exponent_map):
+        self.domain = domain
+        self.codomain = codomain
+        self.exponent_map = exponent_map
 
     def apply(self, x):
         if x.parent != self.domain:
@@ -561,14 +578,18 @@ def _hom_minus(f, g):
     return add_homs(f, GroupHom(g.domain, g.codomain, neg))
 
 
-@dataclass(frozen=True)
 class Lem50Pair:
-    p: RingMap
-    q: RingMap
-    target: NormalForm
-    coarse: NormalForm
-    psi: GroupHom
-    chi: GroupHom
+    """Mutually inverse maps p: target -> coarse and q: coarse -> target."""
+
+    __slots__ = ("p", "q", "target", "coarse", "psi", "chi")
+
+    def __init__(self, p, q, target, coarse, psi, chi):
+        self.p = p
+        self.q = q
+        self.target = target
+        self.coarse = coarse
+        self.psi = psi
+        self.chi = chi
 
 
 def lem50_iso(r, f_gens, h_gens):

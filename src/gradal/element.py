@@ -19,7 +19,6 @@ The two decision procedures here are exact, not sampled:
   support box and one linear solve settles the question.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction as Rational
 from itertools import product as _product
 from math import gcd, lcm
@@ -228,24 +227,32 @@ def reparent(x, nf):
     return Element(nf, dict(x.terms))
 
 
-@dataclass(frozen=True)
 class Unit:
-    inverse: object
+    __slots__ = ("inverse",)
+
+    def __init__(self, inverse):
+        self.inverse = inverse
 
 
-@dataclass(frozen=True)
 class NotUnit:
-    reason: str = ""
+    __slots__ = ("reason",)
+
+    def __init__(self, reason=""):
+        self.reason = reason
 
 
-@dataclass(frozen=True)
 class NonZeroDivisor:
-    reason: str = ""
+    __slots__ = ("reason",)
+
+    def __init__(self, reason=""):
+        self.reason = reason
 
 
-@dataclass(frozen=True)
 class ZeroDivisor:
-    annihilator: object
+    __slots__ = ("annihilator",)
+
+    def __init__(self, annihilator):
+        self.annihilator = annihilator
 
 
 def _kernel_coordinates(x, sub, iota):
@@ -499,11 +506,13 @@ def _cancel(num, den):
     return num, den
 
 
-@dataclass(frozen=True)
 class P70Report:
-    x_homogeneous: bool
-    y_homogeneous: bool
-    product_nonzero: bool
+    __slots__ = ("x_homogeneous", "y_homogeneous", "product_nonzero")
+
+    def __init__(self, x_homogeneous, y_homogeneous, product_nonzero):
+        self.x_homogeneous = x_homogeneous
+        self.y_homogeneous = y_homogeneous
+        self.product_nonzero = product_nonzero
 
     @property
     def passed(self):

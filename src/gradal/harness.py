@@ -15,7 +15,6 @@ trial index).
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction as Rational
 
 from .abelian import (
@@ -124,31 +123,41 @@ _A90_ORDERS = (2, 3, 4, 6)
 _A140_ORDERS = (2, 3, 4)
 
 
-@dataclass(frozen=True)
 class CheckConfig:
-    check_id: str
-    trials: int = 24
-    seed: int = 2024
-    bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
+    """Which check to run, how many trials, the seed and the search
+    bounds (DEFAULT_BOUNDS when none are given)."""
 
-    def __post_init__(self):
-        if self.check_id not in CHECK_IDS:
-            raise UnknownCheckIdError(f"unknown check id {self.check_id!r}")
-        if self.trials < 1:
+    __slots__ = ("check_id", "trials", "seed", "bounds")
+
+    def __init__(self, check_id, trials=24, seed=2024, bounds=None):
+        if check_id not in CHECK_IDS:
+            raise UnknownCheckIdError(f"unknown check id {check_id!r}")
+        if trials < 1:
             raise GradalError("trials must be at least 1")
+        self.check_id = check_id
+        self.trials = trials
+        self.seed = seed
+        self.bounds = dict(DEFAULT_BOUNDS) if bounds is None else bounds
 
 
-@dataclass
 class CheckReport:
-    check_id: str
-    seed: int
-    trials: int
-    results: list
-    passes: int
-    fails: int
-    inconclusive: int
-    counterexample: dict | None
-    errors: list
+    """Per-trial verdicts in trial order, their counts, the first failing
+    trial with its payload (or None) and the trials that raised."""
+
+    __slots__ = ("check_id", "seed", "trials", "results", "passes", "fails",
+                 "inconclusive", "counterexample", "errors")
+
+    def __init__(self, check_id, seed, trials, results, passes, fails,
+                 inconclusive, counterexample, errors):
+        self.check_id = check_id
+        self.seed = seed
+        self.trials = trials
+        self.results = results
+        self.passes = passes
+        self.fails = fails
+        self.inconclusive = inconclusive
+        self.counterexample = counterexample
+        self.errors = errors
 
 
 def _sample_coeff(rng, base):

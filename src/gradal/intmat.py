@@ -15,6 +15,7 @@ Two normal forms are provided with their transforms:
 """
 
 from fractions import Fraction
+from operator import mul
 
 
 def identity(n):
@@ -47,7 +48,7 @@ def mat_mul(a, b, cols_b=None):
     return out
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def _pivot_position(d, m, n, start):

@@ -15,12 +15,8 @@ with emb the embedding of the degree support into G, and fraction_field
 on top for a fraction ring.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .abelian import (
     FgGroup,
-    GroupHom,
     add_homs,
     compose,
     direct_sum,
@@ -56,57 +52,83 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class NormalForm:
-    base: str
-    egroup: FgGroup
-    ggroup: FgGroup
-    delta: GroupHom
-    fraction: bool = False
+    """A ring: compared and hashed by (base, egroup, ggroup, delta,
+    fraction).  classify's answer and the box fibers of the witness
+    search are computed on first use and kept on the ring."""
 
-    def __post_init__(self):
-        if self.base not in ("Z", "Q"):
-            raise GradalError(f"unknown base {self.base!r}")
-        if self.delta.domain != self.egroup or self.delta.codomain != self.ggroup:
+    __slots__ = ("base", "egroup", "ggroup", "delta", "fraction",
+                 "_key", "_hash", "_classification", "_fibers")
+
+    def __init__(self, base, egroup, ggroup, delta, fraction=False):
+        if base not in ("Z", "Q"):
+            raise GradalError(f"unknown base {base!r}")
+        if delta.domain != egroup or delta.codomain != ggroup:
             raise ParentMismatchError("degree map does not match E and G")
+        self.base = base
+        self.egroup = egroup
+        self.ggroup = ggroup
+        self.delta = delta
+        self.fraction = fraction
+        self._key = (base, egroup, ggroup, delta, fraction)
+        self._hash = hash(self._key)
+        self._classification = None
+        self._fibers = {}
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not NormalForm:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"NormalForm(base={self.base!r}, egroup={self.egroup!r}, "
+                f"ggroup={self.ggroup!r}, delta={self.delta!r}, "
+                f"fraction={self.fraction!r})")
 
     def describe(self):
         body = f"{self.base}[{self.egroup}] graded by {self.ggroup}"
         return f"Frac({body})" if self.fraction else body
 
-    @cached_property
-    def _classification(self):
-        """classify(self), computed on first use and kept on the ring."""
-        k, _ = hom_kernel(self.delta)
-        if self.fraction:
-            entire = True
-            simple = True
-        else:
-            entire = k.is_torsionfree
-            simple = self.base == "Q" and k.is_trivial
-        support, _ = hom_image(self.delta)
-        q, _ = quotient_by(self.ggroup, [self.delta.apply(g)
-                                         for g in self.egroup.generators()])
-        return Classification(entire, simple, True, support, q.is_trivial)
+    def box_fibers(self, box):
+        """{degree: tuple of the exponents with free coordinates in
+        [-box, box], sorted by coordinates}, computed once per box."""
+        fibers = self._fibers.get(box)
+        if fibers is None:
+            lists = {}
+            for f in sorted(self.egroup.box_elements(box),
+                            key=lambda f: f.coords):
+                lists.setdefault(self.delta.apply(f), []).append(f)
+            fibers = self._fibers[box] = {d: tuple(fs)
+                                          for d, fs in lists.items()}
+        return fibers
 
 
-@dataclass(frozen=True)
 class Classification:
-    entire: bool
-    simple: bool
-    noetherian: bool
-    support: FgGroup
-    full_support: bool
+    __slots__ = ("entire", "simple", "noetherian", "support", "full_support")
+
+    def __init__(self, entire, simple, noetherian, support, full_support):
+        self.entire = entire
+        self.simple = simple
+        self.noetherian = noetherian
+        self.support = support
+        self.full_support = full_support
 
 
-@dataclass(frozen=True)
 class BaseZ:
-    pass
+    """Marker for the base ring Z; normalize(BaseZ()) is the ring."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BaseQ:
-    pass
+    """Marker for the base ring Q; normalize(BaseQ()) is the ring."""
+
+    __slots__ = ()
 
 
 _TRIVIAL = FgGroup(0, ())
@@ -222,4 +244,18 @@ def classify(nf):
     qualifies.  noetherian: always, the exponent group is finitely
     generated over a noetherian base.  Computed once per ring.
     """
-    return nf._classification
+    cls = nf._classification
+    if cls is None:
+        k, _ = hom_kernel(nf.delta)
+        if nf.fraction:
+            entire = True
+            simple = True
+        else:
+            entire = k.is_torsionfree
+            simple = nf.base == "Q" and k.is_trivial
+        support, _ = hom_image(nf.delta)
+        q, _ = quotient_by(nf.ggroup, [nf.delta.apply(g)
+                                       for g in nf.egroup.generators()])
+        cls = nf._classification = Classification(entire, simple, True,
+                                                  support, q.is_trivial)
+    return cls

@@ -473,3 +473,60 @@ def test_torsionfree_summand_large_torsion():
     for coords, expected in cases:
         assert torsionfree_summand_bruteforce(2, (12, 12), [coords]) == expected
         assert is_in_torsionfree_summand(g, [g.element(coords)]) == expected
+
+
+def _random_hom(rng, a, b):
+    """A hom a -> b whose matrix has entries in {0, 1}: the first of three
+    random draws that is a hom, else the zero hom."""
+    for _ in range(3):
+        rows = tuple(tuple(rng.randint(0, 1) for _ in range(a.dim))
+                     for _ in range(b.dim))
+        try:
+            return GroupHom(a, b, rows)
+        except NotAHomomorphismError:
+            pass
+    return zero_hom(a, b)
+
+
+def test_groups_elements_homs_are_values():
+    """Equal keys iff ==, == implies equal hashes, and each hash is the
+    hash of the key tuple; a value never equals its key tuple, and an
+    element never equals an element of another group with the same
+    coordinates."""
+    rng = random.Random(5150)
+    chains = [(), (2,), (3,), (2, 2), (2, 4)]
+    draws = {"group": 0, "elem": 0, "hom": 0}
+    equal = {"group": 0, "elem": 0, "hom": 0}
+    other_group = 0
+
+    def check(kind, u, v, key):
+        draws[kind] += 1
+        assert (u == v) == (key(u) == key(v))
+        assert (u != v) == (key(u) != key(v))
+        assert hash(u) == hash(key(u))
+        if u == v:
+            equal[kind] += 1
+            assert hash(u) == hash(v)
+        assert u != key(u)
+
+    for _ in range(400):
+        a, b = (FgGroup(rng.randint(0, 2), rng.choice(chains))
+                for _ in range(2))
+        check("group", a, b, lambda g: (g.rank, g.torsion))
+        check("group", a, FgGroup(a.rank, a.torsion),
+              lambda g: (g.rank, g.torsion))
+        x, y = (a.element(tuple(rng.randint(-1, 1) for _ in range(a.dim)))
+                for _ in range(2))
+        check("elem", x, y, lambda e: (e.group, e.coords))
+        if a.dim == b.dim:
+            z = b.element(x.coords)
+            check("elem", x, z, lambda e: (e.group, e.coords))
+            if a != b and z.coords == x.coords:
+                other_group += 1
+                assert x != z
+        check("hom", _random_hom(rng, a, b), _random_hom(rng, a, b),
+              lambda h: (h.domain, h.codomain, h.matrix))
+    assert hash(FgGroup(1, (2,))) == hash((1, (2,)))
+    assert min(equal.values()) > 20 and min(draws.values()) > 200, (
+        equal, draws)
+    assert other_group > 20, other_group

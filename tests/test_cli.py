@@ -389,6 +389,23 @@ def test_keywords_cannot_be_bound(capsys, word):
         "line": 1, "col": 5}
 
 
+@pytest.mark.parametrize("text,line,col,message", [
+    ("let R = Q[Z; Q", 1, 12, "expected ']', found ';'"),
+    ("let R = coarsen(Q[Z]fine, [[1]]; Q", 1, 32, "expected ')', found ';'"),
+    ("let R = Q[Z]fine;\nlet S = R[Z/2 coarse; S", 2, 15,
+     "expected ']', found 'coarse'"),
+])
+def test_let_error_from_the_furthest_production(capsys, text, line, col,
+                                                message):
+    """A let value that no production reads reports the syntax error of
+    the one that read furthest, here the ring, not the element."""
+    rc, out, err = run_main(capsys, "classify", text)
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "parse-or-type",
+                               "message": f"{line}:{col}: {message}",
+                               "line": line, "col": col}
+
+
 def test_coarsen_fraction_ring_along_torsion_kernel_exit_3(capsys):
     rc, out, err = run_main(capsys, "classify",
                             "coarsen(Frac(Q[Z x Z/2]fine), [[1,0]])")

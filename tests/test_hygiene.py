@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, every
 function the bench tracer wraps still exists, every __all__ entry
 resolves, rings are built only by the ringexpr constructors, every
-CLI subcommand is run by some test in tests/test_cli.py, and every word
-the DSL parser reads as grammar is a keyword a let cannot bind.
+CLI subcommand is run by some test in tests/test_cli.py, every word
+the DSL parser reads as grammar is a keyword a let cannot bind, and
+nothing in gradal uses dataclasses, so importing it generates no code.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
 is read anywhere in the module or listed in the module's __all__.  The
@@ -13,7 +14,10 @@ the bench package is never imported.
 import argparse
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = sorted((ROOT / "src" / "gradal").glob("*.py")) + sorted(
@@ -221,3 +225,50 @@ def test_parser_words_are_keywords():
     missing = sorted(words - _KEYWORDS - {"x"})
     assert not missing, ("words the parser reads but a let may bind: "
                          + ", ".join(missing))
+
+
+def dataclass_uses(source):
+    """Lines that import dataclasses or name dataclass (a decorator, a
+    call or an attribute)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == "dataclasses" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "dataclasses"
+        elif isinstance(node, ast.Name):
+            hit = node.id == "dataclass"
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "dataclass"
+        else:
+            continue
+        if hit:
+            out.append(node.lineno)
+    return sorted(set(out))
+
+
+def test_dataclass_scanner():
+    src = ("import dataclasses\nfrom dataclasses import field\n"
+           "@dataclass(frozen=True)\nclass A:\n    pass\n"
+           "@dataclasses.dataclass\nclass B:\n    dataclass_like = 1\n")
+    assert dataclass_uses(src) == [1, 2, 3, 6]
+
+
+def test_no_dataclasses_in_gradal():
+    found = []
+    for path in sorted((ROOT / "src" / "gradal").glob("*.py")):
+        for line in dataclass_uses(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}")
+    assert not found, ("dataclasses generate code at import; write a "
+                       "__slots__ class:\n" + "\n".join(found))
+
+
+def test_cli_import_loads_no_code_generators():
+    """A fresh interpreter without site imports gradal.cli and loads
+    neither dataclasses nor inspect."""
+    code = ("import sys; import gradal.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """Ring constructions, normal forms, and classification."""
 
+import random
+
 import pytest
 
 from _oracles import zero_divisor_pair_bruteforce
@@ -211,3 +213,64 @@ def test_support_full_on_plain_algebras():
         if nf.fraction:
             continue
         assert cls.full_support
+
+
+def _random_ring(rng):
+    """A ring from the constructors: a group algebra over Z or Q, maybe
+    coarsened onto Z or 0, maybe passed to fractions."""
+    base = normalize(rng.choice((BaseZ(), BaseQ())))
+    grp = FgGroup(rng.randint(0, 2), rng.choice(((), (2,), (2, 2))))
+    nf = group_algebra(base, grp, rng.choice(("fine", "coarse")))
+    if rng.randint(0, 1):
+        cod = FgGroup(rng.randint(0, min(1, nf.ggroup.rank)), ())
+        nf = coarsen(nf, GroupHom(nf.ggroup, cod,
+                                  ((1,) * nf.ggroup.rank
+                                   + (0,) * len(nf.ggroup.torsion),)
+                                  * cod.rank))
+    if classify(nf).entire and rng.randint(0, 1):
+        nf = fraction_field(nf)
+    return nf
+
+
+def test_rings_are_values():
+    """Equal keys iff ==, == implies equal hashes, each hash is the hash
+    of the key tuple, and a ring built twice the same way is equal."""
+
+    def key(nf):
+        return (nf.base, nf.egroup, nf.ggroup, nf.delta, nf.fraction)
+
+    rng = random.Random(802)
+    rings = []
+    equal = 0
+    for _ in range(300):
+        state = rng.getstate()
+        r = _random_ring(rng)
+        rng.setstate(state)
+        again = _random_ring(rng)
+        assert r == again and hash(r) == hash(again) and r is not again
+        assert hash(r) == hash(key(r)) and r != key(r)
+        for s in rings[-8:]:
+            assert (r == s) == (key(r) == key(s))
+            assert (r != s) == (key(r) != key(s))
+            if r == s:
+                equal += 1
+                assert hash(r) == hash(s)
+        rings.append(r)
+    assert equal > 20, equal
+    assert hash(Q) == hash(("Q", FgGroup(0, ()), FgGroup(0, ()), Q.delta,
+                            False))
+
+
+def test_box_fibers_kept_per_box():
+    """The box exponents by degree, sorted by coordinates, computed once
+    per ring and box."""
+    nf = coarsen(group_algebra(Q, FgGroup(1, (2,)), "fine"),
+                 GroupHom(FgGroup(1, (2,)), FgGroup(1, ()), ((1, 0),)))
+    for box in (0, 1, 2):
+        fibers = nf.box_fibers(box)
+        assert nf.box_fibers(box) is fibers
+        want = {}
+        for f in sorted(nf.egroup.box_elements(box), key=lambda f: f.coords):
+            want.setdefault(nf.delta.apply(f), []).append(f)
+        assert fibers == {d: tuple(fs) for d, fs in want.items()}
+        assert sum(map(len, fibers.values())) == (2 * box + 1) * 2
