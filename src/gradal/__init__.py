@@ -31,9 +31,7 @@ from .closure import (
     RingMap,
     components_integral_check,
     find_almost_integral_witness,
-    find_almost_integral_witness_fraction,
     find_integral_equation,
-    find_integral_equation_fraction,
     graded_euclidean_division,
     inclusion_for,
     j_pi_embedding,
@@ -93,9 +91,7 @@ __all__ = [
     "RingMap",
     "components_integral_check",
     "find_almost_integral_witness",
-    "find_almost_integral_witness_fraction",
     "find_integral_equation",
-    "find_integral_equation_fraction",
     "graded_euclidean_division",
     "inclusion_for",
     "j_pi_embedding",

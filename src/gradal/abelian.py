@@ -64,22 +64,41 @@ __all__ = [
     "zero_hom",
     "add_homs",
     "compose",
-    "hom_equal",
 ]
 
 
-class FgGroup:
+class _Value:
+    """A value compared by class and _key, hashed by the stored _hash."""
+
+    __slots__ = ("_key", "_hash")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+
+class FgGroup(_Value):
     """Z^rank x Z/torsion[0] x ... with the divisibility chain enforced.
 
     A value: compared and hashed by (rank, torsion).
     """
 
-    __slots__ = ("rank", "torsion", "dim", "_key", "_hash")
+    __slots__ = ("rank", "torsion", "dim")
 
     def __init__(self, rank, torsion=()):
+        torsion = tuple(torsion)
+        for v in (rank, *torsion):
+            if type(v) is not int:
+                raise GradalError(
+                    f"rank and invariant factors must be ints, got {v!r}")
         if rank < 0:
             raise GradalError(f"negative rank {rank}")
-        torsion = tuple(int(d) for d in torsion)
         for d in torsion:
             if d < 2:
                 raise GradalError(f"invariant factor {d} < 2")
@@ -91,16 +110,6 @@ class FgGroup:
         self.dim = rank + len(torsion)
         self._key = (rank, torsion)
         self._hash = hash(self._key)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not FgGroup:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"FgGroup(rank={self.rank!r}, torsion={self.torsion!r})"
@@ -151,13 +160,6 @@ class FgGroup:
             col[self.rank + j] = d
             cols.append(col)
         return cols
-
-    def elements(self):
-        """All elements; only for finite groups."""
-        if self.rank:
-            raise GradalError("cannot enumerate an infinite group")
-        for combo in product(*(range(d) for d in self.torsion)):
-            yield GroupElem(self, combo)
 
     def torsion_elements(self):
         """All finite-order elements, embedded in this group."""
@@ -247,15 +249,7 @@ class GroupElem:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def _canonical_rows(codomain, matrix):
-    rows = [list(r) for r in matrix]
-    for j, d in enumerate(codomain.torsion):
-        i = codomain.rank + j
-        rows[i] = [x % d for x in rows[i]]
-    return tuple(tuple(r) for r in rows)
-
-
-class GroupHom:
+class GroupHom(_Value):
     """Homomorphism given by its matrix on standard generators.
 
     Column j is the image of the j-th generator of the domain, written in
@@ -264,17 +258,25 @@ class GroupHom:
     equality of the maps.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "_key", "_hash")
+    __slots__ = ("domain", "codomain", "matrix")
 
     def __init__(self, domain, codomain, matrix):
-        mat = _canonical_rows(codomain, matrix)
-        if len(mat) != codomain.dim:
+        rows = [list(r) for r in matrix]
+        if len(rows) != codomain.dim:
             raise NotAHomomorphismError(
-                f"matrix has {len(mat)} rows, codomain dim {codomain.dim}")
-        for row in mat:
+                f"matrix has {len(rows)} rows, codomain dim {codomain.dim}")
+        for row in rows:
             if len(row) != domain.dim:
                 raise NotAHomomorphismError(
                     f"matrix row width {len(row)}, domain dim {domain.dim}")
+            for v in row:
+                if type(v) is not int:
+                    raise NotAHomomorphismError(
+                        f"matrix entries must be ints, got {v!r}")
+        for j, d in enumerate(codomain.torsion):
+            i = codomain.rank + j
+            rows[i] = [x % d for x in rows[i]]
+        mat = tuple(map(tuple, rows))
         # A torsion generator of order d must map to an element killed by d.
         for j, d in enumerate(domain.torsion):
             col = domain.rank + j
@@ -289,16 +291,6 @@ class GroupHom:
         self._key = (domain, codomain, mat)
         self._hash = hash(self._key)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not GroupHom:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return (f"GroupHom(domain={self.domain!r}, codomain={self.codomain!r}, "
                 f"matrix={self.matrix!r})")
@@ -308,9 +300,6 @@ class GroupHom:
             raise ParentMismatchError(
                 f"element of {elem.group}, hom domain {self.domain}")
         return self.codomain.element(mat_vec(self.matrix, elem.coords))
-
-    def __call__(self, elem):
-        return self.apply(elem)
 
     def is_injective(self):
         k, _ = hom_kernel(self)
@@ -323,19 +312,19 @@ class GroupHom:
 
 
 def identity_hom(g):
-    return GroupHom(g, g, tuple(tuple(row) for row in identity(g.dim)))
+    return GroupHom(g, g, identity(g.dim))
 
 
 def zero_hom(a, b):
-    return GroupHom(a, b, tuple(tuple(row) for row in zeros(b.dim, a.dim)))
+    return GroupHom(a, b, zeros(b.dim, a.dim))
 
 
 def compose(f, g):
     """f after g."""
     if g.codomain != f.domain:
         raise ParentMismatchError("compose: codomain/domain mismatch")
-    m = mat_mul(f.matrix, g.matrix, cols_b=g.domain.dim)
-    return GroupHom(g.domain, f.codomain, tuple(tuple(r) for r in m))
+    return GroupHom(g.domain, f.codomain,
+                    mat_mul(f.matrix, g.matrix, cols_b=g.domain.dim))
 
 
 def add_homs(f, g):
@@ -343,12 +332,7 @@ def add_homs(f, g):
         raise ParentMismatchError("add_homs: shape mismatch")
     m = [[a + b for a, b in zip(ra, rb)]
          for ra, rb in zip(f.matrix, g.matrix)]
-    return GroupHom(f.domain, f.codomain, tuple(tuple(r) for r in m))
-
-
-def hom_equal(f, g):
-    return (f.domain == g.domain and f.codomain == g.codomain
-            and f.matrix == g.matrix)
+    return GroupHom(f.domain, f.codomain, m)
 
 
 def normalize_presentation(ambient_dim, rel_cols):
@@ -401,7 +385,7 @@ def _subgroup_from_lattice(g, lattice_cols):
         rel_in_basis.append(x)
     sub, _, from_n = normalize_presentation(s, rel_in_basis)
     lift = mat_mul(bmat, from_n, cols_b=sub.dim)
-    iota = GroupHom(sub, g, tuple(tuple(r) for r in lift))
+    iota = GroupHom(sub, g, lift)
     return sub, iota
 
 
@@ -423,15 +407,14 @@ def quotient_by(g, gens):
             raise ParentMismatchError(f"generator of {x.group}, ambient {g}")
     rel_cols = g.relation_columns() + [list(x.coords) for x in gens]
     q, to_n, _ = normalize_presentation(g.dim, rel_cols)
-    proj = GroupHom(g, q, tuple(tuple(r) for r in to_n))
+    proj = GroupHom(g, q, to_n)
     return q, proj
 
 
 def _from_columns(domain, codomain, cols):
     """The hom sending the j-th generator of domain to the column cols[j]."""
     return GroupHom(domain, codomain,
-                    tuple(tuple(col[i] for col in cols)
-                          for i in range(codomain.dim)))
+                    [[col[i] for col in cols] for i in range(codomain.dim)])
 
 
 def _presentation(h):
@@ -490,8 +473,8 @@ def lift_hom(iota, psi):
         d = gen.elem_order()
         if d is not None and not (d * x).is_zero:
             k, iota_k = hom_kernel(iota)
-            scaled = GroupHom(k, iota.domain, tuple(tuple(d * v for v in row)
-                                                    for row in iota_k.matrix))
+            scaled = GroupHom(k, iota.domain, [[d * v for v in row]
+                                               for row in iota_k.matrix])
             z = solve_in_subgroup(scaled, -(d * x))
             if z is None:
                 return None
@@ -546,10 +529,10 @@ def direct_sum(a, b):
     for cb in b.relation_columns():
         rel_cols.append([0] * a.dim + cb)
     s, to_n, from_n = normalize_presentation(m, rel_cols)
-    inj1 = GroupHom(a, s, tuple(tuple(row[:a.dim]) for row in to_n))
-    inj2 = GroupHom(b, s, tuple(tuple(row[a.dim:]) for row in to_n))
-    proj1 = GroupHom(s, a, tuple(tuple(from_n[i]) for i in range(a.dim)))
-    proj2 = GroupHom(s, b, tuple(tuple(from_n[i]) for i in range(a.dim, m)))
+    inj1 = GroupHom(a, s, [row[:a.dim] for row in to_n])
+    inj2 = GroupHom(b, s, [row[a.dim:] for row in to_n])
+    proj1 = GroupHom(s, a, from_n[:a.dim])
+    proj2 = GroupHom(s, b, from_n[a.dim:])
     return DirectSum(s, inj1, inj2, proj1, proj2)
 
 
@@ -569,7 +552,7 @@ def find_section(psi):
     if not psi.is_surjective():
         raise NotSurjectiveError(f"{a} -> {b} is not onto")
     pi = lift_hom(psi, identity_hom(b))
-    if pi is not None and not hom_equal(compose(psi, pi), identity_hom(b)):
+    if pi is not None and compose(psi, pi) != identity_hom(b):
         # lift_hom returns pi with psi . pi = id(b) or None, never another map
         raise InternalInvariantError("constructed map fails psi . pi = id")
     return pi

@@ -43,7 +43,15 @@ import os
 import sys
 from fractions import Fraction as Rational
 
-from .abelian import FgGroup, GroupHom, direct_sum, find_section, quotient_by
+from .abelian import (
+    FgGroup,
+    GroupHom,
+    direct_sum,
+    find_section,
+    is_in_torsionfree_summand,
+    quotient_by,
+    subgroup_generated_by,
+)
 from .closure import (
     AlmostIntegralWitness,
     IntegralityWitness,
@@ -793,7 +801,6 @@ def _demo_a90(n):
 
 
 def _demo_a140():
-    from .abelian import is_in_torsionfree_summand, subgroup_generated_by
     out = []
     for n in (2, 3, 4):
         g = FgGroup(1, (n,))
@@ -810,8 +817,7 @@ def _demo_a140():
 
 
 def _demo_p90():
-    good = normalize(group_algebra(normalize(BaseQ()), FgGroup(2, ()),
-                                   "fine"))
+    good = group_algebra(normalize(BaseQ()), FgGroup(2, ()), "fine")
     psi = GroupHom(good.ggroup, FgGroup(1, ()), ((1, 1),))
     entire_side = {
         "ring": good.describe(),
@@ -819,8 +825,7 @@ def _demo_p90():
         "kernel_torsionfree": True,
         "coarse_entire": classify(coarsen(good, psi)).entire,
     }
-    bad = normalize(group_algebra(normalize(BaseQ()), FgGroup(0, (2,)),
-                                  "fine"))
+    bad = group_algebra(normalize(BaseQ()), FgGroup(0, (2,)), "fine")
     psi2 = GroupHom(bad.ggroup, FgGroup(0, ()), ())
     rc = coarsen(bad, psi2)
     x = Element(rc, {rc.egroup.element((1,)): 1,

@@ -314,7 +314,7 @@ def nzd_test(x):
     shifted = Element(x.parent, {f - s0: c for f, c in x.terms.items()})
     coords = _kernel_coordinates(shifted, sub, iota)
     t_grp, buckets = _laurent_buckets(shifted, sub, coords)
-    t_elems = list(t_grp.elements())
+    t_elems = list(t_grp.torsion_elements())
     index = {t: i for i, t in enumerate(t_elems)}
     stacked = []
     for z in sorted(buckets):

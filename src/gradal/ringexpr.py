@@ -17,6 +17,7 @@ on top for a fraction ring.
 
 from .abelian import (
     FgGroup,
+    _Value,
     add_homs,
     compose,
     direct_sum,
@@ -52,13 +53,13 @@ __all__ = [
 ]
 
 
-class NormalForm:
+class NormalForm(_Value):
     """A ring: compared and hashed by (base, egroup, ggroup, delta,
     fraction).  classify's answer and the box fibers of the witness
     search are computed on first use and kept on the ring."""
 
     __slots__ = ("base", "egroup", "ggroup", "delta", "fraction",
-                 "_key", "_hash", "_classification", "_fibers")
+                 "_classification", "_fibers")
 
     def __init__(self, base, egroup, ggroup, delta, fraction=False):
         if base not in ("Z", "Q"):
@@ -74,16 +75,6 @@ class NormalForm:
         self._hash = hash(self._key)
         self._classification = None
         self._fibers = {}
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not NormalForm:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return (f"NormalForm(base={self.base!r}, egroup={self.egroup!r}, "

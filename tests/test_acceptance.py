@@ -282,13 +282,13 @@ def test_07_summand_transport_iso():
 
     for _ in range(100):
         x = coarse_elem()
-        assert pair.p(pair.q(x)) == x
+        assert pair.p.apply(pair.q.apply(x)) == x
         y = target_elem()
-        assert pair.q(pair.p(y)) == y
+        assert pair.q.apply(pair.p.apply(y)) == y
     for _ in range(100):
         a, b = target_elem(), target_elem()
-        assert pair.p(a * b) == pair.p(a) * pair.p(b)
-    assert pair.p(Element.one(pair.target)) == Element.one(pair.coarse)
+        assert pair.p.apply(a * b) == pair.p.apply(a) * pair.p.apply(b)
+    assert pair.p.apply(Element.one(pair.target)) == Element.one(pair.coarse)
 
 
 def test_08_torsionfree_subgroup_summand_containment():

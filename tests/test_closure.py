@@ -16,7 +16,6 @@ from gradal.closure import (
     NoWitnessUpTo,
     components_integral_check,
     find_almost_integral_witness,
-    find_almost_integral_witness_fraction,
     find_integral_equation,
     find_integral_equation_fraction,
     graded_euclidean_division,
@@ -192,10 +191,9 @@ def test_integral_vs_almost_aligned():
                                e(qr, 1, c=Rational(2, 3)))),
                  (qr, Fraction(e(qr, 1, c=Rational(1, 2)), e(qr, -1)))]
     for sub, x in fractions:
-        intg = find_integral_equation_fraction(sub, x, max_deg=2,
-                                               support_box=2)
-        alm = find_almost_integral_witness_fraction(sub, x, k_max=1,
-                                                    support_box=2)
+        intg = fraction_search(sub, x, max_deg=2, support_box=2)
+        alm = find_almost_integral_witness(sub, x.parent, x, k_max=1,
+                                           support_box=2)
         assert isinstance(intg, IntegralityWitness)
         assert isinstance(alm, AlmostIntegralWitness)
         assert alm.k == intg.degree - 1
@@ -214,20 +212,31 @@ def test_almost_no_witness_over_free_group():
 
 # --- fraction-field witnesses ---
 
+def fraction_search(sub, x, **bounds):
+    """find_integral_equation on a fraction, checked against the alias
+    find_integral_equation_fraction that the T4800 check calls."""
+    w = find_integral_equation(sub, x.parent, x, **bounds)
+    alias = find_integral_equation_fraction(sub, x, **bounds)
+    assert type(alias) is type(w)
+    if isinstance(w, IntegralityWitness):
+        assert (alias.degree, alias.coeffs) == (w.degree, w.coeffs)
+    return w
+
+
 def test_fraction_integrality():
     zr = group_algebra(Z, FgGroup(1, ()), "fine")
     t = e(zr, 1)
     one = Element.one(zr)
     fr = Fraction(t, one)
-    res = find_integral_equation_fraction(zr, fr, max_deg=2, support_box=2)
+    res = fraction_search(zr, fr, max_deg=2, support_box=2)
     assert isinstance(res, IntegralityWitness)
     assert res.degree == 1
     inv = Fraction(one, t)
-    res2 = find_integral_equation_fraction(zr, inv, max_deg=2, support_box=2)
+    res2 = fraction_search(zr, inv, max_deg=2, support_box=2)
     assert isinstance(res2, IntegralityWitness)
     assert res2.degree == 1
-    alm = find_almost_integral_witness_fraction(zr, inv, k_max=1,
-                                                support_box=2)
+    alm = find_almost_integral_witness(zr, inv.parent, inv, k_max=1,
+                                       support_box=2)
     assert isinstance(alm, AlmostIntegralWitness)
     assert alm.k == 0
 
@@ -235,7 +244,7 @@ def test_fraction_integrality():
 def test_fraction_non_integral():
     zr = group_algebra(Z, FgGroup(1, ()), "fine")
     half = Fraction(Element.one(zr), Element.one(zr).scale(2))
-    res = find_integral_equation_fraction(zr, half, max_deg=2, support_box=1)
+    res = fraction_search(zr, half, max_deg=2, support_box=1)
     assert isinstance(res, NoWitnessUpTo)
 
 
@@ -290,8 +299,7 @@ def test_verify_fraction_witness():
     t, one = e(zr, 1), Element.one(zr)
     for sub, x in ((zr, Fraction(t, one)), (zr, Fraction(one, t)),
                    (zc, Fraction(e(zc, 2) + e(zc, 1, c=3), e(zc, 1)))):
-        found = find_integral_equation_fraction(sub, x, max_deg=2,
-                                                support_box=2)
+        found = fraction_search(sub, x, max_deg=2, support_box=2)
         assert isinstance(found, IntegralityWitness)
         assert verify_integral_witness(sub, x.parent, x, found)
     # (x - t)(x - 1) = 0 holds for x = t/1, but a1 = -(t + 1) is not
@@ -313,9 +321,11 @@ def test_finders_reject_zero():
     with pytest.raises(ZeroElementError):
         find_almost_integral_witness(zr, qr, Element.zero(qr))
     with pytest.raises(ZeroElementError):
+        find_integral_equation(zr, zero_frac.parent, zero_frac)
+    with pytest.raises(ZeroElementError):
         find_integral_equation_fraction(zr, zero_frac)
     with pytest.raises(ZeroElementError):
-        find_almost_integral_witness_fraction(zr, zero_frac)
+        find_almost_integral_witness(zr, zero_frac.parent, zero_frac)
 
 
 # --- component integrality ---
@@ -509,15 +519,15 @@ def test_lem50_round_trip():
     rng = random.Random(50)
     for _ in range(40):
         x = random_coarse_element(rng, pair)
-        y = pair.q(x)
+        y = pair.q.apply(x)
         assert y.parent == pair.target
-        assert pair.p(y) == x
+        assert pair.p.apply(y) == x
     for _ in range(40):
         terms = {pair.target.egroup.element(
             (rng.randint(-2, 2), rng.randint(-2, 2))): rng.choice([1, -2])
             for _ in range(rng.randint(1, 3))}
         x2 = Element(pair.target, terms)
-        assert pair.q(pair.p(x2)) == x2
+        assert pair.q.apply(pair.p.apply(x2)) == x2
 
 
 def test_lem50_multiplicative_and_degrees():
@@ -526,15 +536,15 @@ def test_lem50_multiplicative_and_degrees():
     for _ in range(30):
         a = random_coarse_element(rng, pair)
         b = random_coarse_element(rng, pair)
-        assert pair.q(a * b) == pair.q(a) * pair.q(b)
-    assert pair.q(Element.one(pair.coarse)) == Element.one(pair.target)
+        assert pair.q.apply(a * b) == pair.q.apply(a) * pair.q.apply(b)
+    assert pair.q.apply(Element.one(pair.coarse)) == Element.one(pair.target)
     # Monomials keep their coarse degree across the transport.
     for _ in range(30):
         exp = pair.coarse.egroup.element(
             (rng.randint(-2, 2), rng.randint(-2, 2)))
         x = Element.monomial(pair.coarse, exp, 1)
         lhs = pair.coarse.delta.apply(exp)
-        rhs = pair.target.delta.apply(next(iter(pair.q(x).terms)))
+        rhs = pair.target.delta.apply(next(iter(pair.q.apply(x).terms)))
         assert lhs == rhs
 
 
@@ -567,8 +577,8 @@ def test_j_pi_embedding_properties():
               rng.choice([1, 2]) for _ in range(rng.randint(1, 2))}
         x = Element(co, xt)
         y = Element(co, yt)
-        assert j(x * y) == j(x) * j(y)
-    assert j(Element.one(co)) == Element.one(j.codomain)
+        assert j.apply(x * y) == j.apply(x) * j.apply(y)
+    assert j.apply(Element.one(co)) == Element.one(j.codomain)
 
 
 def test_j_pi_rejects_non_section():
