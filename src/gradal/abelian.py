@@ -136,6 +136,9 @@ class FgGroup(_Value):
         if len(coords) != self.dim:
             raise ParentMismatchError(
                 f"expected {self.dim} coordinates, got {len(coords)}")
+        for v in coords:
+            if type(v) is not int:
+                raise GradalError(f"coordinates must be ints, got {v!r}")
         if not self.torsion:
             return coords
         r = self.rank

@@ -5,30 +5,25 @@ group E and c in the base (int for Z, Fraction for Q).  Multiplication
 is convolution of exponents.  Degrees live in the grading group via the
 parent's degree map.
 
-The two decision procedures here are exact, not sampled:
+The two decision procedures here are exact, not sampled, and both work
+in the ring's own exponent coordinates.  E = Z^r x T, so base[E] is the
+Laurent ring base[T][Z^r], and Q[T] is a finite product of fields
+(Perlis-Walker).  x is cut into blocks: for each free part z of its
+support, the matrix of multiplication by its Laurent coefficient at z
+on Q[T].
 
-* nzd_test writes x inside base[U] for U the group generated by its
-  support differences.  If U is torsionfree, a total order on U makes
-  leading terms multiplicative and x cannot annihilate anything.
-  Otherwise Q[T] for the torsion part T of U is a finite product of
-  fields, so x is a zero divisor exactly when its Laurent coefficients
-  over Q[T] have a common annihilator there, a nullspace computation.
-* homogeneous_unit_test uses the same product decomposition: in each
-  field component a Laurent unit is a monomial whose exponent sits
-  inside the support of x, so any inverse is supported in the reflected
-  support box and one linear solve settles the question.
+* nzd_test: x is a zero divisor exactly when the blocks have a common
+  nullspace vector, a common annihilator in Q[T].
+* homogeneous_unit_test: in each field factor a Laurent unit is a
+  monomial whose exponent is the free part of a term of x, so any
+  inverse is supported on the reflected support {-z} x T and one linear
+  solve over it settles the question.
 """
 
 from fractions import Fraction as Rational
-from itertools import product as _product
 from math import gcd, lcm
 
-from .abelian import (
-    FgGroup,
-    hom_kernel,
-    solve_in_subgroup,
-    subgroup_generated_by,
-)
+from .abelian import hom_kernel
 from .errors import (
     GradalError,
     InternalInvariantError,
@@ -255,85 +250,54 @@ class ZeroDivisor:
         self.annihilator = annihilator
 
 
-def _kernel_coordinates(x, sub, iota):
-    """Rewrite support exponents of x as elements of the subgroup."""
-    coords = {}
-    for f in x.terms:
-        u = solve_in_subgroup(iota, f)
-        if u is None:
-            # callers pass differences in sub (their span, or ker delta)
-            raise InternalInvariantError("support escaped the subgroup")
-        coords[f] = u
-    return coords
+def _laurent_blocks(x):
+    """Split x along its exponent group E = Z^r x T, in E's coordinates.
 
-
-def _laurent_buckets(x, sub, coords):
-    """Group coefficients of x by the free part of their sub-coordinates.
-
-    Returns {free exponent tuple: {torsion element of T: coeff}} where T
-    is the torsion part of sub.
+    base[E] = base[T][Z^r]: the free part of an exponent, coords[:r], is
+    the Laurent exponent and the torsion part, coords[r:], indexes a
+    basis of base[T].  Returns (t_elems, blocks): T as exponents of E
+    (free part 0, the zero first), and for each free part z of a term of
+    x the matrix of multiplication by the Laurent coefficient at z on
+    Q[T] in the basis t_elems.
     """
-    t_grp = FgGroup(0, sub.torsion)
-    buckets = {}
-    for f, c in x.terms.items():
-        u = coords[f]
-        z = u.coords[:sub.rank]
-        t = t_grp.element(u.coords[sub.rank:])
-        buckets.setdefault(z, {})[t] = buckets.get(z, {}).get(t, 0) + c
-    return t_grp, buckets
-
-
-def _mult_matrix(t_grp, coeffs, t_elems, index):
-    """Matrix of multiplication by sum(coeffs) on Q[T]."""
+    egroup = x.parent.egroup
+    r = egroup.rank
+    t_elems = list(egroup.torsion_elements())
+    index = {t: i for i, t in enumerate(t_elems)}
     n = len(t_elems)
-    m = [[0] * n for _ in range(n)]
-    for t, c in coeffs.items():
+    pad = (0,) * r
+    blocks = {}
+    for f, c in x.terms.items():
+        z = f.coords[:r]
+        if z not in blocks:
+            blocks[z] = [[0] * n for _ in range(n)]
+        m = blocks[z]
+        t = egroup.element(pad + f.coords[r:])
         for j, tj in enumerate(t_elems):
             m[index[t + tj]][j] += c
-    return m
+    return t_elems, blocks
 
 
 def nzd_test(x):
     """Decide whether x is a non zero divisor.  Exact: the decision
     never truncates.
 
-    Torsionfree support-difference group: non zero divisor, by splitting
-    any candidate annihilator along cosets and using that the group
-    algebra of an ordered group over an entire base is entire.  With
-    torsion: zero divisor iff the Laurent coefficients over the torsion
-    part share a common annihilator there.
+    Q[T] is a finite product of fields and a Laurent ring over a field
+    is entire, so x is a zero divisor exactly when its Laurent
+    coefficients over Q[T] share a common annihilator w in Q[T]: the
+    nullspace of their stacked multiplication blocks.  A torsionfree E
+    gives 1 x 1 blocks and an empty nullspace.
     """
     if x.is_zero:
         raise ZeroElementError("zero divisor test on the zero element")
-    supp = x.support()
-    s0 = supp[0]
-    diffs = [s - s0 for s in supp[1:]]
-    sub, iota = subgroup_generated_by(x.parent.egroup, diffs)
-    if sub.is_torsionfree:
-        return NonZeroDivisor("support differences generate a torsionfree group")
-    shifted = Element(x.parent, {f - s0: c for f, c in x.terms.items()})
-    coords = _kernel_coordinates(shifted, sub, iota)
-    t_grp, buckets = _laurent_buckets(shifted, sub, coords)
-    t_elems = list(t_grp.torsion_elements())
-    index = {t: i for i, t in enumerate(t_elems)}
-    stacked = []
-    for z in sorted(buckets):
-        stacked.extend(_mult_matrix(t_grp, buckets[z], t_elems, index))
+    t_elems, blocks = _laurent_blocks(x)
+    stacked = [row for z in sorted(blocks) for row in blocks[z]]
     null = nullspace_rational(stacked, len(t_elems))
     if not null:
-        return NonZeroDivisor("no common annihilator over the torsion part")
-    vec = null[0]
-    scale = 1
-    for v in vec:
-        scale = lcm(scale, v.denominator)
-    terms = {}
-    for i, v in enumerate(vec):
-        c = v * scale
-        if c:
-            emb = iota.apply(sub.element(
-                (0,) * sub.rank + t_elems[i].coords))
-            terms[emb] = int(c) if x.parent.base == "Z" else c
-    w = Element(x.parent, terms)
+        return NonZeroDivisor("the Laurent coefficients over the torsion "
+                              "part have no common annihilator")
+    scale = lcm(*(v.denominator for v in null[0]))
+    w = Element(x.parent, {t: v * scale for t, v in zip(t_elems, null[0])})
     if (x * w).is_zero and not w.is_zero:
         return ZeroDivisor(w)
     raise InternalInvariantError("annihilator construction failed verification")
@@ -342,64 +306,49 @@ def nzd_test(x):
 def homogeneous_unit_test(x):
     """Decide invertibility of a homogeneous element.  Exact.
 
-    The element is translated into base[K], K the kernel of the degree
-    map.  Torsionfree K: units are single terms with invertible
-    coefficient.  Otherwise any inverse lives in the reflected support
-    box, so one linear solve decides.
+    One term: the coefficient decides.  Several terms: in each field
+    factor F of Q[T][Z^r] a unit is a monomial c*z^a with a the free
+    part of a term of x, so the unique inverse is supported on the
+    reflected support {-a} x T and one linear solve over it decides.
+    Over Z the rational inverse must also be integral.
     """
     if x.is_zero:
         raise ZeroElementError("unit test on the zero element")
-    g = degree_of(x)
-    supp = x.support()
-    f0 = supp[0]
-    y = Element(x.parent, {f - f0: c for f, c in x.terms.items()})
-    k, iota = hom_kernel(x.parent.delta)
+    degree_of(x)
     base = x.parent.base
-    if k.is_torsionfree:
-        if len(y.terms) > 1:
-            return NotUnit("several terms over a torsionfree kernel")
-        c = y.terms[next(iter(y.terms))]
+    if len(x.terms) == 1:
+        (f, c), = x.terms.items()
         if base == "Z" and c not in (1, -1):
             return NotUnit(f"coefficient {c} is not a unit in Z")
         inv_c = Rational(1, 1) / c if base == "Q" else c
-        return Unit(Element.monomial(x.parent, -f0, inv_c))
-    coords = _kernel_coordinates(y, k, iota)
-    u_list = list(coords.values())
-    lo = [min(u.coords[i] for u in u_list) for i in range(k.rank)]
-    hi = [max(u.coords[i] for u in u_list) for i in range(k.rank)]
-    candidates = []
-    free_ranges = [range(-hi[i], -lo[i] + 1) for i in range(k.rank)]
-    tor_ranges = [range(d) for d in k.torsion]
-    for combo in _product(*free_ranges, *tor_ranges):
-        candidates.append(k.element(combo))
-    # rows: every exponent reachable as u + candidate, in k coordinates
-    row_index = {}
-    rows = []
-    cols = []
-    for cand in candidates:
-        col = {}
-        for f, c in y.terms.items():
-            target = coords[f] + cand
-            if target not in row_index:
-                row_index[target] = len(rows)
-                rows.append(target)
-            col[row_index[target]] = col.get(row_index[target], 0) + c
-        cols.append(col)
-    a = [[cols[j].get(i, 0) for j in range(len(cols))]
-         for i in range(len(rows))]
-    b = [1 if r.is_zero else 0 for r in rows]
-    sol = solve_rational(a, b, len(cols))
+        return Unit(Element.monomial(x.parent, -f, inv_c))
+    t_elems, blocks = _laurent_blocks(x)
+    n = len(t_elems)
+    frees = sorted(blocks)
+    width = len(frees) * n
+    # Column block k holds the coefficient of z^-b, b = frees[k], in the
+    # inverse; block z of x sends it to the row block of z^(z - b).
+    rows, row_at = [], {}
+    for k, b in enumerate(frees):
+        for z, m in blocks.items():
+            d = tuple(u - v for u, v in zip(z, b))
+            if d not in row_at:
+                row_at[d] = len(rows)
+                rows.extend([0] * width for _ in range(n))
+            for i, row in enumerate(m):
+                rows[row_at[d] + i][k * n:(k + 1) * n] = row
+    egroup = x.parent.egroup
+    rhs = [0] * len(rows)
+    rhs[row_at[(0,) * egroup.rank]] = 1
+    sol = solve_rational(rows, rhs, width)
     if sol is None:
-        return NotUnit("no inverse supported in the reflected support box, "
-                       "which is complete for this kernel")
+        return NotUnit("no inverse supported on the reflected support, "
+                       "which holds every inverse")
     if base == "Z" and any(v.denominator != 1 for v in sol):
         return NotUnit("the unique rational inverse is not integral")
-    terms = {}
-    for cand, v in zip(candidates, sol):
-        if v:
-            emb = iota.apply(cand)
-            terms[emb - f0] = int(v) if base == "Z" else v
-    w = Element(x.parent, terms)
+    exps = [egroup.element(tuple(-u for u in b) + t.coords[egroup.rank:])
+            for b in frees for t in t_elems]
+    w = Element(x.parent, dict(zip(exps, sol)))
     if (x * w) == Element.one(x.parent):
         return Unit(w)
     raise InternalInvariantError("inverse construction failed verification")

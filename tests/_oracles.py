@@ -184,6 +184,77 @@ def zero_divisor_pair_bruteforce(nf, box=1, max_support=6):
     return None
 
 
+# --- reference unit and zero-divisor decisions ---
+
+def _solve_dense(columns, target):
+    """The unique rational x with sum x_j * columns[j] = target, or None.
+
+    columns and target are {exponent: coefficient} dicts.  Raises when
+    the solution is not unique: callers only pass columns that a
+    solution would make independent.
+    """
+    rows = sorted({f for col in columns for f in col} | set(target),
+                  key=lambda f: f.coords)
+    m = [[Fraction(col.get(f, 0)) for col in columns]
+         + [Fraction(target.get(f, 0))] for f in rows]
+    piv = rref_dense(m, len(columns))
+    if any(row[-1] for row in m[len(piv):]):
+        return None
+    assert len(piv) == len(columns), "solution is not unique"
+    x = [Fraction(0)] * len(columns)
+    for c, row in zip(piv, m):
+        x[c] = row[-1]
+    return x
+
+
+def unit_inverse_box(nf, x):
+    """The inverse of x as an {exponent: coefficient} dict, or None.
+
+    x is an {exponent: coefficient} dict.  The candidates are the whole
+    reflected box: free coordinates from -max to -min of the support's,
+    torsion coordinates exhaustive.  In each field factor of Q[T][Z^r]
+    a unit is a monomial with its exponent in the support, so the box
+    holds every inverse.  Over Z the inverse must also be integral.
+    """
+    e = nf.egroup
+    free = [[f.coords[i] for f in x] for i in range(e.rank)]
+    ranges = [range(-max(v), -min(v) + 1) for v in free]
+    cands = [e.element(c) for c in
+             product(*ranges, *(range(d) for d in e.torsion))]
+    sol = _solve_dense([_dict_mul(e, x, {c: 1}) for c in cands],
+                       {e.zero(): 1})
+    if sol is None:
+        return None
+    if nf.base == "Z":
+        if any(v.denominator != 1 for v in sol):
+            return None
+        sol = [int(v) for v in sol]
+    return {c: v for c, v in zip(cands, sol) if v}
+
+
+def is_zero_divisor_reference(nf, x):
+    """Whether the {exponent: coefficient} dict x is a zero divisor.
+
+    Finite E: the determinant of multiplication by x on Q[E].  Infinite
+    E = Z^r x T: every annihilator has one in Q[T] (kill the field
+    factors of Q[T] where x vanishes with their idempotent), so the test
+    is the rank of w -> x*w on Q[T].
+    """
+    e = nf.egroup
+    t_elems = list(e.torsion_elements())
+    den = 1  # Bareiss divides exactly only over Z: clear denominators
+    for c in x.values():
+        den *= Fraction(c).denominator
+    x = {f: int(c * den) for f, c in x.items()}
+    cols = [_dict_mul(e, x, {t: 1}) for t in t_elems]
+    if e.rank == 0:
+        return det_bareiss([[col.get(f, 0) for col in cols]
+                            for f in t_elems]) == 0
+    rows = sorted({f for col in cols for f in col}, key=lambda f: f.coords)
+    m = [[Fraction(col.get(f, 0)) for col in cols] for f in rows]
+    return len(rref_dense(m, len(cols))) < len(cols)
+
+
 # --- reference graded euclidean division ---
 
 def divide_reference(struct, f, g):

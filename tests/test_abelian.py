@@ -121,6 +121,20 @@ def test_group_data_must_be_ints():
         GroupHom(FgGroup(0, (2,)), FgGroup(0, (2,)), ())
 
 
+@pytest.mark.parametrize("group,coords", [
+    (FgGroup(1, (2,)), (1.5, 2.5)),
+    (FgGroup(1, (2,)), (True, 1)),
+    (FgGroup(1, (2,)), (1, Rational(1))),
+    (FgGroup(1), ("a",)),
+    (FgGroup(0, (4,)), (2.0,)),
+])
+def test_element_coordinates_must_be_ints(group, coords):
+    """Coordinates are ints: a float would be reduced to a non-integer
+    torsion coordinate, a bool kept as a bool, a string kept as is."""
+    with pytest.raises(GradalError, match="coordinates must be ints"):
+        group.element(coords)
+
+
 def test_hom_composition_and_identity():
     a = FgGroup(2, ())
     b = FgGroup(1, (2,))

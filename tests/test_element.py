@@ -1,13 +1,18 @@
 """Element arithmetic, exact zero-divisor/unit decisions, fractions."""
 
 import random
+import time
 from fractions import Fraction as Rational
 
 import pytest
 
 import gradal.element as element
-from _oracles import zero_divisor_pair_bruteforce
-from gradal.abelian import FgGroup, GroupHom
+from _oracles import (
+    is_zero_divisor_reference,
+    unit_inverse_box,
+    zero_divisor_pair_bruteforce,
+)
+from gradal.abelian import FgGroup, GroupHom, hom_kernel, quotient_by
 from gradal.element import (
     Element,
     Fraction,
@@ -244,6 +249,108 @@ def test_unit_agreement_random():
             assert isinstance(nzd_test(x), NonZeroDivisor)
 
 
+def oracle_rings():
+    """Fine, coarse and partly coarsened rings over Z and Q, with torsion
+    chains up to (2, 4) and free ranks up to 2."""
+    rng = random.Random(1701)
+    rings = []
+    for grp in (FgGroup(0, (2,)), FgGroup(0, (2, 2)), FgGroup(0, (2, 4)),
+                FgGroup(0, (6,)), FgGroup(1, ()), FgGroup(1, (2,)),
+                FgGroup(1, (2, 2)), FgGroup(1, (2, 4)), FgGroup(2, ()),
+                FgGroup(2, (2,))):
+        for base in (Q, Z):
+            fine = group_algebra(base, grp, "fine")
+            rings += [fine, group_algebra(base, grp, "coarse")]
+            pool = [f for f in grp.box_elements(1) if not f.is_zero]
+            for _ in range(2):
+                _, proj = quotient_by(grp, [rng.choice(pool)])
+                rings.append(coarsen(fine, proj))
+    return rings
+
+
+def oracle_sample(rng, nf):
+    """A nonzero homogeneous element: one to four terms in one fiber."""
+    box = 1 if nf.egroup.rank == 2 else 2
+    pool = list(nf.egroup.box_elements(box))
+    degree = nf.delta.apply(rng.choice(pool))
+    fiber = [f for f in pool if nf.delta.apply(f) == degree]
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            c = rng.choice((-2, -1, 1, 2))
+            if nf.base == "Q" and rng.random() < 0.3:
+                c = Rational(c, rng.choice((2, 3)))
+            terms[rng.choice(fiber)] = c
+        x = Element(nf, terms)
+        if not x.is_zero:
+            return x
+
+
+def test_decisions_against_reference_oracles():
+    """Units against a solve over the whole reflected box, zero divisors
+    against a determinant or a rank over Q[T], on rings whose grading
+    kernel runs from 0 through proper subgroups to all of E."""
+    rng = random.Random(2718)
+    rings = oracle_rings()
+    assert any(not nf.egroup.is_torsionfree
+               and not hom_kernel(nf.delta)[0].is_trivial
+               and nf.ggroup.dim for nf in rings)
+    counts = {"Unit": 0, "NotUnit": 0, "ZeroDivisor": 0, "NonZeroDivisor": 0}
+    for nf in rings:
+        has_pair = zero_divisor_pair_bruteforce(nf) is not None
+        for _ in range(15):
+            x = oracle_sample(rng, nf)
+            res = homogeneous_unit_test(x)
+            inv = unit_inverse_box(nf, x.terms)
+            counts[type(res).__name__] += 1
+            if inv is None:
+                assert isinstance(res, NotUnit), x
+            else:
+                assert isinstance(res, Unit), x
+                assert res.inverse.terms == inv
+            res = nzd_test(x)
+            counts[type(res).__name__] += 1
+            if is_zero_divisor_reference(nf, x.terms):
+                assert isinstance(res, ZeroDivisor), x
+                assert has_pair, x
+                assert not res.annihilator.is_zero
+                assert (x * res.annihilator).is_zero
+            else:
+                assert isinstance(res, NonZeroDivisor), x
+    assert sum(counts.values()) == 2 * 15 * len(rings) >= 2000
+    assert min(counts.values()) >= 50, counts
+
+
+def test_unit_over_torsion_needs_rational_coefficients():
+    """(1+t)/2*z + (1-t)/2*z^-1 in Q[Z x Z/2] is its own kind of unit:
+    no term is a unit alone.  Clearing denominators gives an element of
+    Z[Z x Z/2] whose unique rational inverse is not integral."""
+    for base, half in ((Q, Rational(1, 2)), (Z, 1)):
+        nf = group_algebra(base, FgGroup(1, (2,)), "coarse")
+        x = Element(nf, {nf.egroup.element((1, 0)): half,
+                         nf.egroup.element((1, 1)): half,
+                         nf.egroup.element((-1, 0)): half,
+                         nf.egroup.element((-1, 1)): -half})
+        res = homogeneous_unit_test(x)
+        if nf.base == "Q":
+            assert isinstance(res, Unit)
+            assert res.inverse * x == Element.one(nf)
+            assert res.inverse.terms == unit_inverse_box(nf, x.terms)
+        else:
+            assert isinstance(res, NotUnit)
+            assert unit_inverse_box(nf, x.terms) is None
+
+
+def test_unit_test_cost_follows_the_support():
+    """The candidates are the reflected support, not the box it spans:
+    1 + e(12,12,12,1) in Q[Z^3 x Z/4] has 2 x 4 of them, not 13^3 x 4."""
+    nf = group_algebra(Q, FgGroup(3, (4,)), "coarse")
+    x = Element.one(nf) + e(nf, 12, 12, 12, 1)
+    start = time.perf_counter()
+    assert isinstance(homogeneous_unit_test(x), NotUnit)
+    assert time.perf_counter() - start < 1.0
+
+
 # --- fractions ---
 
 def test_fraction_gates():
@@ -387,10 +494,16 @@ def test_coefficient_types_kept():
     assert [type(v) for v in e(QZ, 1, c=3).terms.values()] == [Rational]
 
 
-def test_kernel_coordinates_self_check_is_internal(monkeypatch):
-    """Both callers pass support differences that lie in the subgroup, so
-    a failed membership solve is a bug (exit 5)."""
-    monkeypatch.setattr(element, "solve_in_subgroup", lambda iota, f: None)
+def test_decision_self_check_is_internal(monkeypatch):
+    """Both decisions verify what their solver returns, so a wrong
+    solver vector is a bug (exit 5), not a verdict."""
+    def first_basis_vector(n):
+        return [Rational(1)] + [Rational(0)] * (n - 1)
+
+    monkeypatch.setattr(element, "nullspace_rational",
+                        lambda a, n: [first_basis_vector(n)])
+    monkeypatch.setattr(element, "solve_rational",
+                        lambda a, b, n: first_basis_vector(n))
     x = e(QT, 0) + e(QT, 2)
     with pytest.raises(InternalInvariantError):
         nzd_test(x)

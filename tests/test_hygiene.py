@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every
-function the bench tracer wraps still exists, every __all__ entry
+function the bench tracer wraps still exists and every function a bench
+workload must reach is called by its inputs, every __all__ entry
 resolves, rings are built only by the ringexpr constructors, every
 CLI subcommand is run by some test in tests/test_cli.py, every word
 the DSL parser reads as grammar is a keyword a let cannot bind, and
@@ -7,17 +8,20 @@ nothing in gradal uses dataclasses, so importing it generates no code.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
 is read anywhere in the module or listed in the module's __all__.  The
-tracer's TRACED table is read from bench/tracer.py with ast as well, so
-the bench package is never imported.
+bench tables (TRACED in bench/tracer.py, COVERAGE in bench/worker.py,
+CLI_COMMANDS in bench/workloads.py) are read with ast as well, so the
+bench package is never imported.
 """
 
 import argparse
 import ast
 import importlib
+import io
 import os
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = sorted((ROOT / "src" / "gradal").glob("*.py")) + sorted(
@@ -69,15 +73,20 @@ def test_no_unused_imports():
     assert not found, "imported but unused:\n" + "\n".join(found)
 
 
-def traced_names():
-    """The (module, qualname) pairs of TRACED in bench/tracer.py."""
-    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+def bench_table(filename, name):
+    """The literal value assigned to name at the top of bench/filename."""
+    tree = ast.parse((ROOT / "bench" / filename).read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "TRACED"
+                and any(isinstance(t, ast.Name) and t.id == name
                         for t in node.targets)):
             return ast.literal_eval(node.value)
-    raise AssertionError("bench/tracer.py defines no TRACED")
+    raise AssertionError(f"bench/{filename} defines no {name}")
+
+
+def traced_names():
+    """The (module, qualname) pairs of TRACED in bench/tracer.py."""
+    return bench_table("tracer.py", "TRACED")
 
 
 def test_traced_functions_resolve():
@@ -89,6 +98,59 @@ def test_traced_functions_resolve():
         if not callable(owner):
             missing.append(f"gradal.{module}.{qual}")
     assert not missing, "traced but gone:\n" + "\n".join(missing)
+
+
+def called_functions(run):
+    """"module.qualname" of every gradal function that run() calls."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    src = ROOT / "src" / "gradal"
+    return {f"{path.stem}.{code.co_qualname}" for code in codes
+            for path in [pathlib.Path(code.co_filename)] if path.parent == src}
+
+
+def test_called_functions_records_methods():
+    from gradal.abelian import FgGroup
+    g = FgGroup(1, (2,))
+    called = called_functions(lambda: g.element((1, 1)) + g.zero())
+    assert {"abelian.FgGroup.element", "abelian.GroupElem.__add__"} <= called
+    assert "abelian.FgGroup.torsion_elements" not in called
+
+
+def test_bench_workloads_reach_their_coverage():
+    """Each function a bench workload must reach (COVERAGE in
+    bench/worker.py) is called by that workload's inputs: the 12 checks
+    at 24 trials and seed 2024 for harness, the golden commands
+    (CLI_COMMANDS in bench/workloads.py) for cli-cold."""
+    from gradal.cli import main
+    from gradal.harness import CHECK_IDS, CheckConfig, run_check
+    coverage = bench_table("worker.py", "COVERAGE")
+
+    def harness():
+        for cid in CHECK_IDS:
+            run_check(CheckConfig(cid, 24, 2024))
+
+    def cli():
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            codes = [main(list(argv)) for _, _, argv in
+                     bench_table("workloads.py", "CLI_COMMANDS")]
+        assert codes == [0] * len(codes)
+
+    missing = []
+    for workload, run in (("harness", harness), ("cli-cold", cli)):
+        called = called_functions(run)
+        missing += [f"{workload}: {fn}" for fn in coverage[workload]
+                    if fn not in called]
+    assert not missing, "bench coverage not reached:\n" + "\n".join(missing)
 
 
 def normal_form_calls(source):
