@@ -27,13 +27,11 @@ from .closure import (
     IntegralityWitness,
     LaurentStructure,
     NoWitnessUpTo,
-    RingInclusion,
     RingMap,
     components_integral_check,
     find_almost_integral_witness,
     find_integral_equation,
     graded_euclidean_division,
-    inclusion_for,
     j_pi_embedding,
     laurent_extension,
     lem50_iso,
@@ -87,13 +85,11 @@ __all__ = [
     "IntegralityWitness",
     "LaurentStructure",
     "NoWitnessUpTo",
-    "RingInclusion",
     "RingMap",
     "components_integral_check",
     "find_almost_integral_witness",
     "find_integral_equation",
     "graded_euclidean_division",
-    "inclusion_for",
     "j_pi_embedding",
     "laurent_extension",
     "lem50_iso",

@@ -722,7 +722,7 @@ def _cmd_integrality(args, scope):
     if isinstance(res, IntegralityWitness):
         return [{"found": True, "degree": res.degree,
                  "witness": witness_str(res)}]
-    return [{"found": False, "max_deg": args.max_deg, "box": args.box}]
+    return [{"found": False, "max_deg": res.max_deg, "box": res.box}]
 
 
 def _cmd_almost(args, scope):
@@ -731,7 +731,7 @@ def _cmd_almost(args, scope):
     if isinstance(res, AlmostIntegralWitness):
         return [{"found": True, "k": res.k,
                  "combination": [str(c) for c in res.combination]}]
-    return [{"found": False, "k_max": args.kmax, "box": args.box}]
+    return [{"found": False, "k_max": res.k_max, "box": res.box}]
 
 
 def _cmd_divide(args, scope):

@@ -3,7 +3,9 @@
 Integrality of x over a subring R is always established by an explicit
 monic equation whose coefficients are homogeneous elements of R with
 degrees pinned to multiples of deg(x); almost-integrality by an explicit
-membership x^(k+1) in the R-span of 1, x, ..., x^k.  Searches are
+membership x^(k+1) in the R-span of 1, x, ..., x^k.  R and the ring of x
+differ only in their base (Z in Z, Z in Q or Q in Q), so an element of R
+is carried over by reparent.  Searches are
 bounded (max degree, exponent box) and report NoWitnessUpTo instead of
 claiming non-integrality.  One search core serves elements and
 homogeneous fractions; it solves one exact linear system per degree,
@@ -16,8 +18,10 @@ alike, before it is returned.
 The module also houses the explicit constructions the package exists to
 reproduce: the torsion idempotent that breaks integral closedness, the
 graded euclidean division over a Laurent extension, the isomorphism
-splitting a free grading summand into an adjoined exponent group, and
-the kernel-absorbing embedding attached to a section of a coarsening.
+splitting a free grading summand into an adjoined exponent group (along
+the idempotent of the exponent group that the projection onto the
+complement pulls back to), and the kernel-absorbing embedding attached
+to a section of a coarsening.
 """
 
 from fractions import Fraction as Rational
@@ -71,9 +75,7 @@ __all__ = [
     "IntegralityWitness",
     "AlmostIntegralWitness",
     "NoWitnessUpTo",
-    "RingInclusion",
     "RingMap",
-    "inclusion_for",
     "verify_integral_witness",
     "find_integral_equation",
     "find_almost_integral_witness",
@@ -130,37 +132,8 @@ def witness_str(w):
     return "; ".join(parts)
 
 
-class RingInclusion:
-    """A base change of graded rings: Z into Z, Z into Q, or Q into Q.
-
-    Both rings share the exponent group, the grading group and the
-    degree map, so an element keeps its terms on either side.
-    """
-
-    __slots__ = ("src", "dst")
-
-    def __init__(self, src, dst):
-        self.src = src
-        self.dst = dst
-
-    def cast(self, x):
-        if x.parent != self.src:
-            raise IncompatibleRingsError("element does not live in the subring")
-        return reparent(x, self.dst)
-
-    def member(self, x):
-        """Pull x back into the subring, or None when it is not inside."""
-        if x.parent != self.dst:
-            raise IncompatibleRingsError("element does not live in the big ring")
-        if self.src.base == "Z" and any(
-                isinstance(c, Rational) and c.denominator != 1
-                for c in x.terms.values()):
-            return None
-        return reparent(x, self.src)
-
-
-def inclusion_for(r, s):
-    """The base-change inclusion r into s."""
+def _check_base_change(r, s):
+    """Raise unless s is r over a wider base: Z in Z, Z in Q or Q in Q."""
     if (r.base, s.base) not in (("Z", "Z"), ("Z", "Q"), ("Q", "Q")):
         raise IncompatibleRingsError(f"base {r.base} does not embed in {s.base}")
     if r.fraction or s.fraction:
@@ -170,7 +143,6 @@ def inclusion_for(r, s):
         raise IncompatibleRingsError(
             "rings differ beyond the base: exponent group, grading group "
             "and degree map must agree")
-    return RingInclusion(r, s)
 
 
 def _sorted_terms(x):
@@ -229,14 +201,9 @@ def _monic_solution(r, factors, n, by_degree, degree):
     sol = _solve_linear(r.base, mat, rows_rhs, len(columns))
     if sol is None:
         return None
-    coeffs = []
-    for i in range(1, n + 1):
-        terms = {}
-        for (vi, f), val in zip(variables, sol):
-            if vi == i and val:
-                terms[f] = int(val) if r.base == "Z" else val
-        coeffs.append(Element(r, terms))
-    return tuple(coeffs)
+    return tuple(Element(r, {f: val for (vi, f), val in zip(variables, sol)
+                             if vi == i})
+                 for i in range(1, n + 1))
 
 
 def _num_den(x):
@@ -253,7 +220,7 @@ def verify_integral_witness(r, s, x, w):
     x is an element of s or a homogeneous fraction over s; the equation
     is checked in genuine fraction arithmetic for the latter.
     """
-    incl = inclusion_for(r, s)
+    _check_base_change(r, s)
     if not isinstance(w, IntegralityWitness) or w.degree < 1:
         return False
     if len(w.coeffs) != w.degree:
@@ -273,7 +240,7 @@ def verify_integral_witness(r, s, x, w):
                 return False
     acc = x ** w.degree
     for i, a in enumerate(w.coeffs, start=1):
-        acc = acc + embed(incl.cast(a)) * x ** (w.degree - i)
+        acc = acc + embed(reparent(a, s)) * x ** (w.degree - i)
     return acc.is_zero
 
 
@@ -285,7 +252,7 @@ def _search(r, s, x, max_deg, box):
     element), so both shapes share one linear system; the witness is
     then re-verified on x itself.
     """
-    inclusion_for(r, s)
+    _check_base_change(r, s)
     if x.parent != s:
         raise IncompatibleRingsError("x must live in the big ring")
     if x.is_zero:
@@ -333,11 +300,10 @@ def find_almost_integral_witness(r, s, x, k_max=2, support_box=3):
     k = w.degree - 1
     combination = tuple(-a for a in reversed(w.coeffs))
     _, _, embed = _num_den(x)
-    incl = inclusion_for(r, s)
     powers = [x ** i for i in range(k + 2)]
     acc = embed(Element.zero(s))
     for ri, p in zip(combination, powers):
-        acc = acc + embed(incl.cast(ri)) * p
+        acc = acc + embed(reparent(ri, s)) * p
     if acc != powers[k + 1]:
         raise InternalInvariantError("membership witness failed verification")
     return AlmostIntegralWitness(k, tuple(powers[:k + 1]), combination)
@@ -387,7 +353,7 @@ def components_integral_check(r, psi, x, max_deg=3, support_box=3):
     was found within bounds, not a proof of non-integrality.
     """
     s = x.parent
-    inclusion_for(r, s)  # same exponents, base Z in Q or equal
+    _check_base_change(r, s)
     if x.is_zero:
         raise ZeroElementError("decompose a nonzero element")
     r_c = coarsen(r, psi)
@@ -438,10 +404,9 @@ def torsion_idempotent(n):
     d = Element(ring_z, {ez.element((i,)): 1 for i in range(n)})
     if f * f != f:
         raise InternalInvariantError("idempotent identity failed")
-    incl = inclusion_for(ring_z, ring_q)
-    if incl.cast(c) * f != incl.cast(d):
+    if reparent(c, ring_q) * f != reparent(d, ring_q):
         raise InternalInvariantError("f*c = d identity failed")
-    if incl.member(f) is not None:
+    if all(v.denominator == 1 for v in f.terms.values()):
         raise InternalInvariantError("f unexpectedly has integer coefficients")
     one_z = Element.one(ring_z)
     witness = IntegralityWitness(2, (c - one_z, -d))
@@ -568,30 +533,29 @@ def _hom_minus(f, g):
 class Lem50Pair:
     """Mutually inverse maps p: target -> coarse and q: coarse -> target."""
 
-    __slots__ = ("p", "q", "target", "coarse", "psi", "chi")
+    __slots__ = ("p", "q", "target", "coarse", "psi")
 
-    def __init__(self, p, q, target, coarse, psi, chi):
+    def __init__(self, p, q, target, coarse, psi):
         self.p = p
         self.q = q
         self.target = target
         self.coarse = coarse
         self.psi = psi
-        self.chi = chi
 
 
 def lem50_iso(r, f_gens, h_gens):
     """Split a free grading summand F into an adjoined exponent group.
 
     Given a simple ring r graded by G = F + H with F free and the degree
-    support D satisfying psi(D) inside D (psi the projection onto H),
+    support D satisfying rho(D) inside D (rho the projection onto H),
     builds mutually inverse monomial maps between r graded by H and the
     H-restriction of r with D cap F adjoined as extra exponents.  The
-    adjoined basis monomials are the canonical preimages y_e of a basis
-    of D cap F, which exist and are unique because the degree map of a
-    simple ring is injective.
+    degree map delta of a simple ring is injective, so rho pulls back to
+    an idempotent pi of the exponent group E, and E = pi(E) + ker pi:
+    pi(E) is the H-restriction and delta maps ker pi onto D cap F.  The
+    adjoined basis monomials are the preimages y_e of a basis of D cap F.
     """
-    cls = classify(r)
-    if not cls.simple or r.fraction:
+    if not classify(r).simple or r.fraction:
         raise HypothesisViolatedError("need a simple ring in algebra form")
     g = r.ggroup
     f_gens = list(f_gens)
@@ -606,43 +570,35 @@ def lem50_iso(r, f_gens, h_gens):
         phi_inv = hom_inverse(phi)
     except GradalError as exc:
         raise HypothesisViolatedError(f"G is not F + H: {exc}") from exc
-    chi = compose(ds.proj1, phi_inv)
     psi = compose(ds.proj2, phi_inv)
-    rho = compose(i_h, psi)
-    d_sub, i_d = hom_image(r.delta)
-    if lift_hom(i_d, compose(rho, i_d)) is None:
+    pi = lift_hom(r.delta, compose(i_h, compose(psi, r.delta)))
+    if pi is None:
         raise HypothesisViolatedError(
             "projection onto the complement does not preserve the support")
-    # D cap F: i_d of the kernel of (u, v) -> i_d(u) - i_f(v)
-    ds_df = direct_sum(d_sub, sf)
-    k, i_k = hom_kernel(_hom_minus(compose(i_d, ds_df.proj1),
-                                   compose(i_f, ds_df.proj2)))
-    df, i_df = hom_image(compose(i_d, compose(ds_df.proj1, i_k)))
+    _, i_k = hom_kernel(pi)
+    df, i_df = hom_image(compose(r.delta, i_k))
     if not df.is_torsionfree:
         # D cap F lies in F, which is checked free above
         raise InternalInvariantError(
             "intersection with a free group must be free")
-    restricted, kappa = restrict_data(r, h_gens)
-    # canonical monomials: the unique exponents over a basis of D cap F
     y_map = lift_hom(r.delta, i_df)
     if y_map is None:
-        # D cap F lies in D, the image of delta
+        # D cap F is delta(ker pi)
         raise InternalInvariantError("support basis escaped the degree image")
+    restricted, kappa = restrict_data(r, h_gens)
+    w = lift_hom(kappa, pi)
+    if w is None:
+        # delta(pi(f)) is the H-part of delta(f)
+        raise InternalInvariantError(
+            "residual exponent escaped the restriction")
+    m = lift_hom(y_map, _hom_minus(identity_hom(r.egroup), pi))
+    if m is None:
+        # f - pi(f) lies in ker pi, whose degrees y_map reaches
+        raise InternalInvariantError("F-part of a degree escaped the support")
     ds_t = direct_sum(restricted.egroup, df)
     target = group_algebra(restricted, df, "coarse")
     coarse = coarsen(r, psi)
     mu_p = add_homs(compose(kappa, ds_t.proj1), compose(y_map, ds_t.proj2))
-    # q on e_f: split off the F-part chi(delta f) of its degree, divide
-    # by its canonical monomial, land in the restriction.
-    m = lift_hom(i_df, compose(i_f, compose(chi, r.delta)))
-    if m is None:
-        # delta(f) - rho(delta(f)) lies in F, and in D as rho preserves D
-        raise InternalInvariantError("F-part of a degree escaped the support")
-    w = lift_hom(kappa, _hom_minus(identity_hom(r.egroup), compose(y_map, m)))
-    if w is None:
-        # delta(f - y(m(f))) is the H-part of delta(f)
-        raise InternalInvariantError(
-            "residual exponent escaped the restriction")
     mu_q = add_homs(compose(ds_t.inj1, w), compose(ds_t.inj2, m))
     if compose(mu_p, mu_q) != identity_hom(r.egroup):
         raise InternalInvariantError("p . q is not the identity on exponents")
@@ -650,9 +606,8 @@ def lem50_iso(r, f_gens, h_gens):
         raise InternalInvariantError("q . p is not the identity on exponents")
     if compose(coarse.delta, mu_p) != target.delta:
         raise InternalInvariantError("p does not preserve the H-degree")
-    p = RingMap(target, coarse, mu_p)
-    q = RingMap(coarse, target, mu_q)
-    return Lem50Pair(p, q, target, coarse, psi, chi)
+    return Lem50Pair(RingMap(target, coarse, mu_p),
+                     RingMap(coarse, target, mu_q), target, coarse, psi)
 
 
 def j_pi_embedding(r, psi, pi):

@@ -8,15 +8,18 @@ parent's degree map.
 The two decision procedures here are exact, not sampled, and both work
 in the ring's own exponent coordinates.  E = Z^r x T, so base[E] is the
 Laurent ring base[T][Z^r], and Q[T] is a finite product of fields
-(Perlis-Walker).  x is cut into blocks: for each free part z of its
-support, the matrix of multiplication by its Laurent coefficient at z
-on Q[T].
+(Perlis-Walker).  x lives in Q[V][Z^r] for V the subgroup of T that
+the torsion parts of its support generate, and Q[T] is free over Q[V],
+so x is a unit or a zero divisor there exactly when it is one in Q[E],
+with the same inverse.  x is cut into blocks: for each free part z of
+its support, the matrix of multiplication by its Laurent coefficient at
+z on Q[V].
 
 * nzd_test: x is a zero divisor exactly when the blocks have a common
-  nullspace vector, a common annihilator in Q[T].
+  nullspace vector, a common annihilator in Q[V].
 * homogeneous_unit_test: in each field factor a Laurent unit is a
   monomial whose exponent is the free part of a term of x, so any
-  inverse is supported on the reflected support {-z} x T and one linear
+  inverse is supported on the reflected support {-z} x V and one linear
   solve over it settles the question.
 """
 
@@ -255,24 +258,32 @@ def _laurent_blocks(x):
 
     base[E] = base[T][Z^r]: the free part of an exponent, coords[:r], is
     the Laurent exponent and the torsion part, coords[r:], indexes a
-    basis of base[T].  Returns (t_elems, blocks): T as exponents of E
-    (free part 0, the zero first), and for each free part z of a term of
-    x the matrix of multiplication by the Laurent coefficient at z on
-    Q[T] in the basis t_elems.
+    basis of base[T].  Only the subgroup V of T that the torsion parts
+    of x generate is needed (the module docstring says why).  Returns
+    (t_elems, blocks): V as exponents of E (free part 0, sorted by
+    coordinates, so the zero first), and for each free part z of a term
+    of x the matrix of multiplication by the Laurent coefficient at z on
+    Q[V] in the basis t_elems.
     """
     egroup = x.parent.egroup
     r = egroup.rank
-    t_elems = list(egroup.torsion_elements())
+    parts = {f: egroup.element((0,) * r + f.coords[r:]) for f in x.terms}
+    span, todo = {egroup.zero()}, [egroup.zero()]
+    while todo:  # close {0} under the torsion parts
+        u = todo.pop()
+        new = {u + t for t in parts.values()} - span
+        span |= new
+        todo += new
+    t_elems = sorted(span, key=lambda t: t.coords)
     index = {t: i for i, t in enumerate(t_elems)}
     n = len(t_elems)
-    pad = (0,) * r
     blocks = {}
     for f, c in x.terms.items():
         z = f.coords[:r]
         if z not in blocks:
             blocks[z] = [[0] * n for _ in range(n)]
         m = blocks[z]
-        t = egroup.element(pad + f.coords[r:])
+        t = parts[f]
         for j, tj in enumerate(t_elems):
             m[index[t + tj]][j] += c
     return t_elems, blocks
@@ -282,11 +293,11 @@ def nzd_test(x):
     """Decide whether x is a non zero divisor.  Exact: the decision
     never truncates.
 
-    Q[T] is a finite product of fields and a Laurent ring over a field
+    Q[V] is a finite product of fields and a Laurent ring over a field
     is entire, so x is a zero divisor exactly when its Laurent
-    coefficients over Q[T] share a common annihilator w in Q[T]: the
-    nullspace of their stacked multiplication blocks.  A torsionfree E
-    gives 1 x 1 blocks and an empty nullspace.
+    coefficients over Q[V] share a common annihilator w in Q[V]: the
+    nullspace of their stacked multiplication blocks.  Terms with no
+    torsion part give 1 x 1 blocks and an empty nullspace.
     """
     if x.is_zero:
         raise ZeroElementError("zero divisor test on the zero element")
@@ -307,9 +318,9 @@ def homogeneous_unit_test(x):
     """Decide invertibility of a homogeneous element.  Exact.
 
     One term: the coefficient decides.  Several terms: in each field
-    factor F of Q[T][Z^r] a unit is a monomial c*z^a with a the free
+    factor F of Q[V][Z^r] a unit is a monomial c*z^a with a the free
     part of a term of x, so the unique inverse is supported on the
-    reflected support {-a} x T and one linear solve over it decides.
+    reflected support {-a} x V and one linear solve over it decides.
     Over Z the rational inverse must also be integral.
     """
     if x.is_zero:

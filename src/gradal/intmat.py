@@ -10,8 +10,8 @@ Two normal forms are provided with their transforms:
 * Smith normal form, used to put group presentations into invariant
   factor form.  U * A * V = D with U, V unimodular and the diagonal of D
   nonnegative with d1 | d2 | ... .
-* Column-style Hermite echelon form, used for lattice membership and
-  integer linear solving.  A * V = H with V unimodular.
+* Column-style Hermite echelon form, used for lattice membership,
+  integer solving and unimodular inverses.  A * V = H, V unimodular.
 """
 
 from fractions import Fraction
@@ -265,14 +265,12 @@ def _rref(rows, ncols):
 
 
 def inverse_unimodular(u):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(u)
-    a = [{j: Fraction(x) for j, x in enumerate([*row, *e]) if x}
-         for row, e in zip(u, identity(n))]
-    if len(_rref(a, n)) < n or any(x.denominator != 1
-                                   for row in a for x in row.values()):
+    """Exact inverse of a matrix with determinant +-1: the column Hermite
+    form of such a u is I, so its transform v has u*v = I."""
+    h, v, _ = hermite_columns(u)
+    if h != identity(len(u)):
         raise ValueError("matrix is not unimodular")
-    return [[int(row.get(n + j, 0)) for j in range(n)] for row in a]
+    return v
 
 
 def solve_rational(a, b, ncols=None):

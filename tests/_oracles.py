@@ -2,11 +2,29 @@
 
 Everything here is deliberately written from scratch against the
 mathematical definitions, sharing no code paths with src/gradal, so a
-bug in the package cannot hide behind the same bug in the tests.
+bug in the package cannot hide behind the same bug in the tests.  The
+one exception is lem50_reference: it builds the free-summand
+isomorphism with the package's group operations, but along a second
+route through the grading group.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from gradal.abelian import (
+    GroupHom,
+    add_homs,
+    compose,
+    direct_sum,
+    hom_image,
+    hom_inverse,
+    hom_kernel,
+    identity_hom,
+    lift_hom,
+    subgroup_generated_by,
+)
+from gradal.errors import GradalError, HypothesisViolatedError
+from gradal.ringexpr import classify, coarsen, group_algebra, restrict_data
 
 
 # --- plain integer matrix helpers ---
@@ -317,3 +335,54 @@ def divide_reference(struct, f, g):
         if not progressed:
             break
     return quo, rem
+
+
+# --- reference free-summand isomorphism ---
+
+def _hom_minus(f, g):
+    return add_homs(f, GroupHom(g.domain, g.codomain,
+                                [[-v for v in row] for row in g.matrix]))
+
+
+def lem50_reference(r, f_gens, h_gens):
+    """(mu_p, mu_q, target, coarse) of the free-summand isomorphism.
+
+    Works in the grading group G = F + H: D cap F (D the degree support)
+    is the image in G of the kernel of (u, v) -> u - v on D + F, and an
+    exponent f is split by chi, the projection of G onto F: m(f) is the
+    coordinate of chi(delta f) in D cap F and w(f) = f - y(m(f)) lies in
+    the H-restriction.  Raises HypothesisViolatedError where the package
+    must.
+    """
+    if not classify(r).simple or r.fraction:
+        raise HypothesisViolatedError("need a simple ring in algebra form")
+    g = r.ggroup
+    sf, i_f = subgroup_generated_by(g, f_gens)
+    sh, i_h = subgroup_generated_by(g, h_gens)
+    if not sf.is_torsionfree:
+        raise HypothesisViolatedError("F must be free")
+    ds = direct_sum(sf, sh)
+    phi = add_homs(compose(i_f, ds.proj1), compose(i_h, ds.proj2))
+    try:
+        phi_inv = hom_inverse(phi)
+    except GradalError as exc:
+        raise HypothesisViolatedError(f"G is not F + H: {exc}") from exc
+    chi = compose(ds.proj1, phi_inv)
+    psi = compose(ds.proj2, phi_inv)
+    rho = compose(i_h, psi)
+    d_sub, i_d = hom_image(r.delta)
+    if lift_hom(i_d, compose(rho, i_d)) is None:
+        raise HypothesisViolatedError("rho does not preserve the support")
+    ds_df = direct_sum(d_sub, sf)
+    _, i_k = hom_kernel(_hom_minus(compose(i_d, ds_df.proj1),
+                                   compose(i_f, ds_df.proj2)))
+    df, i_df = hom_image(compose(i_d, compose(ds_df.proj1, i_k)))
+    restricted, kappa = restrict_data(r, h_gens)
+    y_map = lift_hom(r.delta, i_df)
+    ds_t = direct_sum(restricted.egroup, df)
+    target = group_algebra(restricted, df, "coarse")
+    mu_p = add_homs(compose(kappa, ds_t.proj1), compose(y_map, ds_t.proj2))
+    m = lift_hom(i_df, compose(i_f, compose(chi, r.delta)))
+    w = lift_hom(kappa, _hom_minus(identity_hom(r.egroup), compose(y_map, m)))
+    mu_q = add_homs(compose(ds_t.inj1, w), compose(ds_t.inj2, m))
+    return mu_p, mu_q, target, coarsen(r, psi)

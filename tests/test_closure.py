@@ -7,9 +7,9 @@ from math import lcm
 
 import pytest
 
-from _oracles import divide_reference
+from _oracles import divide_reference, lem50_reference
 import gradal.closure as closure
-from gradal.abelian import FgGroup, GroupHom
+from gradal.abelian import FgGroup, GroupHom, direct_sum, hom_kernel
 from gradal.closure import (
     AlmostIntegralWitness,
     IntegralityWitness,
@@ -19,7 +19,6 @@ from gradal.closure import (
     find_integral_equation,
     find_integral_equation_fraction,
     graded_euclidean_division,
-    inclusion_for,
     j_pi_embedding,
     laurent_extension,
     lem50_iso,
@@ -28,6 +27,7 @@ from gradal.closure import (
     witness_str,
 )
 from gradal.element import Element, Fraction, reparent
+from gradal.harness import generate_instance
 from gradal.intmat import solve_int
 from gradal.errors import (
     BadOrderError,
@@ -45,6 +45,7 @@ from gradal.ringexpr import (
     fraction_field,
     group_algebra,
     normalize,
+    regrade_extend,
 )
 
 Q = normalize(BaseQ())
@@ -59,26 +60,37 @@ def z_top(struct, x):
     return max(struct.z_proj.apply(t).coords[0] for t in x.terms)
 
 
-# --- inclusions ---
+# --- inclusions: a base change is a reparent ---
 
 def test_inclusion_z_in_q():
     zr = group_algebra(Z, FgGroup(0, (2,)), "coarse")
     qr = group_algebra(Q, FgGroup(0, (2,)), "coarse")
-    incl = inclusion_for(zr, qr)
     x = e(zr, 1, c=3)
-    assert incl.cast(x).parent == qr
-    assert incl.member(incl.cast(x)) == x
-    assert incl.member(e(qr, 0, c=Rational(1, 2))) is None
+    assert reparent(x, qr).parent == qr
+    assert reparent(reparent(x, qr), zr) == x
+    with pytest.raises(GradalError, match="not an integer"):
+        reparent(e(qr, 0, c=Rational(1, 2)), zr)
 
 
 def test_inclusion_rejects_mismatch():
+    """Every entry point that takes a pair of rings refuses a pair that
+    is not a base change Z into Z, Z into Q or Q into Q."""
     zr = group_algebra(Z, FgGroup(1, ()), "fine")
-    qr = group_algebra(Q, FgGroup(0, (2,)), "coarse")
-    with pytest.raises(IncompatibleRingsError):
-        inclusion_for(zr, qr)
-    with pytest.raises(IncompatibleRingsError):
-        inclusion_for(group_algebra(Q, FgGroup(1, ()), "fine"),
-                      group_algebra(Z, FgGroup(1, ()), "fine"))
+    qr = group_algebra(Q, FgGroup(1, ()), "fine")
+    q2 = group_algebra(Q, FgGroup(0, (2,)), "coarse")
+    w = IntegralityWitness(1, (Element.zero(zr),))
+    psi = GroupHom(zr.ggroup, FgGroup(0, ()), ())
+    bad_pairs = [(zr, q2, e(q2, 1)), (qr, zr, e(zr, 1)),
+                 (fraction_field(zr), fraction_field(qr), e(qr, 1))]
+    for r, s, x in bad_pairs:
+        with pytest.raises(IncompatibleRingsError):
+            find_integral_equation(r, s, x)
+        with pytest.raises(IncompatibleRingsError):
+            find_almost_integral_witness(r, s, x)
+        with pytest.raises(IncompatibleRingsError):
+            verify_integral_witness(r, s, x, w)
+        with pytest.raises(IncompatibleRingsError):
+            components_integral_check(r, psi, x)
 
 
 # --- the torsion idempotent ---
@@ -88,17 +100,17 @@ def test_torsion_idempotent_identities(n):
     rec = torsion_idempotent(n)
     assert rec.n == n
     rq, rz = rec.ring_q, rec.ring_z
-    incl = inclusion_for(rz, rq)
     one = Element.one(rq)
-    cf = incl.cast(rec.c)
-    df = incl.cast(rec.d)
+    cf = reparent(rec.c, rq)
+    df = reparent(rec.d, rq)
     assert rec.f * rec.f == rec.f
     assert df == rec.f.scale(n)
     assert rec.f * rec.f + (cf - one) * rec.f - df == Element.zero(rq)
     assert rec.witness.degree == 2
     assert verify_integral_witness(rz, rq, rec.f, rec.witness)
     # f itself has no integer-coefficient representative.
-    assert incl.member(rec.f) is None
+    with pytest.raises(GradalError, match="not an integer"):
+        reparent(rec.f, rz)
 
 
 def test_torsion_idempotent_bad_order():
@@ -175,10 +187,9 @@ def test_integral_vs_almost_aligned():
     assert alm.k == intg.degree - 1
     assert list(alm.combination) == [-c for c in reversed(list(intg.coeffs))]
     # Replay the membership: f^(k+1) = sum combination[i] * f^i.
-    incl = inclusion_for(rz, rq)
     acc = Element.zero(rq)
     for i, ri in enumerate(alm.combination):
-        acc = acc + incl.cast(ri) * f ** i
+        acc = acc + reparent(ri, rq) * f ** i
     assert acc == f ** (alm.k + 1)
     # The fraction searches share the system, so they align the same way.
     zr = group_algebra(Z, FgGroup(1, ()), "fine")
@@ -546,6 +557,55 @@ def test_lem50_multiplicative_and_degrees():
         lhs = pair.coarse.delta.apply(exp)
         rhs = pair.target.delta.apply(next(iter(pair.q.apply(x).terms)))
         assert lhs == rhs
+
+
+def test_lem50_coarse_ring_is_r_along_psi():
+    r, pair = lem50_plane()
+    assert coarsen(r, pair.psi) == pair.coarse
+    assert pair.psi.codomain == pair.target.ggroup
+
+
+def free_summand_instance(seed):
+    """(r, F gens, H gens): F the kernel of the instance's psi, H the
+    canonical second summand it was built on."""
+    r, psi = generate_instance(seed, "free-summand")
+    kern, i_k = hom_kernel(psi)
+    section = direct_sum(FgGroup(kern.rank, ()), psi.codomain).inj2
+    return (r, [i_k.apply(x) for x in kern.generators()],
+            [section.apply(x) for x in psi.codomain.generators()])
+
+
+def test_lem50_matches_the_route_through_g():
+    """Splitting E along pi and intersecting D with F inside G give the
+    same exponent maps and the same rings."""
+    for seed in range(500):
+        r, f_gens, h_gens = free_summand_instance(seed)
+        pair = lem50_iso(r, f_gens, h_gens)
+        mu_p, mu_q, target, coarse = lem50_reference(r, f_gens, h_gens)
+        assert pair.p.exponent_map == mu_p
+        assert pair.q.exponent_map == mu_q
+        assert pair.target.describe() == target.describe()
+        assert pair.coarse.describe() == coarse.describe()
+
+
+def test_lem50_rejects_what_the_route_through_g_rejects():
+    """Torsion F, a non-simple ring, F + H short of G, and a support D
+    = <(1,1)> that the projection onto H = <(0,1)> moves."""
+    diagonal = regrade_extend(group_algebra(Q, FgGroup(1, ()), "fine"),
+                              GroupHom(FgGroup(1, ()), FgGroup(2, ()),
+                                       ((1,), (1,))))
+    cases = [(group_algebra(Q, FgGroup(1, (2,)), "fine"), (0, 1), (1, 0)),
+             (group_algebra(Z, FgGroup(2, ()), "fine"), (1, 0), (0, 1)),
+             (group_algebra(Q, FgGroup(2, ()), "fine"), (2, 0), (0, 1)),
+             (diagonal, (1, 0), (0, 1))]
+    for r, f, h in cases:
+        f_gens, h_gens = [r.ggroup.element(f)], [r.ggroup.element(h)]
+        for build in (lem50_iso, lem50_reference):
+            with pytest.raises(HypothesisViolatedError):
+                build(r, f_gens, h_gens)
+    with pytest.raises(HypothesisViolatedError, match="support"):
+        lem50_iso(diagonal, [diagonal.ggroup.element((1, 0))],
+                  [diagonal.ggroup.element((0, 1))])
 
 
 def test_lem50_rejects_torsion_f():

@@ -196,6 +196,9 @@ def test_nzd_torsionfree_cases():
         x = e(nf, 1) - e(nf, 0)
         assert isinstance(nzd_test(x), NonZeroDivisor)
         assert isinstance(nzd_test(e(nf, 2, c=5)), NonZeroDivisor)
+    assert nzd_test(e(QZ, 2, c=5)).reason == (
+        "the Laurent coefficients over the torsion part have no common "
+        "annihilator")
 
 
 # --- units ---
@@ -207,7 +210,9 @@ def test_unit_monomials():
     u = homogeneous_unit_test(e(ZZ, -2, c=-1))
     assert isinstance(u, Unit)
     assert u.inverse * e(ZZ, -2, c=-1) == Element.one(ZZ)
-    assert isinstance(homogeneous_unit_test(e(ZZ, 0, c=2)), NotUnit)
+    res = homogeneous_unit_test(e(ZZ, 0, c=2))
+    assert isinstance(res, NotUnit)
+    assert res.reason == "coefficient 2 is not a unit in Z"
 
 
 def test_unit_needs_homogeneous():
@@ -349,6 +354,29 @@ def test_unit_test_cost_follows_the_support():
     start = time.perf_counter()
     assert isinstance(homogeneous_unit_test(x), NotUnit)
     assert time.perf_counter() - start < 1.0
+
+
+def test_decisions_work_over_the_support_torsion(monkeypatch):
+    """1 + 2e(1,0) in Q[Z/2 x Z/512] lives in Q[V] for V = <(1,0)> of
+    order 2, and Q[Z/2 x Z/512] is free over Q[V]: the nullspace is taken
+    over 2 columns, not 1,024, and the unit's inverse lies in Q[V]."""
+    widths = []
+    nullspace = element.nullspace_rational
+
+    def recording(a, ncols=None):
+        widths.append(ncols)
+        return nullspace(a, ncols)
+
+    monkeypatch.setattr(element, "nullspace_rational", recording)
+    nf = group_algebra(Q, FgGroup(0, (2, 512)), "coarse")
+    x = Element.one(nf) + e(nf, 1, 0, c=2)
+    assert isinstance(nzd_test(x), NonZeroDivisor)
+    assert widths == [2]
+    res = homogeneous_unit_test(x)
+    assert isinstance(res, Unit)
+    assert res.inverse == Element(nf, {nf.egroup.zero(): Rational(-1, 3),
+                                       nf.egroup.element((1, 0)):
+                                       Rational(2, 3)})
 
 
 # --- fractions ---

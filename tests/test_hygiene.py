@@ -3,8 +3,9 @@ function the bench tracer wraps still exists and every function a bench
 workload must reach is called by its inputs, every __all__ entry
 resolves, rings are built only by the ringexpr constructors, every
 CLI subcommand is run by some test in tests/test_cli.py, every word
-the DSL parser reads as grammar is a keyword a let cannot bind, and
-nothing in gradal uses dataclasses, so importing it generates no code.
+the DSL parser reads as grammar is a keyword a let cannot bind, every
+__slots__ field of a gradal class is read somewhere, and nothing in
+gradal uses dataclasses, so importing it generates no code.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
 is read anywhere in the module or listed in the module's __all__.  The
@@ -19,6 +20,7 @@ import importlib
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -334,3 +336,45 @@ def test_cli_import_loads_no_code_generators():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def slot_fields(source):
+    """(class, field, line) for every __slots__ entry in the module."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for st in node.body:
+                if (isinstance(st, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in st.targets)):
+                    out += [(node.name, f, st.lineno)
+                            for f in ast.literal_eval(st.value)]
+    return out
+
+
+def attributes_read(source):
+    """Every name read as an attribute, x.name in load context."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_slot_scanner():
+    src = ("class A:\n    __slots__ = ('x', 'y')\n\n"
+           "    def f(self):\n        self.y = 1\n        return self.x\n")
+    assert slot_fields(src) == [("A", "x", 2), ("A", "y", 2)]
+    assert attributes_read(src) == {"x"}
+
+
+def test_no_dead_slot_fields():
+    """A field that src, tests, bench and the README's Python never read
+    is stored for nobody."""
+    readers = [p.read_text() for p in SCANNED]
+    readers += [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    readers += re.findall(r"```python\n(.*?)```",
+                          (ROOT / "README.md").read_text(), re.S)
+    read = set().union(*map(attributes_read, readers))
+    dead = [f"{path.relative_to(ROOT)}:{line}: {cls}.{field}"
+            for path in sorted((ROOT / "src" / "gradal").glob("*.py"))
+            for cls, field, line in slot_fields(path.read_text())
+            if field not in read]
+    assert not dead, "stored but never read:\n" + "\n".join(dead)

@@ -167,6 +167,33 @@ def test_inverse_unimodular_round_trip():
             assert mat_mul_plain(winv, w) == identity(len(w))
 
 
+def test_inverse_unimodular_of_random_products():
+    """Products of elementary column operations and sign flips have
+    determinant +-1; the inverse is the unique two-sided one."""
+    rng = random.Random(57)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        u = identity(n)
+        for _ in range(rng.randint(0, 12)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            k = -2 if i == j else rng.randint(-3, 3)
+            for row in u:
+                row[j] += k * row[i]
+        assert det_bareiss(u) in (1, -1)
+        uinv = inverse_unimodular(u)
+        assert mat_mul_plain(u, uinv) == identity(n)
+        assert mat_mul_plain(uinv, u) == identity(n)
+
+
+@pytest.mark.parametrize("u", [[[3, 1], [1, 1]], [[1, 1], [1, -1]],
+                               [[2, 0, 0], [5, 1, 0], [7, 3, 1]]])
+def test_inverse_unimodular_rejects_determinant_two(u):
+    """Invertible over Q but not over Z: the Hermite form is not I."""
+    assert abs(det_bareiss(u)) == 2
+    with pytest.raises(ValueError, match="matrix is not unimodular"):
+        inverse_unimodular(u)
+
+
 @pytest.mark.parametrize("u", [[[1, 1], [1, 1]], [[0, 1], [0, 0]], [[2]],
                                [[0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]])
 def test_inverse_unimodular_rejects_singular_and_non_unimodular(u):
