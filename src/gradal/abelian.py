@@ -64,6 +64,7 @@ __all__ = [
     "zero_hom",
     "add_homs",
     "compose",
+    "box_fibers",
 ]
 
 
@@ -171,7 +172,8 @@ class FgGroup(_Value):
             yield GroupElem(self, free + combo)
 
     def box_elements(self, box):
-        """Free coordinates in [-box, box], torsion coordinates exhaustive."""
+        """Free coordinates in [-box, box], torsion coordinates exhaustive,
+        yielded in increasing coordinate order."""
         free_ranges = [range(-box, box + 1)] * self.rank
         tor_ranges = [range(d) for d in self.torsion]
         for combo in product(*free_ranges, *tor_ranges):
@@ -338,6 +340,14 @@ def add_homs(f, g):
     return GroupHom(f.domain, f.codomain, m)
 
 
+def box_fibers(hom, box):
+    """{image: the domain's box elements over it, in coordinate order}."""
+    fibers = {}
+    for f in hom.domain.box_elements(box):
+        fibers.setdefault(hom.apply(f), []).append(f)
+    return {d: tuple(fs) for d, fs in fibers.items()}
+
+
 def normalize_presentation(ambient_dim, rel_cols):
     """Normalize Z^ambient_dim / <rel_cols> to invariant factor form.
 
@@ -369,9 +379,6 @@ def _subgroup_from_lattice(g, lattice_cols):
     m = g.dim
     rels = g.relation_columns()
     cols = [list(c) for c in lattice_cols] + rels
-    if not cols:
-        trivial = FgGroup(0, ())
-        return trivial, zero_hom(trivial, g)
     a = [[cols[j][i] for j in range(len(cols))] for i in range(m)]
     h, _, pivots = hermite_columns(a, m, len(cols))
     basis = [[h[i][c] for i in range(m)] for (_, c) in pivots]
@@ -387,9 +394,7 @@ def _subgroup_from_lattice(g, lattice_cols):
             raise InternalInvariantError("relation escaped its own lattice")
         rel_in_basis.append(x)
     sub, _, from_n = normalize_presentation(s, rel_in_basis)
-    lift = mat_mul(bmat, from_n, cols_b=sub.dim)
-    iota = GroupHom(sub, g, lift)
-    return sub, iota
+    return sub, GroupHom(sub, g, mat_mul(bmat, from_n, cols_b=sub.dim))
 
 
 def subgroup_generated_by(g, gens):
@@ -410,8 +415,7 @@ def quotient_by(g, gens):
             raise ParentMismatchError(f"generator of {x.group}, ambient {g}")
     rel_cols = g.relation_columns() + [list(x.coords) for x in gens]
     q, to_n, _ = normalize_presentation(g.dim, rel_cols)
-    proj = GroupHom(g, q, to_n)
-    return q, proj
+    return q, GroupHom(g, q, to_n)
 
 
 def _from_columns(domain, codomain, cols):

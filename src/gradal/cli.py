@@ -39,7 +39,6 @@ Z Q e fine coarse let coarsen restrict Frac cannot be bound.
 import argparse
 import copy
 import json
-import os
 import sys
 from fractions import Fraction as Rational
 
@@ -781,14 +780,7 @@ def _cmd_iso_lem50(args, scope):
 
 
 def _cmd_check(args, scope):
-    seed = args.seed
-    if seed is None:
-        try:
-            seed = int(os.environ.get("GRADAL_SEED", "2024"))
-        except ValueError:
-            raise DslTypeError("GRADAL_SEED must be an integer", ())
-    cfg = CheckConfig(args.check_id, trials=args.trials, seed=seed)
-    report = run_check(cfg)
+    report = run_check(CheckConfig(args.check_id, args.trials, args.seed))
     return [json.loads(report_json(report))]
 
 
@@ -905,7 +897,7 @@ def _parser():
     c = sub.add_parser("check", help="run a named property check")
     c.add_argument("check_id")
     c.add_argument("--trials", type=int, default=24)
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--seed", type=int, default=2024)
     c.set_defaults(fn=_cmd_check)
 
     c = sub.add_parser("demo", help="fixed worked examples")

@@ -31,6 +31,7 @@ from .abelian import (
     FgGroup,
     GroupHom,
     add_homs,
+    box_fibers,
     compose,
     direct_sum,
     hom_image,
@@ -251,15 +252,35 @@ def _search(r, s, x, max_deg, box):
     the factor standing in for x^j is num^j * den^(n-j) (num^j for an
     element), so both shapes share one linear system; the witness is
     then re-verified on x itself.
+
+    Degrees above 1 are searched only when r has base Z, E has torsion
+    and x is a fraction or has a non-integer coefficient.  Otherwise a
+    witness in the box exists iff one of degree 1 does, because:
+    - Q[E] = Q[T][Z^r] = prod K_i[Z^r] with fields K_i (Perlis-Walker).
+      If P(y) = 0 in a domain K[Z^r], P monic of degree n with
+      coefficient exponents in the box [-b, b]^r, so are y's: past
+      M > b in a coordinate, y^n has a leading form of degree nM there
+      while each a_i y^(n-i) reaches at most b + (n-i)M < nM.  Applied
+      in each K_i[Z^r]: an x in r has a witness in the box iff supp(x)
+      lies in it, and then X - x is one.
+    - x lies in r if it is an element over a common base (Z in Z, Q in
+      Q) or with integer coefficients; if E is torsionfree, as Z[Z^r]
+      and Q[Z^r] are normal domains (Gilmer 1984); and for Q in Q, as
+      Q[E], a finite product of normal domains, is integrally closed in
+      its total ring of fractions, where a homogeneous denominator of an
+      entire graded ring is a non-zero-divisor.
     """
     _check_base_change(r, s)
     if x.parent != s:
         raise IncompatibleRingsError("x must live in the big ring")
     if x.is_zero:
         raise ZeroElementError("integrality of zero is trivial; pass nonzero x")
+    if not (r.base == "Z" and r.egroup.torsion and (isinstance(x, Fraction)
+            or any(c.denominator != 1 for c in x.terms.values()))):
+        max_deg = min(max_deg, 1)
     num, den, _ = _num_den(x)
     g = degree_of(num) - degree_of(den)
-    by_degree = r.box_fibers(box)
+    by_degree = box_fibers(r.delta, box)
     num_pows = [Element.one(s)]
     den_pows = [Element.one(s)]
     for _ in range(max_deg):

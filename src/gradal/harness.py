@@ -20,6 +20,7 @@ from fractions import Fraction as Rational
 from .abelian import (
     FgGroup,
     GroupHom,
+    box_fibers,
     compose,
     direct_sum,
     hom_kernel,
@@ -173,10 +174,8 @@ def _sample_element(rng, nf, max_terms=4, box=2):
 
 def _sample_homogeneous(rng, nf, degree, max_terms=2):
     """Nonzero element whose support sits in one fiber of the degree map."""
-    pool = list(nf.egroup.box_elements(2))
-    anchor = rng.choice(pool)
-    target = degree.apply(anchor)
-    fiber = [f for f in pool if degree.apply(f) == target]
+    anchor = rng.choice(list(nf.egroup.box_elements(2)))
+    fiber = box_fibers(degree, 2)[degree.apply(anchor)]
     terms = {}
     for _ in range(min(rng.randint(1, max_terms), len(fiber))):
         terms[rng.choice(fiber)] = _sample_coeff(rng, nf.base)
@@ -267,9 +266,8 @@ def _profile_ok(nf, psi, profile):
 
 def _zq_pair(ggroup):
     """The base-change inclusion pair Z[G-algebra] inside Q[G-algebra]."""
-    r = group_algebra(normalize(BaseZ()), ggroup, "fine")
-    s = group_algebra(normalize(BaseQ()), ggroup, "fine")
-    return r, s
+    return (group_algebra(normalize(BaseZ()), ggroup, "fine"),
+            group_algebra(normalize(BaseQ()), ggroup, "fine"))
 
 
 def _payload(**kv):

@@ -15,6 +15,8 @@ with emb the embedding of the degree support into G, and fraction_field
 on top for a fraction ring.
 """
 
+from functools import lru_cache
+
 from .abelian import (
     FgGroup,
     _Value,
@@ -54,12 +56,12 @@ __all__ = [
 
 
 class NormalForm(_Value):
-    """A ring: compared and hashed by (base, egroup, ggroup, delta,
-    fraction).  classify's answer and the box fibers of the witness
-    search are computed on first use and kept on the ring."""
+    """A ring: an immutable value, compared and hashed by (base, egroup,
+    ggroup, delta, fraction).  What is derived from a ring is computed
+    by functions keyed by that value (classify here, abelian.box_fibers
+    for the witness search)."""
 
-    __slots__ = ("base", "egroup", "ggroup", "delta", "fraction",
-                 "_classification", "_fibers")
+    __slots__ = ("base", "egroup", "ggroup", "delta", "fraction")
 
     def __init__(self, base, egroup, ggroup, delta, fraction=False):
         if base not in ("Z", "Q"):
@@ -73,8 +75,6 @@ class NormalForm(_Value):
         self.fraction = fraction
         self._key = (base, egroup, ggroup, delta, fraction)
         self._hash = hash(self._key)
-        self._classification = None
-        self._fibers = {}
 
     def __repr__(self):
         return (f"NormalForm(base={self.base!r}, egroup={self.egroup!r}, "
@@ -84,19 +84,6 @@ class NormalForm(_Value):
     def describe(self):
         body = f"{self.base}[{self.egroup}] graded by {self.ggroup}"
         return f"Frac({body})" if self.fraction else body
-
-    def box_fibers(self, box):
-        """{degree: tuple of the exponents with free coordinates in
-        [-box, box], sorted by coordinates}, computed once per box."""
-        fibers = self._fibers.get(box)
-        if fibers is None:
-            lists = {}
-            for f in sorted(self.egroup.box_elements(box),
-                            key=lambda f: f.coords):
-                lists.setdefault(self.delta.apply(f), []).append(f)
-            fibers = self._fibers[box] = {d: tuple(fs)
-                                          for d, fs in lists.items()}
-        return fibers
 
 
 class Classification:
@@ -189,8 +176,7 @@ def restrict_data(nf, gens):
 
 
 def regrade_restrict(nf, gens):
-    nf2, _ = restrict_data(nf, gens)
-    return nf2
+    return restrict_data(nf, gens)[0]
 
 
 def regrade_extend(nf, embed):
@@ -225,6 +211,7 @@ def normalize(expr):
     raise GradalError(f"not a ring expression: {expr!r}")
 
 
+@lru_cache(maxsize=256)
 def classify(nf):
     """Entire / simple / noetherian plus the degree support subgroup.
 
@@ -233,20 +220,17 @@ def classify(nf):
     element invertible; over Q that forces an injective degree map, over
     Z it never holds (2 is not invertible), and a fraction ring always
     qualifies.  noetherian: always, the exponent group is finitely
-    generated over a noetherian base.  Computed once per ring.
+    generated over a noetherian base.  Computed once per ring value:
+    equal rings built separately share one Classification.
     """
-    cls = nf._classification
-    if cls is None:
-        k, _ = hom_kernel(nf.delta)
-        if nf.fraction:
-            entire = True
-            simple = True
-        else:
-            entire = k.is_torsionfree
-            simple = nf.base == "Q" and k.is_trivial
-        support, _ = hom_image(nf.delta)
-        q, _ = quotient_by(nf.ggroup, [nf.delta.apply(g)
-                                       for g in nf.egroup.generators()])
-        cls = nf._classification = Classification(entire, simple, True,
-                                                  support, q.is_trivial)
-    return cls
+    k, _ = hom_kernel(nf.delta)
+    if nf.fraction:
+        entire = True
+        simple = True
+    else:
+        entire = k.is_torsionfree
+        simple = nf.base == "Q" and k.is_trivial
+    support, _ = hom_image(nf.delta)
+    q, _ = quotient_by(nf.ggroup, [nf.delta.apply(g)
+                                   for g in nf.egroup.generators()])
+    return Classification(entire, simple, True, support, q.is_trivial)

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written from scratch against the
 mathematical definitions, sharing no code paths with src/gradal, so a
-bug in the package cannot hide behind the same bug in the tests.  The
-one exception is lem50_reference: it builds the free-summand
-isomorphism with the package's group operations, but along a second
-route through the grading group.
+bug in the package cannot hide behind the same bug in the tests.  Two
+exceptions: lem50_reference builds the free-summand isomorphism with
+the package's group operations, but along a second route through the
+grading group; search_every_degree is the witness search without its
+stop at degree 1, solving each degree's system with the package's
+solver.
 """
 
 from fractions import Fraction
@@ -23,6 +25,12 @@ from gradal.abelian import (
     lift_hom,
     subgroup_generated_by,
 )
+from gradal.closure import (
+    IntegralityWitness,
+    _monic_solution,
+    verify_integral_witness,
+)
+from gradal.element import Element, Fraction as RingFraction, degree_of
 from gradal.errors import GradalError, HypothesisViolatedError
 from gradal.ringexpr import classify, coarsen, group_algebra, restrict_data
 
@@ -101,7 +109,8 @@ def rref_dense(rows, ncols):
         for i in range(m):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x
+                           for x, y in zip(rows[i], rows[r])]
         piv_cols.append(c)
         r += 1
     return piv_cols
@@ -386,3 +395,25 @@ def lem50_reference(r, f_gens, h_gens):
     w = lift_hom(kappa, _hom_minus(identity_hom(r.egroup), compose(y_map, m)))
     mu_q = add_homs(compose(ds_t.inj1, w), compose(ds_t.inj2, m))
     return mu_p, mu_q, target, coarsen(r, psi)
+
+
+# --- the witness search at every degree ---
+
+def search_every_degree(r, s, x, max_deg, box):
+    """Lowest-degree monic witness for x over r, or None, trying every
+    degree 1..max_deg with the box fibers grouped here by sorting."""
+    num, den = ((x.num, x.den) if isinstance(x, RingFraction)
+                else (x, Element.one(s)))
+    g = degree_of(num) - degree_of(den)
+    lists = {}
+    for f in sorted(r.egroup.box_elements(box), key=lambda f: f.coords):
+        lists.setdefault(r.delta.apply(f), []).append(f)
+    by_degree = {d: tuple(fs) for d, fs in lists.items()}
+    for n in range(1, max_deg + 1):
+        factors = [num ** j * den ** (n - j) for j in range(n + 1)]
+        coeffs = _monic_solution(r, factors, n, by_degree, g)
+        if coeffs is not None:
+            w = IntegralityWitness(n, coeffs)
+            assert verify_integral_witness(r, s, x, w)
+            return w
+    return None

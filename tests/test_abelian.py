@@ -13,6 +13,7 @@ from gradal.abelian import (
     FgGroup,
     GroupHom,
     add_homs,
+    box_fibers,
     compose,
     direct_sum,
     find_section,
@@ -80,6 +81,29 @@ def test_box_elements_count(rank, torsion, box):
         expected *= d
     assert len(elems) == expected
     assert len(set(e.coords for e in elems)) == expected
+
+
+def test_box_elements_in_coordinate_order():
+    for rank in range(3):
+        for torsion in [(), (2,), (3,), (2, 4)]:
+            for box in range(3):
+                coords = [f.coords for f in
+                          FgGroup(rank, torsion).box_elements(box)]
+                assert coords == sorted(coords)
+
+
+def test_box_fibers_match_bruteforce_grouping():
+    """Every box element sits in the fiber of its image, each fiber in
+    box_elements order, and no other keys appear."""
+    rng = random.Random(1414)
+    for _ in range(120):
+        a, b = random_group(rng), random_group(rng)
+        hom = random_hom(rng, a, b)
+        box = rng.randint(0, 2)
+        want = {}
+        for f in a.box_elements(box):
+            want[hom.apply(f)] = want.get(hom.apply(f), ()) + (f,)
+        assert box_fibers(hom, box) == want
 
 
 def test_finite_group_enumeration():

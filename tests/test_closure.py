@@ -7,9 +7,15 @@ from math import lcm
 
 import pytest
 
-from _oracles import divide_reference, lem50_reference
+from _oracles import divide_reference, lem50_reference, search_every_degree
 import gradal.closure as closure
-from gradal.abelian import FgGroup, GroupHom, direct_sum, hom_kernel
+from gradal.abelian import (
+    FgGroup,
+    GroupHom,
+    box_fibers,
+    direct_sum,
+    hom_kernel,
+)
 from gradal.closure import (
     AlmostIntegralWitness,
     IntegralityWitness,
@@ -219,6 +225,124 @@ def test_almost_no_witness_over_free_group():
     assert isinstance(find_integral_equation(zr, qr, x, 2, 2), NoWitnessUpTo)
     assert isinstance(find_almost_integral_witness(zr, qr, x, 2, 2),
                       NoWitnessUpTo)
+
+
+# --- the search stops at degree 1 where no higher witness can exist ---
+
+PAIRS = (("Z", "Z"), ("Z", "Q"), ("Q", "Q"))
+RINGS = {"Z": Z, "Q": Q}
+
+
+def _query_ring(rng, base, torsion, entire):
+    """base[E] with E = Z^rank x T, fine-graded, graded by T or by the
+    total free degree, or trivially; only entire gradings if asked.  No
+    trivial grading on Z^2: its degree-3 systems over Z take the
+    every-degree reference minutes."""
+    t = rng.choice(((2,), (3,), (2, 2))) if torsion else ()
+    e = FgGroup(rng.randint(0, 1) if torsion else rng.randint(0, 2), t)
+    fine = group_algebra(RINGS[base], e, "fine")
+    gradings = ["fine", "torsion"] if torsion else ["fine"]
+    if e.rank and not (torsion and entire):
+        gradings.append("total")
+    if e.rank < 2 and not (torsion and entire):
+        gradings.append("coarse")
+    kind = rng.choice(gradings)
+    if kind == "coarse":
+        return group_algebra(RINGS[base], e, "coarse")
+    if kind == "fine":
+        return fine
+    rows = ([[int(i == e.rank + j) for i in range(e.dim)]
+             for j in range(len(t))] if kind == "torsion"
+            else [[int(i < e.rank) for i in range(e.dim)]])
+    cod = FgGroup(0, t) if kind == "torsion" else FgGroup(1, ())
+    return coarsen(fine, GroupHom(e, cod, rows))
+
+
+def _query_homogeneous(rng, nf, box):
+    anchor = rng.choice(list(nf.egroup.box_elements(box)))
+    fiber = box_fibers(nf.delta, box)[nf.delta.apply(anchor)]
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        c = rng.choice((-2, -1, 1, 2))
+        if nf.base == "Q" and rng.randint(0, 1):
+            c = Rational(c, rng.choice((2, 3)))
+        terms[rng.choice(fiber)] = c
+    return Element(nf, terms)
+
+
+def _query(rng, pair, torsion, fraction):
+    """(r, s, x) with r, s over the bases of pair and x an element of s
+    or a homogeneous fraction over s.  One element in four over Q is
+    e_f times the idempotent averaging a degree-0 torsion subgroup, which
+    over Z needs a witness of degree 2."""
+    r_base, s_base = pair
+    state = rng.getstate()  # replayed so that r is s over r's base
+    s = _query_ring(rng, s_base, torsion, fraction)
+    rng.setstate(state)
+    r = _query_ring(rng, r_base, torsion, fraction)
+    x = _query_homogeneous(rng, s, rng.randint(1, 2))
+    ts = [t for t in s.egroup.torsion_elements()
+          if not t.is_zero and s.delta.apply(t).is_zero]
+    if s_base == "Q" and ts and not fraction and rng.randint(0, 3) == 0:
+        t, f = rng.choice(ts), rng.choice(list(s.egroup.box_elements(1)))
+        n = t.elem_order()
+        x = Element(s, {f + i * t: Rational(1, n) for i in range(n)})
+    if fraction:
+        den = _query_homogeneous(rng, s, 1)
+        x = Fraction(x * den if rng.randint(0, 1) else x, den)
+    return r, s, x
+
+
+def _outcome(w):
+    return witness_str(w) if isinstance(w, IntegralityWitness) else (
+        w.max_deg, w.box)
+
+
+def test_search_matches_every_degree_reference():
+    """Same result as the search over every degree up to max_deg, on
+    random queries in each of the 12 classes: base pair x E with or
+    without torsion x element or fraction."""
+    rng = random.Random(1659)
+    classes = [(p, t, f) for p in PAIRS for t in (False, True)
+               for f in (False, True)]
+    degrees = {c: set() for c in classes}
+    for i in range(1560):
+        cls = classes[i % len(classes)]
+        r, s, x = _query(rng, *cls)
+        max_deg, box = rng.randint(1, 3), rng.randint(1, 2)
+        got = find_integral_equation(r, s, x, max_deg, box)
+        ref = search_every_degree(r, s, x, max_deg, box)
+        want = ref or NoWitnessUpTo(max_deg=max_deg, box=box)
+        assert _outcome(got) == _outcome(want), (cls, x, max_deg, box)
+        degrees[cls].add(getattr(got, "degree", None))
+    for cls, seen in degrees.items():
+        assert 1 in seen and None in seen, (cls, seen)
+    assert 2 in degrees[(("Z", "Q"), True, False)]
+
+
+def test_fixed_query_solves_one_system(monkeypatch):
+    """1/2 e(1,0,0) + 1/3 e(0,1,0) + e(0,0,1) over Z[Z^3] in Q[Z^3],
+    graded by total degree: only the degree-1 system is solved."""
+    calls = []
+    solve = closure._monic_solution
+    monkeypatch.setattr(closure, "_monic_solution",
+                        lambda *args: calls.append(args) or solve(*args))
+
+    def ring(base):
+        fine = group_algebra(base, FgGroup(3, ()), "fine")
+        return coarsen(fine, GroupHom(fine.ggroup, FgGroup(1, ()),
+                                      ((1, 1, 1),)))
+
+    rz, rq = ring(Z), ring(Q)
+    x = Element(rq, {rq.egroup.element((1, 0, 0)): Rational(1, 2),
+                     rq.egroup.element((0, 1, 0)): Rational(1, 3),
+                     rq.egroup.element((0, 0, 1)): 1})
+    for box in (2, 3):
+        calls.clear()
+        res = find_integral_equation(rz, rq, x, max_deg=3, support_box=box)
+        assert isinstance(res, NoWitnessUpTo)
+        assert (res.max_deg, res.box) == (3, box)
+        assert len(calls) == 1
 
 
 # --- fraction-field witnesses ---

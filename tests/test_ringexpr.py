@@ -8,6 +8,7 @@ from _oracles import zero_divisor_pair_bruteforce
 from gradal.abelian import (
     FgGroup,
     GroupHom,
+    box_fibers,
     hom_image,
     identity_hom,
     lift_hom,
@@ -261,15 +262,27 @@ def test_rings_are_values():
 
 
 def test_box_fibers_kept_per_box():
-    """The box exponents by degree, sorted by coordinates, computed once
-    per ring and box."""
+    """The box exponents grouped by degree, each fiber in coordinate
+    order."""
     nf = coarsen(group_algebra(Q, FgGroup(1, (2,)), "fine"),
                  GroupHom(FgGroup(1, (2,)), FgGroup(1, ()), ((1, 0),)))
     for box in (0, 1, 2):
-        fibers = nf.box_fibers(box)
-        assert nf.box_fibers(box) is fibers
+        fibers = box_fibers(nf.delta, box)
         want = {}
         for f in sorted(nf.egroup.box_elements(box), key=lambda f: f.coords):
             want.setdefault(nf.delta.apply(f), []).append(f)
         assert fibers == {d: tuple(fs) for d, fs in want.items()}
         assert sum(map(len, fibers.values())) == (2 * box + 1) * 2
+
+
+def test_classify_shared_by_equal_rings():
+    """classify is keyed by the ring's value: equal rings built
+    separately get the very same Classification."""
+    rng = random.Random(1302)
+    for _ in range(100):
+        state = rng.getstate()
+        a = _random_ring(rng)
+        rng.setstate(state)
+        b = _random_ring(rng)
+        assert a == b and a is not b
+        assert classify(a) is classify(b)
