@@ -18,9 +18,10 @@ instead, which keeps the two concerns independently testable.
 'Z x Z/4'
 """
 
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
-from operator import mod
+from operator import mod, mul
 
 from .errors import (
     GradalError,
@@ -64,7 +65,7 @@ __all__ = [
     "zero_hom",
     "add_homs",
     "compose",
-    "box_fibers",
+    "box_fiber",
 ]
 
 
@@ -340,12 +341,25 @@ def add_homs(f, g):
     return GroupHom(f.domain, f.codomain, m)
 
 
-def box_fibers(hom, box):
-    """{image: the domain's box elements over it, in coordinate order}."""
-    fibers = {}
-    for f in hom.domain.box_elements(box):
-        fibers.setdefault(hom.apply(f), []).append(f)
-    return {d: tuple(fs) for d, fs in fibers.items()}
+def box_fiber(hom, box, target):
+    """The domain's box elements that hom maps to target, in the order
+    box_elements yields them.  A candidate is a coordinate tuple, dropped
+    at the first codomain row that misses target; only those kept become
+    GroupElems."""
+    cod, dom = hom.codomain, hom.domain
+    if target.group != cod:
+        raise ParentMismatchError(f"target in {target.group}, codomain {cod}")
+    rows = tuple(zip(hom.matrix, target.coords, (0,) * cod.rank + cod.torsion))
+    ranges = [range(-box, box + 1)] * dom.rank + [range(d) for d in dom.torsion]
+    out = []
+    for combo in product(*ranges):
+        for row, t, d in rows:
+            v = sum(map(mul, row, combo))
+            if (v % d if d else v) != t:
+                break
+        else:
+            out.append(GroupElem(dom, combo))
+    return out
 
 
 def normalize_presentation(ambient_dim, rel_cols):
@@ -517,8 +531,10 @@ class DirectSum:
         self.proj2 = proj2
 
 
+@lru_cache(maxsize=256)
 def direct_sum(a, b):
-    """Direct sum renormalized to invariant factor form.
+    """Direct sum renormalized to invariant factor form, computed once
+    per pair of group values.
 
     The trivial-summand cases return the other group unchanged so that
     adjoining the trivial group is the identity on the nose.

@@ -31,7 +31,7 @@ from .abelian import (
     FgGroup,
     GroupHom,
     add_homs,
-    box_fibers,
+    box_fiber,
     compose,
     direct_sum,
     hom_image,
@@ -165,14 +165,15 @@ def _solve_linear(base, rows, rhs, ncols):
     return solve_rational(rows, rhs, ncols)
 
 
-def _monic_solution(r, factors, n, by_degree, degree):
+def _monic_solution(r, factors, n, fibers):
     """Coefficients a_1..a_n with factors[n] + sum a_i factors[n-i] = 0.
 
     factors[j] plays the role of x^j; for fractions the caller passes the
-    cleared products so the same system serves both shapes; by_degree
-    maps a degree to the sorted subring exponents in the box.  Variables
-    are ordered by (i, exponent), rows by first appearance in canonical
-    order, which makes the returned witness deterministic.
+    cleared products so the same system serves both shapes; fibers[i]
+    lists the subring exponents in the box of degree i * deg(x), in
+    box_elements order, for i = 1..n.  Variables are ordered by
+    (i, exponent), rows by first appearance in canonical order, which
+    makes the returned witness deterministic.
     """
     variables = []
     columns = []
@@ -188,7 +189,7 @@ def _monic_solution(r, factors, n, by_degree, degree):
     for f, c in _sorted_terms(factors[n]):
         rows_rhs[row_of(f)] -= Rational(c)
     for i in range(1, n + 1):
-        for f in by_degree.get(i * degree, ()):
+        for f in fibers[i]:
             col = {}
             for s, c in _sorted_terms(factors[n - i]):
                 idx = row_of(f + s)
@@ -248,10 +249,11 @@ def verify_integral_witness(r, s, x, w):
 def _search(r, s, x, max_deg, box):
     """Lowest-degree verified monic witness for x over r, or None.
 
-    x is an element of s or a homogeneous fraction over s.  At degree n
-    the factor standing in for x^j is num^j * den^(n-j) (num^j for an
-    element), so both shapes share one linear system; the witness is
-    then re-verified on x itself.
+    A max_deg below 1 or a negative box describes no search and raises
+    GradalError.  x is an element of s or a homogeneous fraction over s.
+    At degree n the factor standing in for x^j is num^j * den^(n-j)
+    (num^j for an element), so both shapes share one linear system; the
+    witness is then re-verified on x itself.
 
     Degrees above 1 are searched only when r has base Z, E has torsion
     and x is a fraction or has a non-integer coefficient.  Otherwise a
@@ -270,6 +272,10 @@ def _search(r, s, x, max_deg, box):
       its total ring of fractions, where a homogeneous denominator of an
       entire graded ring is a non-zero-divisor.
     """
+    if max_deg < 1:
+        raise GradalError(f"max_deg must be at least 1, got {max_deg}")
+    if box < 0:
+        raise GradalError(f"support box must be at least 0, got {box}")
     _check_base_change(r, s)
     if x.parent != s:
         raise IncompatibleRingsError("x must live in the big ring")
@@ -277,10 +283,11 @@ def _search(r, s, x, max_deg, box):
         raise ZeroElementError("integrality of zero is trivial; pass nonzero x")
     if not (r.base == "Z" and r.egroup.torsion and (isinstance(x, Fraction)
             or any(c.denominator != 1 for c in x.terms.values()))):
-        max_deg = min(max_deg, 1)
+        max_deg = 1
     num, den, _ = _num_den(x)
     g = degree_of(num) - degree_of(den)
-    by_degree = box_fibers(r.delta, box)
+    fibers = [None] + [box_fiber(r.delta, box, i * g)
+                       for i in range(1, max_deg + 1)]
     num_pows = [Element.one(s)]
     den_pows = [Element.one(s)]
     for _ in range(max_deg):
@@ -291,7 +298,7 @@ def _search(r, s, x, max_deg, box):
         factors = num_pows[:n + 1]
         if isinstance(x, Fraction):
             factors = [f * den_pows[n - j] for j, f in enumerate(factors)]
-        coeffs = _monic_solution(r, factors, n, by_degree, g)
+        coeffs = _monic_solution(r, factors, n, fibers)
         if coeffs is not None:
             w = IntegralityWitness(n, coeffs)
             if not verify_integral_witness(r, s, x, w):
@@ -315,6 +322,8 @@ def find_almost_integral_witness(r, s, x, k_max=2, support_box=3):
     k_max + 1.  x may also be a homogeneous fraction over s.  The
     membership is re-checked before the witness is returned.
     """
+    if k_max < 0:
+        raise GradalError(f"k_max must be at least 0, got {k_max}")
     w = _search(r, s, x, k_max + 1, support_box)
     if w is None:
         return NoWitnessUpTo(k_max=k_max, box=support_box)

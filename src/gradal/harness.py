@@ -16,11 +16,13 @@ trial index).
 
 import json
 from fractions import Fraction as Rational
+from math import prod
 
 from .abelian import (
     FgGroup,
+    GroupElem,
     GroupHom,
-    box_fibers,
+    box_fiber,
     compose,
     direct_sum,
     hom_kernel,
@@ -164,18 +166,29 @@ def _sample_coeff(rng, base):
     return num
 
 
+def _box_choice(rng, g, box):
+    """rng.choice(list(g.box_elements(box))) without the list: one draw,
+    decoded as a mixed-radix index, last coordinate fastest."""
+    sizes = [2 * box + 1] * g.rank + list(g.torsion)
+    k = rng.next_u64() % prod(sizes)
+    coords = [0] * len(sizes)
+    for i in reversed(range(len(sizes))):
+        k, coords[i] = divmod(k, sizes[i])
+    return GroupElem(g, tuple(c - box for c in coords[:g.rank])
+                     + tuple(coords[g.rank:]))
+
+
 def _sample_element(rng, nf, max_terms=4, box=2):
-    pool = list(nf.egroup.box_elements(box))
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        terms[rng.choice(pool)] = _sample_coeff(rng, nf.base)
+        terms[_box_choice(rng, nf.egroup, box)] = _sample_coeff(rng, nf.base)
     return Element(nf, terms)
 
 
 def _sample_homogeneous(rng, nf, degree, max_terms=2):
     """Nonzero element whose support sits in one fiber of the degree map."""
-    anchor = rng.choice(list(nf.egroup.box_elements(2)))
-    fiber = box_fibers(degree, 2)[degree.apply(anchor)]
+    anchor = _box_choice(rng, nf.egroup, 2)
+    fiber = box_fiber(degree, 2, degree.apply(anchor))
     terms = {}
     for _ in range(min(rng.randint(1, max_terms), len(fiber))):
         terms[rng.choice(fiber)] = _sample_coeff(rng, nf.base)
@@ -305,7 +318,7 @@ def _check_p80(trial, seed, bounds):
     rng = Rng(seed ^ 0x80)
     rc = coarsen(nf, psi)
     if rng.randint(0, 2) == 0:
-        f = rng.choice(list(nf.egroup.box_elements(1)))
+        f = _box_choice(rng, nf.egroup, 1)
         if nf.base == "Z":
             c = rng.choice((1, -1, 2))
         else:
@@ -394,7 +407,7 @@ def _check_a80(trial, seed, bounds):
     s = _sample_homogeneous(rng, s0, s0.delta)
     if rng.randint(0, 1) == 0:
         s = s * Rational(1, 2)
-    fel = rng.choice(list(f.box_elements(1)))
+    fel = _box_choice(rng, f, 1)
     x = Element(sf, {ds_e.inj1.apply(e) + ds_e.inj2.apply(fel): c
                      for e, c in s.terms.items()})
     w_base = find_integral_equation(r0, s0, s, bounds["max_deg"],
@@ -528,8 +541,7 @@ def _check_a140(trial, seed, bounds):
                                            "inside a torsionfree summand")
         return "pass", None
     g = FgGroup(rng.randint(1, 3), ())
-    gens = [rng.choice(list(g.box_elements(2)))
-            for _ in range(rng.randint(1, 2))]
+    gens = [_box_choice(rng, g, 2) for _ in range(rng.randint(1, 2))]
     if is_in_torsionfree_summand(g, gens):
         return "pass", None
     return "fail", _payload(group=str(g),
@@ -561,7 +573,7 @@ def _check_f20(trial, seed, bounds):
 
     def poly(max_deg, monic_top):
         d = rng.randint(0, max_deg)
-        e = rng.choice(list(base.egroup.box_elements(1)))
+        e = _box_choice(rng, base.egroup, 1)
         terms = {}
         for k in range(d + 1):
             if k == d or rng.randint(0, 1):

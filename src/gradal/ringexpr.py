@@ -58,7 +58,7 @@ __all__ = [
 class NormalForm(_Value):
     """A ring: an immutable value, compared and hashed by (base, egroup,
     ggroup, delta, fraction).  What is derived from a ring is computed
-    by functions keyed by that value (classify here, abelian.box_fibers
+    by functions keyed by that value (classify here, abelian.box_fiber
     for the witness search)."""
 
     __slots__ = ("base", "egroup", "ggroup", "delta", "fraction")

@@ -408,10 +408,10 @@ def search_every_degree(r, s, x, max_deg, box):
     lists = {}
     for f in sorted(r.egroup.box_elements(box), key=lambda f: f.coords):
         lists.setdefault(r.delta.apply(f), []).append(f)
-    by_degree = {d: tuple(fs) for d, fs in lists.items()}
+    fibers = [lists.get(i * g, []) for i in range(max_deg + 1)]
     for n in range(1, max_deg + 1):
         factors = [num ** j * den ** (n - j) for j in range(n + 1)]
-        coeffs = _monic_solution(r, factors, n, by_degree, g)
+        coeffs = _monic_solution(r, factors, n, fibers)
         if coeffs is not None:
             w = IntegralityWitness(n, coeffs)
             assert verify_integral_witness(r, s, x, w)

@@ -13,7 +13,7 @@ from gradal.abelian import (
     FgGroup,
     GroupHom,
     add_homs,
-    box_fibers,
+    box_fiber,
     compose,
     direct_sum,
     find_section,
@@ -33,6 +33,7 @@ from gradal.errors import (
     GradalError,
     InternalInvariantError,
     NotAHomomorphismError,
+    ParentMismatchError,
 )
 
 SMALL_GROUPS = [
@@ -93,17 +94,26 @@ def test_box_elements_in_coordinate_order():
 
 
 def test_box_fibers_match_bruteforce_grouping():
-    """Every box element sits in the fiber of its image, each fiber in
-    box_elements order, and no other keys appear."""
+    """box_fiber(hom, box, t) is box_elements filtered by hom.apply(f) ==
+    t, in box_elements order, for targets inside and outside the image;
+    a target of another group raises."""
     rng = random.Random(1414)
+    outside = 0
     for _ in range(120):
         a, b = random_group(rng), random_group(rng)
         hom = random_hom(rng, a, b)
         box = rng.randint(0, 2)
-        want = {}
-        for f in a.box_elements(box):
-            want[hom.apply(f)] = want.get(hom.apply(f), ()) + (f,)
-        assert box_fibers(hom, box) == want
+        elems = list(a.box_elements(box))
+        targets = {hom.apply(f) for f in rng.sample(elems, min(3, len(elems)))}
+        targets.update(random_elements(rng, b, 3))
+        for t in targets:
+            want = [f for f in elems if hom.apply(f) == t]
+            outside += not want
+            assert box_fiber(hom, box, t) == want
+        other = FgGroup(b.rank + 1, b.torsion)
+        with pytest.raises(ParentMismatchError):
+            box_fiber(hom, box, other.zero())
+    assert outside > 50, outside
 
 
 def test_finite_group_enumeration():
@@ -338,6 +348,17 @@ def test_direct_sum_identities():
         assert compose(ds.proj2, ds.inj1) == zero_hom(a, b)
         s = add_via(ds)
         assert s == identity_hom(ds.group)
+
+
+def test_direct_sum_computed_once_per_pair_of_values():
+    rng = random.Random(1515)
+    for _ in range(60):
+        rank, torsion = rng.randint(0, 2), rng.choice([(), (2,), (2, 4)])
+        rank2, torsion2 = rng.randint(0, 2), rng.choice([(), (3,), (2, 2)])
+        a, b = FgGroup(rank, torsion), FgGroup(rank2, torsion2)
+        a2, b2 = FgGroup(rank, list(torsion)), FgGroup(rank2, list(torsion2))
+        assert a == a2 and a is not a2
+        assert direct_sum(a, b) is direct_sum(a2, b2)
 
 
 def add_via(ds):

@@ -93,6 +93,28 @@ def test_hypothesis_error_exit_3(capsys):
     assert json.loads(err)["error"] == "hypothesis"
 
 
+@pytest.mark.parametrize("argv", [
+    ("integrality", "Z[Z]fine", "Q[Z]fine", "e(1)", "--box", "-1"),
+    ("integrality", "Z[Z]fine", "Q[Z]fine", "e(1)", "--max-deg", "0"),
+    ("integrality", "Z[Z]fine", "Q[Z]fine", "e(1)", "--max-deg", "-2"),
+    ("almost", "Z[Z]fine", "Q[Z]fine", "e(1)", "--kmax", "-1"),
+    ("almost", "Z[Z]fine", "Q[Z]fine", "e(1)", "--box", "-1"),
+])
+def test_bounds_that_describe_no_search_exit_3(capsys, argv):
+    rc, out, err = run_main(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "hypothesis"
+
+
+def test_smallest_bounds_still_search(capsys):
+    rc, out, err = run_main(capsys, "integrality", "Z[Z]fine", "Q[Z]fine",
+                            "e(1)", "--max-deg", "1", "--box", "1")
+    assert rc == 0 and err == "" and json.loads(out)["found"] is True
+    rc, out, err = run_main(capsys, "almost", "Z[Z]fine", "Q[Z]fine",
+                            "e(1)", "--kmax", "0", "--box", "0")
+    assert rc == 0 and err == "" and json.loads(out)["found"] is False
+
+
 def test_almost_output(capsys):
     rc, out, err = run_main(capsys, "almost", "Z[Z/2]coarse", "Q[Z/2]coarse",
                             "1/2*e(0)+1/2*e(1)")

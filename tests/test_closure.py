@@ -12,7 +12,7 @@ import gradal.closure as closure
 from gradal.abelian import (
     FgGroup,
     GroupHom,
-    box_fibers,
+    box_fiber,
     direct_sum,
     hom_kernel,
 )
@@ -260,7 +260,7 @@ def _query_ring(rng, base, torsion, entire):
 
 def _query_homogeneous(rng, nf, box):
     anchor = rng.choice(list(nf.egroup.box_elements(box)))
-    fiber = box_fibers(nf.delta, box)[nf.delta.apply(anchor)]
+    fiber = box_fiber(nf.delta, box, nf.delta.apply(anchor))
     terms = {}
     for _ in range(rng.randint(1, 3)):
         c = rng.choice((-2, -1, 1, 2))
@@ -461,6 +461,33 @@ def test_finders_reject_zero():
         find_integral_equation_fraction(zr, zero_frac)
     with pytest.raises(ZeroElementError):
         find_almost_integral_witness(zr, zero_frac.parent, zero_frac)
+
+
+def test_finders_reject_bounds_that_describe_no_search():
+    """max_deg < 1, a negative box or k_max < 0 raise GradalError; the
+    smallest bounds that describe a search are accepted."""
+    zr = group_algebra(Z, FgGroup(1, ()), "fine")
+    qr = group_algebra(Q, FgGroup(1, ()), "fine")
+    x = e(qr, 1)
+    frac = Fraction(e(zr, 2), e(zr, 1))
+    psi = GroupHom(qr.ggroup, FgGroup(0, ()), ())
+    for max_deg, box in ((0, 3), (-2, 3), (3, -1), (1, -5)):
+        with pytest.raises(GradalError, match="max_deg|box"):
+            find_integral_equation(zr, qr, x, max_deg, box)
+        with pytest.raises(GradalError, match="max_deg|box"):
+            find_integral_equation_fraction(zr, frac, max_deg, box)
+        with pytest.raises(GradalError, match="max_deg|box"):
+            components_integral_check(zr, psi, x, max_deg, box)
+    with pytest.raises(GradalError, match="box"):
+        find_almost_integral_witness(zr, qr, x, 1, -1)
+    for k_max in (-1, -3):
+        with pytest.raises(GradalError, match="k_max"):
+            find_almost_integral_witness(zr, qr, x, k_max, 3)
+    assert isinstance(find_integral_equation(zr, qr, x, 1, 1),
+                      IntegralityWitness)
+    res = find_integral_equation(zr, qr, x, 1, 0)
+    assert isinstance(res, NoWitnessUpTo) and (res.max_deg, res.box) == (1, 0)
+    assert find_almost_integral_witness(zr, qr, x, 0, 1).k == 0
 
 
 # --- component integrality ---

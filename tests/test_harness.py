@@ -1,10 +1,13 @@
 """Randomized re-verification harness: determinism, accounting, payloads."""
 
 import json
+import pathlib
+import random
 
 import pytest
 
 import gradal.harness as harness
+from gradal.abelian import FgGroup
 from gradal.errors import (
     GradalError,
     HypothesisViolatedError,
@@ -158,3 +161,29 @@ def test_profile_miss_is_internal(monkeypatch):
     monkeypatch.setattr(harness, "_profile_ok", lambda nf, psi, profile: False)
     with pytest.raises(InternalInvariantError):
         generate_instance(5, "torsion-kernel")
+
+
+def test_every_report_matches_its_golden():
+    """report_json of each check at 24 trials and seed 2024, byte for
+    byte, one line per id in CHECK_IDS order."""
+    golden = pathlib.Path(__file__).parent / "golden" / "check_all_24_2024.jsonl"
+    want = golden.read_text(encoding="utf-8").splitlines()
+    got = [report_json(run_check(CheckConfig(cid, 24, 2024)))
+           for cid in CHECK_IDS]
+    assert got == want
+
+
+def test_box_choice_is_choice_over_the_box_list():
+    """_box_choice draws what rng.choice over the listed box draws, and
+    leaves the generator in the same state."""
+    rng = random.Random(1516)
+    chains = [(), (2,), (3,), (2, 4), (2, 2, 6)]
+    for _ in range(300):
+        g = FgGroup(rng.randint(0, 3), rng.choice(chains))
+        box, seed = rng.randint(0, 2), rng.getrandbits(64)
+        a, b = harness.Rng(seed), harness.Rng(seed)
+        assert harness._box_choice(a, g, box) == b.choice(
+            list(g.box_elements(box)))
+        assert a.state == b.state
+    trivial = FgGroup(0, ())
+    assert harness._box_choice(harness.Rng(5), trivial, 2) == trivial.zero()

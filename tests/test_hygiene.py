@@ -20,6 +20,7 @@ import importlib
 import io
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -133,10 +134,15 @@ def test_bench_workloads_reach_their_coverage():
     bench/worker.py) is called by that workload's inputs: the 12 checks
     at 24 trials and seed 2024 for harness, the golden commands
     (CLI_COMMANDS in bench/workloads.py) for cli-cold."""
+    import gradal
     from gradal.cli import main
     from gradal.harness import CHECK_IDS, CheckConfig, run_check
-    from gradal.ringexpr import classify
     coverage = bench_table("worker.py", "COVERAGE")
+    memos = {id(fn): fn for mod in pkgutil.iter_modules(gradal.__path__)
+             for fn in vars(importlib.import_module(
+                 f"gradal.{mod.name}")).values()
+             if hasattr(fn, "cache_clear")}
+    assert memos, "no lru_cache found in gradal"
 
     def harness():
         for cid in CHECK_IDS:
@@ -151,9 +157,10 @@ def test_bench_workloads_reach_their_coverage():
     missing = []
     for workload, run in (("harness", harness), ("cli-cold", cli)):
         # The bench runs each workload in a fresh process, but here one
-        # process runs them all; a memo hit of classify enters no Python
-        # frame, so start each workload with an empty classify cache.
-        classify.cache_clear()
+        # process runs them all; a memo hit enters no Python frame, so
+        # start each workload with every lru_cache in gradal empty.
+        for fn in memos.values():
+            fn.cache_clear()
         called = called_functions(run)
         missing += [f"{workload}: {fn}" for fn in coverage[workload]
                     if fn not in called]

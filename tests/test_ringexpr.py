@@ -8,7 +8,7 @@ from _oracles import zero_divisor_pair_bruteforce
 from gradal.abelian import (
     FgGroup,
     GroupHom,
-    box_fibers,
+    box_fiber,
     hom_image,
     identity_hom,
     lift_hom,
@@ -262,17 +262,18 @@ def test_rings_are_values():
 
 
 def test_box_fibers_kept_per_box():
-    """The box exponents grouped by degree, each fiber in coordinate
-    order."""
+    """The box exponents over each degree, in coordinate order; the
+    fibers of the degrees met partition the box."""
     nf = coarsen(group_algebra(Q, FgGroup(1, (2,)), "fine"),
                  GroupHom(FgGroup(1, (2,)), FgGroup(1, ()), ((1, 0),)))
     for box in (0, 1, 2):
-        fibers = box_fibers(nf.delta, box)
         want = {}
         for f in sorted(nf.egroup.box_elements(box), key=lambda f: f.coords):
             want.setdefault(nf.delta.apply(f), []).append(f)
-        assert fibers == {d: tuple(fs) for d, fs in want.items()}
+        fibers = {d: box_fiber(nf.delta, box, d) for d in want}
+        assert fibers == want
         assert sum(map(len, fibers.values())) == (2 * box + 1) * 2
+        assert box_fiber(nf.delta, box, nf.ggroup.element((box + 1,))) == []
 
 
 def test_classify_shared_by_equal_rings():
