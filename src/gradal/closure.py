@@ -189,9 +189,10 @@ def _monic_solution(r, factors, n, fibers):
     for f, c in _sorted_terms(factors[n]):
         rows_rhs[row_of(f)] -= Rational(c)
     for i in range(1, n + 1):
+        terms = _sorted_terms(factors[n - i])
         for f in fibers[i]:
             col = {}
-            for s, c in _sorted_terms(factors[n - i]):
+            for s, c in terms:
                 idx = row_of(f + s)
                 col[idx] = col.get(idx, Rational(0)) + Rational(c)
             variables.append((i, f))
@@ -219,8 +220,8 @@ def _num_den(x):
 def verify_integral_witness(r, s, x, w):
     """Exact check of a monic witness: equation, membership, degrees.
 
-    x is an element of s or a homogeneous fraction over s; the equation
-    is checked in genuine fraction arithmetic for the latter.
+    x is an element of s or a homogeneous fraction over s; Horner's rule
+    evaluates the equation, in genuine fraction arithmetic for the latter.
     """
     _check_base_change(r, s)
     if not isinstance(w, IntegralityWitness) or w.degree < 1:
@@ -240,9 +241,9 @@ def verify_integral_witness(r, s, x, w):
                 return False
             if degree_of(a) != i * g:
                 return False
-    acc = x ** w.degree
-    for i, a in enumerate(w.coeffs, start=1):
-        acc = acc + embed(reparent(a, s)) * x ** (w.degree - i)
+    acc = x + embed(reparent(w.coeffs[0], s))
+    for a in w.coeffs[1:]:
+        acc = acc * x + embed(reparent(a, s))
     return acc.is_zero
 
 
@@ -251,13 +252,13 @@ def _search(r, s, x, max_deg, box):
 
     A max_deg below 1 or a negative box describes no search and raises
     GradalError.  x is an element of s or a homogeneous fraction over s.
-    At degree n the factor standing in for x^j is num^j * den^(n-j)
-    (num^j for an element), so both shapes share one linear system; the
-    witness is then re-verified on x itself.
+    At degree n the factor standing in for x^j is num^j * den^(n-j); a
+    fraction stops at degree 1 and an element has den 1, so one list
+    den, num, num^2, ... serves both.  The witness is re-verified on x.
 
-    Degrees above 1 are searched only when r has base Z, E has torsion
-    and x is a fraction or has a non-integer coefficient.  Otherwise a
-    witness in the box exists iff one of degree 1 does, because:
+    Degrees above 1 are searched only when r has base Z, r is not entire
+    and x has a non-integer coefficient.  Otherwise a witness in the box
+    exists iff one of degree 1 does, because:
     - Q[E] = Q[T][Z^r] = prod K_i[Z^r] with fields K_i (Perlis-Walker).
       If P(y) = 0 in a domain K[Z^r], P monic of degree n with
       coefficient exponents in the box [-b, b]^r, so are y's: past
@@ -266,11 +267,12 @@ def _search(r, s, x, max_deg, box):
       in each K_i[Z^r]: an x in r has a witness in the box iff supp(x)
       lies in it, and then X - x is one.
     - x lies in r if it is an element over a common base (Z in Z, Q in
-      Q) or with integer coefficients; if E is torsionfree, as Z[Z^r]
-      and Q[Z^r] are normal domains (Gilmer 1984); and for Q in Q, as
-      Q[E], a finite product of normal domains, is integrally closed in
-      its total ring of fractions, where a homogeneous denominator of an
-      entire graded ring is a non-zero-divisor.
+      Q) or with integer coefficients.  If r is entire, K = ker delta is
+      torsionfree and a homogeneous x of degree g is e_f * p with p in
+      the fraction field of base[K] (a fraction exists only over an
+      entire ring).  A witness, whose coefficients have degree i * g,
+      makes p integral over base(r)[K], a Laurent ring and so normal
+      (Gilmer 1984); hence p lies in base(r)[K] and x in r.
     """
     if max_deg < 1:
         raise GradalError(f"max_deg must be at least 1, got {max_deg}")
@@ -281,23 +283,17 @@ def _search(r, s, x, max_deg, box):
         raise IncompatibleRingsError("x must live in the big ring")
     if x.is_zero:
         raise ZeroElementError("integrality of zero is trivial; pass nonzero x")
-    if not (r.base == "Z" and r.egroup.torsion and (isinstance(x, Fraction)
-            or any(c.denominator != 1 for c in x.terms.values()))):
+    if not (r.base == "Z" and not classify(r).entire
+            and any(c.denominator != 1 for c in x.terms.values())):
         max_deg = 1
     num, den, _ = _num_den(x)
     g = degree_of(num) - degree_of(den)
     fibers = [None] + [box_fiber(r.delta, box, i * g)
                        for i in range(1, max_deg + 1)]
-    num_pows = [Element.one(s)]
-    den_pows = [Element.one(s)]
-    for _ in range(max_deg):
-        num_pows.append(num_pows[-1] * num)
-        if isinstance(x, Fraction):
-            den_pows.append(den_pows[-1] * den)
+    factors = [den, num]
     for n in range(1, max_deg + 1):
-        factors = num_pows[:n + 1]
-        if isinstance(x, Fraction):
-            factors = [f * den_pows[n - j] for j, f in enumerate(factors)]
+        if n > 1:
+            factors.append(factors[-1] * num)
         coeffs = _monic_solution(r, factors, n, fibers)
         if coeffs is not None:
             w = IntegralityWitness(n, coeffs)
@@ -330,7 +326,9 @@ def find_almost_integral_witness(r, s, x, k_max=2, support_box=3):
     k = w.degree - 1
     combination = tuple(-a for a in reversed(w.coeffs))
     _, _, embed = _num_den(x)
-    powers = [x ** i for i in range(k + 2)]
+    powers = [embed(Element.one(s))]
+    for _ in range(k + 1):
+        powers.append(powers[-1] * x)
     acc = embed(Element.zero(s))
     for ri, p in zip(combination, powers):
         acc = acc + embed(reparent(ri, s)) * p

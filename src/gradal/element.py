@@ -220,6 +220,8 @@ def reparent(x, nf):
     Legal when the exponent groups agree; moving from base Z into base Q
     widens coefficients, the reverse needs them integral.
     """
+    if not isinstance(x, Element):
+        raise ParentMismatchError(f"cannot reparent a {type(x).__name__}")
     if nf.egroup != x.parent.egroup:
         raise ParentMismatchError("exponent groups differ")
     return Element(nf, dict(x.terms))

@@ -124,11 +124,11 @@ _A140_ORDERS = (2, 3, 4)
 
 class CheckConfig:
     """Which check to run, how many trials, the seed and the search
-    bounds (DEFAULT_BOUNDS when none are given)."""
+    bounds (a copy of DEFAULT_BOUNDS)."""
 
     __slots__ = ("check_id", "trials", "seed", "bounds")
 
-    def __init__(self, check_id, trials=24, seed=2024, bounds=None):
+    def __init__(self, check_id, trials=24, seed=2024):
         if check_id not in CHECK_IDS:
             raise UnknownCheckIdError(f"unknown check id {check_id!r}")
         if trials < 1:
@@ -136,7 +136,7 @@ class CheckConfig:
         self.check_id = check_id
         self.trials = trials
         self.seed = seed
-        self.bounds = dict(DEFAULT_BOUNDS) if bounds is None else bounds
+        self.bounds = dict(DEFAULT_BOUNDS)
 
 
 class CheckReport:
@@ -689,10 +689,6 @@ CHECK_IDS = tuple(_CHECKS)
 def run_check(cfg):
     """Run the configured trials; merge results in trial-index order.
     A trial that raises a GradalError is recorded as an "error"."""
-    if cfg.check_id not in _CHECKS:
-        raise UnknownCheckIdError(f"unknown check id {cfg.check_id!r}")
-    bounds = dict(DEFAULT_BOUNDS)
-    bounds.update(cfg.bounds or {})
     fn = _CHECKS[cfg.check_id]
     results = []
     errors = []
@@ -700,7 +696,7 @@ def run_check(cfg):
     for trial in range(cfg.trials):
         tseed = _trial_seed(cfg.seed, trial)
         try:
-            verdict, payload = fn(trial, tseed, bounds)
+            verdict, payload = fn(trial, tseed, cfg.bounds)
         except GradalError as exc:
             verdict = "error"
             errors.append({"trial": trial, "trial_seed": tseed,

@@ -42,11 +42,13 @@ from gradal.errors import (
     IncompatibleRingsError,
     NotASectionError,
     NotSimpleBaseError,
+    ParentMismatchError,
     ZeroElementError,
 )
 from gradal.ringexpr import (
     BaseQ,
     BaseZ,
+    classify,
     coarsen,
     fraction_field,
     group_algebra,
@@ -320,13 +322,41 @@ def test_search_matches_every_degree_reference():
     assert 2 in degrees[(("Z", "Q"), True, False)]
 
 
-def test_fixed_query_solves_one_system(monkeypatch):
-    """1/2 e(1,0,0) + 1/3 e(0,1,0) + e(0,0,1) over Z[Z^3] in Q[Z^3],
-    graded by total degree: only the degree-1 system is solved."""
+def test_entire_torsion_queries_have_no_witness_above_degree_1():
+    """Over an entire Z subring whose E has torsion, the every-degree
+    reference finds no witness of degree 2 or 3 for an element with a
+    non-integer coefficient or a fraction: the case the search stops at
+    degree 1 although base Z and torsion alone would not stop it."""
+    rng = random.Random(1616)
+    found = {1: 0, None: 0}
+    n = 0
+    while n < 600:
+        pair = (("Z", "Q"), ("Z", "Z"), ("Z", "Q"))[n % 3]
+        fraction = n % 3 != 0
+        r, s, x = _query(rng, pair, True, fraction)
+        if not classify(r).entire or (not fraction and all(
+                c.denominator == 1 for c in x.terms.values())):
+            continue
+        w = search_every_degree(r, s, x, 3, rng.randint(1, 2))
+        found[getattr(w, "degree", None)] += 1
+        n += 1
+    assert found[1] and found[None]
+
+
+@pytest.fixture
+def solved_systems(monkeypatch):
+    """The argument tuples of every _monic_solution call, in order."""
     calls = []
     solve = closure._monic_solution
     monkeypatch.setattr(closure, "_monic_solution",
                         lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
+def test_fixed_query_solves_one_system(solved_systems):
+    """1/2 e(1,0,0) + 1/3 e(0,1,0) + e(0,0,1) over Z[Z^3] in Q[Z^3],
+    graded by total degree: only the degree-1 system is solved."""
+    calls = solved_systems
 
     def ring(base):
         fine = group_algebra(base, FgGroup(3, ()), "fine")
@@ -343,6 +373,28 @@ def test_fixed_query_solves_one_system(monkeypatch):
         assert isinstance(res, NoWitnessUpTo)
         assert (res.max_deg, res.box) == (3, box)
         assert len(calls) == 1
+
+
+def test_search_above_degree_1_only_where_not_entire(solved_systems):
+    """E = Z/2 has torsion in both rings.  Z[Z/2]fine is entire, so
+    1/2 e(1) is searched at degree 1 only; Z[Z/2]coarse is not, and its
+    idempotent 1/2 (e(0) + e(1)) takes the degree-2 system."""
+    def rings(grading):
+        return tuple(group_algebra(base, FgGroup(0, (2,)), grading)
+                     for base in (Z, Q))
+
+    rz, rq = rings("fine")
+    res = find_integral_equation(rz, rq, e(rq, 1, c=Rational(1, 2)),
+                                 max_deg=3, support_box=1)
+    assert isinstance(res, NoWitnessUpTo)
+    assert (res.max_deg, res.box) == (3, 1)
+    assert len(solved_systems) == 1
+    solved_systems.clear()
+    rz, rq = rings("coarse")
+    x = e(rq, 0, c=Rational(1, 2)) + e(rq, 1, c=Rational(1, 2))
+    res = find_integral_equation(rz, rq, x, max_deg=3, support_box=1)
+    assert res.degree == 2
+    assert len(solved_systems) == 2
 
 
 # --- fraction-field witnesses ---
@@ -532,6 +584,15 @@ def test_components_rejects_zero():
     zr, qr, psi = make_summand_rings()
     with pytest.raises(ZeroElementError):
         components_integral_check(zr, psi, Element.zero(qr))
+
+
+def test_components_rejects_a_fraction():
+    """Components are taken of an element; a fraction is refused with a
+    typed error, not an AttributeError."""
+    zr, qr, psi = make_summand_rings()
+    x = Fraction(e(qr, 0, 1), e(qr, 1, 0, c=2))
+    with pytest.raises(ParentMismatchError):
+        components_integral_check(zr, psi, x)
 
 
 # --- graded euclidean division ---
