@@ -26,7 +26,12 @@ annotation the domain is the grading group of the ring at hand and the
 codomain is free of rank equal to the row count.  Groups are normalized
 to invariant-factor form (free coordinates first, then torsion in an
 ascending divisibility chain); exponent tuples in homs and elements
-refer to the normalized coordinates.  Integers are ASCII digits.
+refer to the normalized coordinates.
+
+Tokens are the symbols -> [ ] ( ) < > , ; * + - / ^ : =, integers of
+ASCII digits 0-9, and words that start with a letter or "_" and go on
+with letters, digits or "_"; spaces, tabs, carriage returns and
+newlines separate them.  Any other character is a syntax error.
 
 A name means what the latest let before it bound (lets carry over from
 --script and from earlier arguments): a later rebinding changes nothing
@@ -39,6 +44,7 @@ Z Q e fine coarse let coarsen restrict Frac cannot be bound.
 import argparse
 import copy
 import json
+import re
 import sys
 from fractions import Fraction as Rational
 
@@ -93,8 +99,11 @@ _KEYWORDS = frozenset(("Z", "Q", "e", "fine", "coarse", "let", "coarsen",
 
 # --- tokens ---
 
-_TWO_CHAR = ("->",)
-_ONE_CHAR = "[]()<>,;*+-/^:="
+# The group name is the token kind.  \w also reads digits that are not
+# ASCII, so a word must start with a letter or "_".
+_TOKEN = re.compile(r"(?P<sym>->|[][()<>,;*+/^:=-])|(?P<int>[0-9]+)"
+                    r"|(?P<name>\w+)|(?P<newline>\n)|(?P<blank>[ \t\r]+)"
+                    r"|(?P<bad>.)", re.S)
 
 
 class _Tok:
@@ -109,47 +118,19 @@ class _Tok:
 
 def _tokenize(text):
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            toks.append(_Tok("sym", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            toks.append(_Tok("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("end", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad" or (kind == "name" and not (word[0].isalpha()
+                                                       or word[0] == "_")):
+            raise DslSyntaxError(f"unexpected character {word[0]!r}",
+                                 line, col)
+        elif kind != "blank":
+            toks.append(_Tok(kind, word, line, col))
+    toks.append(_Tok("end", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -246,11 +227,16 @@ class _Parser:
             self.last_end = t.col + len(t.text)
         return t
 
+    def accept(self, text):
+        """Read the next token if its text is text; whether it was."""
+        if self.peek().text != text:
+            return False
+        self.next()
+        return True
+
     def expect(self, text):
-        t = self.next()
-        if t.text != text:
-            raise DslSyntaxError(f"expected {text!r}, found {t.text or 'end'!r}",
-                                 t.line, t.col)
+        if not self.accept(text):
+            self.fail(f"expected {text!r}")
 
     def at_end(self):
         return self.peek().kind == "end"
@@ -292,8 +278,7 @@ class _Parser:
     def group(self):
         mark = self.mark()
         node = self.gatom()
-        while self.peek().text == "x":
-            self.next()
+        while self.accept("x"):
             node = GroupAst("prod", left=node, right=self.gatom(),
                             span=self.close(mark))
         return node
@@ -303,38 +288,39 @@ class _Parser:
         if ref is not None:
             return ref
         mark = self.mark()
-        t = self.peek()
-        if t.text == "0":
-            self.next()
+        if self.accept("0"):
             return GroupAst("zero", span=self.close(mark))
-        if t.text == "(":
-            self.next()
+        if self.accept("("):
             node = self.group()
             self.expect(")")
             return node
-        if t.text == "Z":
-            self.next()
-            if self.peek().text == "^":
-                self.next()
+        if self.accept("Z"):
+            if self.accept("^"):
                 return GroupAst("free", n=self.int_lit(),
                                 span=self.close(mark))
-            if self.peek().text == "/":
-                self.next()
+            if self.accept("/"):
                 return GroupAst("torsion", n=self.int_lit(),
                                 span=self.close(mark))
             return GroupAst("free", n=1, span=self.close(mark))
         self.fail("expected a group")
 
     def int_lit(self):
-        neg = False
-        if self.peek().text == "-":
-            self.next()
-            neg = True
-        t = self.next()
-        if t.kind != "int":
-            raise DslSyntaxError(f"expected an integer, found {t.text!r}",
-                                 t.line, t.col)
-        return -int(t.text) if neg else int(t.text)
+        neg = self.accept("-")
+        if self.peek().kind != "int":
+            self.fail("expected an integer")
+        n = int(self.next().text)
+        return -n if neg else n
+
+    def ints(self, opening, closing):
+        """A bracketed, comma-separated, possibly empty integer tuple."""
+        self.expect(opening)
+        out = []
+        if self.peek().text != closing:
+            out.append(self.int_lit())
+            while self.accept(","):
+                out.append(self.int_lit())
+        self.expect(closing)
+        return tuple(out)
 
     # homs
 
@@ -343,24 +329,13 @@ class _Parser:
         self.expect("[")
         rows = []
         if self.peek().text == "[":
-            while True:
-                self.expect("[")
-                row = []
-                if self.peek().text != "]":
-                    row.append(self.int_lit())
-                    while self.peek().text == ",":
-                        self.next()
-                        row.append(self.int_lit())
-                self.expect("]")
-                rows.append(tuple(row))
-                if self.peek().text != ",":
-                    break
-                self.next()
+            rows.append(self.ints("[", "]"))
+            while self.accept(","):
+                rows.append(self.ints("[", "]"))
         self.expect("]")
         mat_span = self.close(mark)
         dom = cod = None
-        if self.peek().text == ":":
-            self.next()
+        if self.accept(":"):
             dom = self.group()
             self.expect("->")
             cod = self.group()
@@ -377,8 +352,7 @@ class _Parser:
         self.expect("<")
         spans = []
         tuples = [self.coord_tuple(spans)]
-        while self.peek().text == ",":
-            self.next()
+        while self.accept(","):
             tuples.append(self.coord_tuple(spans))
         self.expect(">")
         return GensAst(tuple(tuples), span=self.close(mark),
@@ -386,33 +360,23 @@ class _Parser:
 
     def coord_tuple(self, spans=None):
         mark = self.mark()
-        self.expect("(")
-        coords = []
-        if self.peek().text != ")":
-            coords.append(self.int_lit())
-            while self.peek().text == ",":
-                self.next()
-                coords.append(self.int_lit())
-        self.expect(")")
+        coords = self.ints("(", ")")
         if spans is not None:
             spans.append(self.close(mark))
-        return tuple(coords)
+        return coords
 
     # rings
 
     def ring(self):
         mark = self.mark()
         node = self.ratom()
-        while self.peek().text == "[":
-            self.next()
+        while self.accept("["):
             grp = self.group()
             self.expect("]")
-            t = self.next()
-            if t.text not in ("fine", "coarse"):
-                raise DslSyntaxError(
-                    f"expected 'fine' or 'coarse', found {t.text or 'end'!r}",
-                    t.line, t.col)
-            node = RingAst("algebra", inner=node, group=grp, alg_kind=t.text,
+            if self.peek().text not in ("fine", "coarse"):
+                self.fail("expected 'fine' or 'coarse'")
+            node = RingAst("algebra", inner=node, group=grp,
+                           alg_kind=self.next().text,
                            span=self.close(mark))
         return node
 
@@ -422,8 +386,7 @@ class _Parser:
         if t.text in ("Z", "Q"):
             self.next()
             return RingAst(t.text, span=self.close(mark))
-        if t.text == "coarsen":
-            self.next()
+        if self.accept("coarsen"):
             self.expect("(")
             inner = self.ring()
             self.expect(",")
@@ -431,8 +394,7 @@ class _Parser:
             self.expect(")")
             return RingAst("coarsen", inner=inner, hom=h,
                            span=self.close(mark))
-        if t.text == "restrict":
-            self.next()
+        if self.accept("restrict"):
             self.expect("(")
             inner = self.ring()
             self.expect(",")
@@ -440,8 +402,7 @@ class _Parser:
             self.expect(")")
             return RingAst("restrict", inner=inner, gens=g,
                            span=self.close(mark))
-        if t.text == "Frac":
-            self.next()
+        if self.accept("Frac"):
             self.expect("(")
             inner = self.ring()
             self.expect(")")
@@ -476,18 +437,12 @@ class _Parser:
         num, den = 1, 1
         if t.kind == "int":
             num = int(self.next().text)
-            if self.peek().text == "/":
-                self.next()
-                d = self.next()
-                if d.kind != "int":
-                    raise DslSyntaxError("expected a denominator",
-                                         d.line, d.col)
-                den = int(d.text)
+            if self.accept("/"):
+                if self.peek().kind != "int":
+                    self.fail("expected a denominator")
+                den = int(self.next().text)
             self.expect("*")
-        e = self.next()
-        if e.kind != "name" or e.text != "e":
-            raise DslSyntaxError(f"expected 'e', found {e.text or 'end'!r}",
-                                 e.line, e.col)
+        self.expect("e")
         coords = self.coord_tuple()
         spans.append(self.close(mark))
         return (sign * num, den, coords)
@@ -498,12 +453,10 @@ class _Parser:
         """Bind each let into the scope; return the ring and group values,
         which are evaluated once the whole text parses."""
         eager = []
-        while self.peek().text == "let":
-            self.next()
+        while self.accept("let"):
+            if self.peek().kind != "name":
+                self.fail("expected a name after let")
             name = self.next()
-            if name.kind != "name":
-                raise DslSyntaxError("expected a name after let",
-                                     name.line, name.col)
             if name.text in _KEYWORDS:
                 raise DslSyntaxError(f"{name.text!r} is a keyword and "
                                      "cannot be bound", name.line, name.col)

@@ -105,13 +105,12 @@ class IntegralityWitness:
 
 
 class AlmostIntegralWitness:
-    """x^(k+1) = sum(combination[i] * x^i); generators span the module."""
+    """x^(k+1) = sum(combination[i] * x^i), a combination of 1, ..., x^k."""
 
-    __slots__ = ("k", "generators", "combination")
+    __slots__ = ("k", "combination")
 
-    def __init__(self, k, generators, combination):
+    def __init__(self, k, combination):
         self.k = k
-        self.generators = generators
         self.combination = combination
 
 
@@ -334,7 +333,7 @@ def find_almost_integral_witness(r, s, x, k_max=2, support_box=3):
         acc = acc + embed(reparent(ri, s)) * p
     if acc != powers[k + 1]:
         raise InternalInvariantError("membership witness failed verification")
-    return AlmostIntegralWitness(k, tuple(powers[:k + 1]), combination)
+    return AlmostIntegralWitness(k, combination)
 
 
 def find_integral_equation_fraction(r, x, max_deg=3, support_box=3):
@@ -398,11 +397,10 @@ def components_integral_check(r, psi, x, max_deg=3, support_box=3):
 class TorsionIdempotent:
     """f in ring_q over ring_z, with f^2 + (c-1)f - d = 0 as witness."""
 
-    __slots__ = ("n", "group", "ring_z", "ring_q", "f", "c", "d", "witness")
+    __slots__ = ("n", "ring_z", "ring_q", "f", "c", "d", "witness")
 
-    def __init__(self, n, group, ring_z, ring_q, f, c, d, witness):
+    def __init__(self, n, ring_z, ring_q, f, c, d, witness):
         self.n = n
-        self.group = group
         self.ring_z = ring_z
         self.ring_q = ring_q
         self.f = f
@@ -440,7 +438,7 @@ def torsion_idempotent(n):
     witness = IntegralityWitness(2, (c - one_z, -d))
     if not verify_integral_witness(ring_z, ring_q, f, witness):
         raise InternalInvariantError("monic witness failed verification")
-    return TorsionIdempotent(n, grp, ring_z, ring_q, f, c, d, witness)
+    return TorsionIdempotent(n, ring_z, ring_q, f, c, d, witness)
 
 
 class LaurentStructure:
@@ -664,8 +662,7 @@ def j_pi_embedding(r, psi, pi):
         # both are direct_sum(r.egroup, k).group
         raise InternalInvariantError("kernel algebra exponents disagree")
     nu = add_homs(ds.inj1, compose(ds.inj2, compose(theta, r.delta)))
-    kn, _ = hom_kernel(nu)
-    if not kn.is_trivial:
+    if not nu.is_injective():
         raise InternalInvariantError("embedding is not injective")
     if compose(target.delta, nu) != coarse.delta:
         raise InternalInvariantError("embedding does not preserve the coarse degree")

@@ -29,6 +29,7 @@ from math import gcd, lcm
 from .abelian import hom_kernel
 from .errors import (
     GradalError,
+    HypothesisViolatedError,
     InternalInvariantError,
     NotEntireError,
     NotHomogeneousError,
@@ -323,8 +324,13 @@ def homogeneous_unit_test(x):
     factor F of Q[V][Z^r] a unit is a monomial c*z^a with a the free
     part of a term of x, so the unique inverse is supported on the
     reflected support {-a} x V and one linear solve over it decides.
-    Over Z the rational inverse must also be integral.
+    Over Z the rational inverse must also be integral.  The inverse is
+    an Element, so x may not live in a fraction form: there the answer
+    would be the underlying ring's.
     """
+    if x.parent.fraction:
+        raise HypothesisViolatedError(
+            "unit test over a fraction form; pass the underlying ring")
     if x.is_zero:
         raise ZeroElementError("unit test on the zero element")
     degree_of(x)
@@ -442,6 +448,9 @@ class Fraction:
 
     def __str__(self):
         return f"({self.num})/({self.den})"
+
+    def __repr__(self):
+        return f"<{self} in {self.parent.describe()}>"
 
 
 def _cancel(num, den):

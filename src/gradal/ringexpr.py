@@ -183,8 +183,7 @@ def regrade_extend(nf, embed):
     """View the grading inside a bigger group via an embedding."""
     if embed.domain != nf.ggroup:
         raise ParentMismatchError("embedding must start at the grading group")
-    k, _ = hom_kernel(embed)
-    if not k.is_trivial:
+    if not embed.is_injective():
         raise NotASubgroupError("grading extension map is not injective")
     return NormalForm(nf.base, nf.egroup, embed.codomain,
                       compose(embed, nf.delta), nf.fraction)
@@ -231,6 +230,5 @@ def classify(nf):
         entire = k.is_torsionfree
         simple = nf.base == "Q" and k.is_trivial
     support, _ = hom_image(nf.delta)
-    q, _ = quotient_by(nf.ggroup, [nf.delta.apply(g)
-                                   for g in nf.egroup.generators()])
-    return Classification(entire, simple, True, support, q.is_trivial)
+    return Classification(entire, simple, True, support,
+                          nf.delta.is_surjective())

@@ -7,7 +7,8 @@ exceptions: lem50_reference builds the free-summand isomorphism with
 the package's group operations, but along a second route through the
 grading group; search_every_degree is the witness search without its
 stop at degree 1, solving each degree's system with the package's
-solver.
+solver; tokenize_by_characters is the CLI's earlier scanner, a loop
+over characters that the regular-expression scanner must agree with.
 """
 
 from fractions import Fraction
@@ -31,7 +32,11 @@ from gradal.closure import (
     verify_integral_witness,
 )
 from gradal.element import Element, Fraction as RingFraction, degree_of
-from gradal.errors import GradalError, HypothesisViolatedError
+from gradal.errors import (
+    DslSyntaxError,
+    GradalError,
+    HypothesisViolatedError,
+)
 from gradal.ringexpr import classify, coarsen, group_algebra, restrict_data
 
 
@@ -417,3 +422,53 @@ def search_every_degree(r, s, x, max_deg, box):
             assert verify_integral_witness(r, s, x, w)
             return w
     return None
+
+
+# --- the CLI scanner, character by character ---
+
+def tokenize_by_characters(text):
+    """[(kind, text, line, col)] ending in an "end" token; raises
+    DslSyntaxError at the first character no token starts with."""
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if text[i:i + 2] == "->":
+            toks.append(("sym", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "[]()<>,;*+-/^:=":
+            toks.append(("sym", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            toks.append(("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+    toks.append(("end", "", line, col))
+    return toks

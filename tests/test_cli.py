@@ -4,18 +4,20 @@ name binding."""
 import gc
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import warnings
 
 import pytest
+from _oracles import tokenize_by_characters
 
 import gradal.cli as cli
 import gradal.closure as closure
 import gradal.harness as harness
 from gradal.abelian import FgGroup
 from gradal.cli import main
-from gradal.errors import GradalError
+from gradal.errors import DslSyntaxError, GradalError
 from gradal.ringexpr import BaseQ, group_algebra, normalize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -86,6 +88,41 @@ def test_type_error_exit_2_with_spans(capsys):
     assert obj["spans"] and all(len(s) == 3 for s in obj["spans"])
 
 
+@pytest.mark.parametrize("argv,message,spans", [
+    (("classify", "Q[Z^-1]fine"), "negative rank", [[1, 3, 7]]),
+    (("classify", "Q[Z/1]fine"), "Z/1 needs a modulus of at least 2",
+     [[1, 3, 6]]),
+    (("classify", "coarsen(Q[Z]fine,[[1,1]])"),
+     "matrix row (1, 1) has 2 entries, domain needs 1", [[1, 18, 25]]),
+    (("classify", "coarsen(Q[Z]fine,[[1]]:Z^2->Z)"),
+     "hom domain Z^2 does not match the ring grading Z",
+     [[1, 24, 27], [1, 9, 17]]),
+    (("classify", "coarsen(Q[Z]fine,[[1],[1]]:Z->Z)"),
+     "matrix has 2 rows, codomain needs 1", [[1, 18, 27], [1, 31, 32]]),
+    (("classify", "coarsen(Q[Z/2]fine,[[1]]:Z/2->Z)"),
+     "matrix is not a homomorphism: generator of order 2 maps to an "
+     "element of order None", [[1, 20, 25]]),
+    (("classify", "restrict(Q[Z]fine,<(1,2)>)"),
+     "generator (1, 2) has 2 coordinates, the group Z needs 1",
+     [[1, 20, 25]]),
+    (("components", "Z[Z]fine", "1/2*e(1)"),
+     "coefficient 1/2 is not an integer, the ring has integer "
+     "coefficients", [[1, 1, 9]]),
+    (("components", "Q[Z]fine", "1/0*e(1)"),
+     "zero denominator in a coefficient", [[1, 1, 9]]),
+    (("components", "Q[Z]fine", "e(1,2)"),
+     "exponent (1, 2) has 2 coordinates, the exponent group Z needs 1",
+     [[1, 1, 7]]),
+])
+def test_typed_errors_exit_2_with_their_spans(capsys, argv, message, spans):
+    rc, out, err = run_main(capsys, *argv)
+    assert rc == 2 and out == ""
+    where = " ".join(f"[{ln}:{a}-{b}]" for ln, a, b in spans)
+    assert json.loads(err) == {"error": "parse-or-type",
+                               "message": f"{message} at {where}",
+                               "spans": spans}
+
+
 def test_hypothesis_error_exit_3(capsys):
     rc, out, err = run_main(capsys, "divide", "Q[Z]fine",
                             "e(1)-e(0)", "e(2)+e(0)")
@@ -144,6 +181,30 @@ def test_non_ascii_digits_exit_2(capsys, ring):
     payload = json.loads(err)
     assert payload["error"] == "parse-or-type"
     assert "unexpected character" in payload["message"]
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [t if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col)
+                for t in tokenize(text)]
+    except DslSyntaxError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+def test_tokenizer_agrees_with_the_character_scanner():
+    """The regular-expression scanner gives the tokens, positions and
+    errors of a loop over characters, on random strings mixing the
+    DSL's symbols with characters that \\w reads but a word may not
+    start with, and with blanks no token allows."""
+    alphabet = (list("[]()<>,;*+-/^:=") + ["->", "x", "e", "Z", "ab", "_",
+                "0", "12", " ", "\t", "\r", "\n", "\f", "\u00b2",
+                "\u0663", "\uff12", "\u01c5", "\u0301", "\u00e9", "#"])
+    rng = random.Random(17)
+    for _ in range(20_000):
+        text = "".join(rng.choice(alphabet)
+                       for _ in range(rng.randint(0, 12)))
+        assert (_tokens_or_error(cli._tokenize, text)
+                == _tokens_or_error(tokenize_by_characters, text)), text
 
 
 def test_iso_lem50_non_summand_exit_3(capsys):
@@ -416,6 +477,23 @@ def test_let_error_from_the_furthest_production(capsys, text, line, col,
     """A let value that no production reads reports the syntax error of
     the one that read furthest, here the ring, not the element."""
     rc, out, err = run_main(capsys, "classify", text)
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "parse-or-type",
+                               "message": f"{line}:{col}: {message}",
+                               "line": line, "col": col}
+
+
+@pytest.mark.parametrize("argv,line,col,message", [
+    (("classify", "Q[Z^"), 1, 5, "expected an integer, found 'end'"),
+    (("components", "Q[Z]fine", "1/x*e(1)"), 1, 3,
+     "expected a denominator, found 'x'"),
+    (("classify", "let ; Q"), 1, 5, "expected a name after let, found ';'"),
+    (("classify", "Q[Z]fine[Z]"), 1, 12,
+     "expected 'fine' or 'coarse', found 'end'"),
+])
+def test_syntax_errors_name_the_token_found(capsys, argv, line, col,
+                                            message):
+    rc, out, err = run_main(capsys, *argv)
     assert rc == 2 and out == ""
     assert json.loads(err) == {"error": "parse-or-type",
                                "message": f"{line}:{col}: {message}",

@@ -138,6 +138,35 @@ def test_idempotent_witness_canonical_search():
     assert verify_integral_witness(rec.ring_z, rec.ring_q, rec.f, found)
 
 
+def test_verify_refuses_spoilt_witnesses():
+    """The A90 witness verifies; a non-witness, a degree below 1, a wrong
+    number of coefficients and a coefficient outside r do not.  A
+    coefficient of the wrong degree needs a grading, so that case is the
+    witness X - e(1) of e(1) over Z[Z]fine with a1 moved to degree 0."""
+    rec = torsion_idempotent(2)
+    rz, rq, f = rec.ring_z, rec.ring_q, rec.f
+    a1, a2 = rec.witness.coeffs
+    assert verify_integral_witness(rz, rq, f, rec.witness)
+    for w in (rec.witness.coeffs, IntegralityWitness(0, ()),
+              IntegralityWitness(2, (a1,)), IntegralityWitness(3, (a1, a2)),
+              IntegralityWitness(2, (a1, reparent(a2, rq)))):
+        assert not verify_integral_witness(rz, rq, f, w)
+    zr = group_algebra(Z, FgGroup(1, ()), "fine")
+    qr = group_algebra(Q, FgGroup(1, ()), "fine")
+    w = IntegralityWitness(1, (-e(zr, 1),))
+    assert verify_integral_witness(zr, qr, e(qr, 1), w)
+    for a1 in (-e(zr, 0), e(zr, 0) - e(zr, 1)):
+        w = IntegralityWitness(1, (a1,))
+        assert not verify_integral_witness(zr, qr, e(qr, 1), w)
+
+
+def test_search_refuses_x_outside_the_big_ring():
+    rec = torsion_idempotent(2)
+    x = Element.one(rec.ring_z)
+    with pytest.raises(IncompatibleRingsError, match="the big ring"):
+        find_integral_equation(rec.ring_z, rec.ring_q, x)
+
+
 def test_witness_bruteforce_enumeration_degree2():
     """Exhaust all monic degree-2 relations with coefficients in the
     torsion box and entries in [-2, 2]; the engine's witness is one of

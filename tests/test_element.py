@@ -31,6 +31,7 @@ from gradal.element import (
 )
 from gradal.errors import (
     GradalError,
+    HypothesisViolatedError,
     InternalInvariantError,
     NotEntireError,
     NotHomogeneousError,
@@ -41,7 +42,9 @@ from gradal.errors import (
 from gradal.ringexpr import (
     BaseQ,
     BaseZ,
+    classify,
     coarsen,
+    fraction_field,
     group_algebra,
     normalize,
 )
@@ -222,6 +225,16 @@ def test_unit_needs_homogeneous():
         homogeneous_unit_test(Element.zero(QZ))
 
 
+def test_unit_test_refuses_a_fraction_form():
+    """Frac(Q[Z]coarse) is simple, so 1 + e(1) is a unit there; the test
+    answers with an Element inverse and would decide over Q[Z], so it
+    refuses the fraction form instead of answering NotUnit."""
+    frac = fraction_field(group_algebra(Q, FgGroup(1, ()), "coarse"))
+    assert classify(frac).simple
+    with pytest.raises(HypothesisViolatedError, match="fraction form"):
+        homogeneous_unit_test(Element.one(frac) + e(frac, 1))
+
+
 def test_unit_with_torsion_kernel():
     # 1 - e_t is not a unit (it is a zero divisor); 1 + e_t + e_t^2 + e_t^3
     # is not either, but (1 + e_t)/2 + ... pick a genuine unit: e_t itself.
@@ -388,6 +401,21 @@ def test_fraction_gates():
         Fraction(Element.one(QZ), Element.zero(QZ))
     with pytest.raises(NotHomogeneousError):
         Fraction(Element.one(QZ), e(QZ, 0) + e(QZ, 1))
+
+
+def test_mixing_element_and_fraction_names_both_stably():
+    """The error message shows the fraction by value, not by address, so
+    it is the same from run to run."""
+    one = Element.one(QZ)
+    with pytest.raises(ParentMismatchError) as exc:
+        one + Fraction.from_element(one)
+    assert str(exc.value) == ("cannot combine Element with "
+                              "<(e(0))/(e(0)) in Q[Z] graded by Z>")
+    assert repr(Fraction(e(QZ, 1, c=3), e(QZ, 0) + e(QZ, 0))) == (
+        "<(3/2*e(1))/(e(0)) in Q[Z] graded by Z>")
+    with pytest.raises(ParentMismatchError,
+                       match=r"^cannot combine Fraction with <e\(0\) in "):
+        Fraction.from_element(one) + one
 
 
 def test_fraction_arithmetic_laws():

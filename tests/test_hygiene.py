@@ -365,21 +365,28 @@ def slot_fields(source):
 
 
 def attributes_read(source):
-    """Every name read as an attribute, x.name in load context."""
-    return {n.attr for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    """Every name read as an attribute, x.name in load context, except
+    where it is called: g.generators() reads a method, not a field."""
+    tree = ast.parse(source)
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and id(n) not in called}
 
 
 def test_slot_scanner():
-    src = ("class A:\n    __slots__ = ('x', 'y')\n\n"
-           "    def f(self):\n        self.y = 1\n        return self.x\n")
-    assert slot_fields(src) == [("A", "x", 2), ("A", "y", 2)]
+    src = ("class A:\n    __slots__ = ('x', 'y', 'z')\n\n"
+           "    def f(self):\n        self.y = 1\n        self.z()\n"
+           "        return self.x\n")
+    assert slot_fields(src) == [("A", "x", 2), ("A", "y", 2), ("A", "z", 2)]
     assert attributes_read(src) == {"x"}
 
 
 def test_no_dead_slot_fields():
     """A field that src, tests, bench and the README's Python never read
-    is stored for nobody."""
+    is stored for nobody.  The scan goes by name alone, so a field is
+    missed while another class's attribute of that name is read: a
+    group field passes because GroupElem.group is read."""
     readers = [p.read_text() for p in SCANNED]
     readers += [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
     readers += re.findall(r"```python\n(.*?)```",
