@@ -288,9 +288,10 @@ class GroupHom(_Value):
             col = domain.rank + j
             img = codomain.element(tuple(row[col] for row in mat))
             if not (d * img).is_zero:
+                order = img.elem_order()
                 raise NotAHomomorphismError(
-                    f"generator of order {d} maps to an element of order "
-                    f"{img.elem_order()}")
+                    f"generator of order {d} maps to an element of "
+                    + (f"order {order}" if order else "infinite order"))
         self.domain = domain
         self.codomain = codomain
         self.matrix = mat

@@ -45,6 +45,7 @@ from .element import (
     Element,
     Fraction,
     Unit,
+    _shift_system,
     degree_of,
     homogeneous_components,
     homogeneous_unit_test,
@@ -145,10 +146,6 @@ def _check_base_change(r, s):
             "and degree map must agree")
 
 
-def _sorted_terms(x):
-    return sorted(x.terms.items(), key=lambda kv: kv[0].coords)
-
-
 def _solve_linear(base, rows, rhs, ncols):
     """Exact solve; integer solutions when the subring base is Z."""
     if base == "Z":
@@ -171,40 +168,16 @@ def _monic_solution(r, factors, n, fibers):
     cleared products so the same system serves both shapes; fibers[i]
     lists the subring exponents in the box of degree i * deg(x), in
     box_elements order, for i = 1..n.  Variables are ordered by
-    (i, exponent), rows by first appearance in canonical order, which
-    makes the returned witness deterministic.
+    (i, exponent), rows as _shift_system orders them, which makes the
+    returned witness deterministic.
     """
-    variables = []
-    columns = []
-    row_index = {}
-    rows_rhs = []
-
-    def row_of(u):
-        if u not in row_index:
-            row_index[u] = len(rows_rhs)
-            rows_rhs.append(Rational(0))
-        return row_index[u]
-
-    for f, c in _sorted_terms(factors[n]):
-        rows_rhs[row_of(f)] -= Rational(c)
-    for i in range(1, n + 1):
-        terms = _sorted_terms(factors[n - i])
-        for f in fibers[i]:
-            col = {}
-            for s, c in terms:
-                idx = row_of(f + s)
-                col[idx] = col.get(idx, Rational(0)) + Rational(c)
-            variables.append((i, f))
-            columns.append(col)
-    mat = [[0] * len(columns) for _ in rows_rhs]
-    for j, col in enumerate(columns):
-        for ridx, v in col.items():
-            mat[ridx][j] = v
-    sol = _solve_linear(r.base, mat, rows_rhs, len(columns))
+    rows, rhs = _shift_system(-factors[n], [(factors[n - i], fibers[i])
+                                           for i in range(1, n + 1)])
+    sol = _solve_linear(r.base, rows, rhs, sum(map(len, fibers[1:n + 1])))
     if sol is None:
         return None
-    return tuple(Element(r, {f: val for (vi, f), val in zip(variables, sol)
-                             if vi == i})
+    sol = iter(sol)
+    return tuple(Element(r, {f: next(sol) for f in fibers[i]})
                  for i in range(1, n + 1))
 
 

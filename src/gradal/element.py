@@ -11,16 +11,17 @@ Laurent ring base[T][Z^r], and Q[T] is a finite product of fields
 (Perlis-Walker).  x lives in Q[V][Z^r] for V the subgroup of T that
 the torsion parts of its support generate, and Q[T] is free over Q[V],
 so x is a unit or a zero divisor there exactly when it is one in Q[E],
-with the same inverse.  x is cut into blocks: for each free part z of
-its support, the matrix of multiplication by its Laurent coefficient at
-z on Q[V].
+with the same inverse.  Each question is one linear system: unknown
+coefficients c_s of the copies x * e(s) of x shifted by a support S,
+summed to a target.
 
-* nzd_test: x is a zero divisor exactly when the blocks have a common
-  nullspace vector, a common annihilator in Q[V].
+* nzd_test: S = V and target 0.  x is a zero divisor exactly when the
+  system has a nonzero solution, a common annihilator in Q[V] of x's
+  Laurent coefficients.
 * homogeneous_unit_test: in each field factor a Laurent unit is a
   monomial whose exponent is the free part of a term of x, so any
-  inverse is supported on the reflected support {-z} x V and one linear
-  solve over it settles the question.
+  inverse is supported on the reflected support S = {-z} x V, and the
+  system with target 1 settles the question.
 """
 
 from fractions import Fraction as Rational
@@ -256,40 +257,46 @@ class ZeroDivisor:
         self.annihilator = annihilator
 
 
-def _laurent_blocks(x):
-    """Split x along its exponent group E = Z^r x T, in E's coordinates.
-
-    base[E] = base[T][Z^r]: the free part of an exponent, coords[:r], is
-    the Laurent exponent and the torsion part, coords[r:], indexes a
-    basis of base[T].  Only the subgroup V of T that the torsion parts
-    of x generate is needed (the module docstring says why).  Returns
-    (t_elems, blocks): V as exponents of E (free part 0, sorted by
-    coordinates, so the zero first), and for each free part z of a term
-    of x the matrix of multiplication by the Laurent coefficient at z on
-    Q[V] in the basis t_elems.
-    """
+def _torsion_span(x):
+    """V, the subgroup of T that the torsion parts of x's terms generate,
+    as exponents of E = Z^r x T with free part 0, sorted by coordinates
+    (so the zero first).  The module docstring says why V is enough."""
     egroup = x.parent.egroup
     r = egroup.rank
-    parts = {f: egroup.element((0,) * r + f.coords[r:]) for f in x.terms}
+    parts = {egroup.element((0,) * r + f.coords[r:]) for f in x.terms}
     span, todo = {egroup.zero()}, [egroup.zero()]
     while todo:  # close {0} under the torsion parts
         u = todo.pop()
-        new = {u + t for t in parts.values()} - span
+        new = {u + t for t in parts} - span
         span |= new
         todo += new
-    t_elems = sorted(span, key=lambda t: t.coords)
-    index = {t: i for i, t in enumerate(t_elems)}
-    n = len(t_elems)
-    blocks = {}
-    for f, c in x.terms.items():
-        z = f.coords[:r]
-        if z not in blocks:
-            blocks[z] = [[0] * n for _ in range(n)]
-        m = blocks[z]
-        t = parts[f]
-        for j, tj in enumerate(t_elems):
-            m[index[t + tj]][j] += c
-    return t_elems, blocks
+    return sorted(span, key=lambda t: t.coords)
+
+
+def _shift_system(target, columns):
+    """The exact system sum_k c_k * p_k * e(s_k) = target, dense.
+
+    columns is a list of (p, shifts), one unknown per shift in that
+    order.  There is one row per exponent, in order of first appearance:
+    target's terms, then each shifted p, terms in coordinate order;
+    solve_int picks its integer solution by that order.  Returns (rows,
+    rhs).
+    """
+    index = {f: i for i, f in enumerate(target.support())}
+    cols = []
+    for p, shifts in columns:
+        terms = sorted(p.terms.items(), key=lambda kv: kv[0].coords)
+        for s in shifts:
+            cols.append([(index.setdefault(f + s, len(index)), c)
+                         for f, c in terms])
+    rows = [[0] * len(cols) for _ in index]
+    for j, col in enumerate(cols):
+        for i, c in col:
+            rows[i][j] = c
+    rhs = [0] * len(index)
+    for f, c in target.terms.items():
+        rhs[index[f]] = c
+    return rows, rhs
 
 
 def nzd_test(x):
@@ -299,19 +306,19 @@ def nzd_test(x):
     Q[V] is a finite product of fields and a Laurent ring over a field
     is entire, so x is a zero divisor exactly when its Laurent
     coefficients over Q[V] share a common annihilator w in Q[V]: the
-    nullspace of their stacked multiplication blocks.  Terms with no
-    torsion part give 1 x 1 blocks and an empty nullspace.
+    nullspace of x * w = 0 over the copies of x shifted by V.  A term
+    with no torsion part gives V = 0 and an empty nullspace.
     """
     if x.is_zero:
         raise ZeroElementError("zero divisor test on the zero element")
-    t_elems, blocks = _laurent_blocks(x)
-    stacked = [row for z in sorted(blocks) for row in blocks[z]]
-    null = nullspace_rational(stacked, len(t_elems))
+    span = _torsion_span(x)
+    rows, _ = _shift_system(Element.zero(x.parent), [(x, span)])
+    null = nullspace_rational(rows, len(span))
     if not null:
         return NonZeroDivisor("the Laurent coefficients over the torsion "
                               "part have no common annihilator")
     scale = lcm(*(v.denominator for v in null[0]))
-    w = Element(x.parent, {t: v * scale for t, v in zip(t_elems, null[0])})
+    w = Element(x.parent, {t: v * scale for t, v in zip(span, null[0])})
     if (x * w).is_zero and not w.is_zero:
         return ZeroDivisor(w)
     raise InternalInvariantError("annihilator construction failed verification")
@@ -323,10 +330,10 @@ def homogeneous_unit_test(x):
     One term: the coefficient decides.  Several terms: in each field
     factor F of Q[V][Z^r] a unit is a monomial c*z^a with a the free
     part of a term of x, so the unique inverse is supported on the
-    reflected support {-a} x V and one linear solve over it decides.
-    Over Z the rational inverse must also be integral.  The inverse is
-    an Element, so x may not live in a fraction form: there the answer
-    would be the underlying ring's.
+    reflected support {-a} x V, and one solve of x * w = 1 over the
+    copies of x shifted by it decides.  Over Z the rational inverse must
+    also be integral.  The inverse is an Element, so x may not live in a
+    fraction form: there the answer would be the underlying ring's.
     """
     if x.parent.fraction:
         raise HypothesisViolatedError(
@@ -341,32 +348,18 @@ def homogeneous_unit_test(x):
             return NotUnit(f"coefficient {c} is not a unit in Z")
         inv_c = Rational(1, 1) / c if base == "Q" else c
         return Unit(Element.monomial(x.parent, -f, inv_c))
-    t_elems, blocks = _laurent_blocks(x)
-    n = len(t_elems)
-    frees = sorted(blocks)
-    width = len(frees) * n
-    # Column block k holds the coefficient of z^-b, b = frees[k], in the
-    # inverse; block z of x sends it to the row block of z^(z - b).
-    rows, row_at = [], {}
-    for k, b in enumerate(frees):
-        for z, m in blocks.items():
-            d = tuple(u - v for u, v in zip(z, b))
-            if d not in row_at:
-                row_at[d] = len(rows)
-                rows.extend([0] * width for _ in range(n))
-            for i, row in enumerate(m):
-                rows[row_at[d] + i][k * n:(k + 1) * n] = row
     egroup = x.parent.egroup
-    rhs = [0] * len(rows)
-    rhs[row_at[(0,) * egroup.rank]] = 1
-    sol = solve_rational(rows, rhs, width)
+    r = egroup.rank
+    span = _torsion_span(x)
+    exps = [egroup.element(tuple(-u for u in b) + t.coords[r:])
+            for b in sorted({f.coords[:r] for f in x.terms}) for t in span]
+    rows, rhs = _shift_system(Element.one(x.parent), [(x, exps)])
+    sol = solve_rational(rows, rhs, len(exps))
     if sol is None:
         return NotUnit("no inverse supported on the reflected support, "
                        "which holds every inverse")
     if base == "Z" and any(v.denominator != 1 for v in sol):
         return NotUnit("the unique rational inverse is not integral")
-    exps = [egroup.element(tuple(-u for u in b) + t.coords[egroup.rank:])
-            for b in frees for t in t_elems]
     w = Element(x.parent, dict(zip(exps, sol)))
     if (x * w) == Element.one(x.parent):
         return Unit(w)

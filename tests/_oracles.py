@@ -2,17 +2,21 @@
 
 Everything here is deliberately written from scratch against the
 mathematical definitions, sharing no code paths with src/gradal, so a
-bug in the package cannot hide behind the same bug in the tests.  Two
+bug in the package cannot hide behind the same bug in the tests.  The
 exceptions: lem50_reference builds the free-summand isomorphism with
 the package's group operations, but along a second route through the
 grading group; search_every_degree is the witness search without its
 stop at degree 1, solving each degree's system with the package's
-solver; tokenize_by_characters is the CLI's earlier scanner, a loop
+solver; nzd_by_blocks and unit_by_blocks are the unit and zero-divisor
+decisions on the package's elements and solvers, with their systems
+assembled from Laurent multiplication blocks rather than shifted
+copies; tokenize_by_characters is the CLI's earlier scanner, a loop
 over characters that the regular-expression scanner must agree with.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from gradal.abelian import (
     GroupHom,
@@ -31,12 +35,21 @@ from gradal.closure import (
     _monic_solution,
     verify_integral_witness,
 )
-from gradal.element import Element, Fraction as RingFraction, degree_of
+from gradal.element import (
+    Element,
+    Fraction as RingFraction,
+    NonZeroDivisor,
+    NotUnit,
+    Unit,
+    ZeroDivisor,
+    degree_of,
+)
 from gradal.errors import (
     DslSyntaxError,
     GradalError,
     HypothesisViolatedError,
 )
+from gradal.intmat import nullspace_rational, solve_rational
 from gradal.ringexpr import classify, coarsen, group_algebra, restrict_data
 
 
@@ -285,6 +298,81 @@ def is_zero_divisor_reference(nf, x):
     rows = sorted({f for col in cols for f in col}, key=lambda f: f.coords)
     m = [[Fraction(col.get(f, 0)) for col in cols] for f in rows]
     return len(rref_dense(m, len(cols))) < len(cols)
+
+
+# --- the unit and zero-divisor decisions by Laurent blocks ---
+
+def laurent_blocks(x):
+    """(t_elems, blocks) for x in base[E], E = Z^r x T: t_elems is V, the
+    subgroup of T that the torsion parts of x generate, as exponents of
+    E (free part 0, sorted by coordinates, so the zero first), and
+    blocks maps each free part z of a term of x to the matrix of
+    multiplication by the Laurent coefficient at z on Q[V] in the basis
+    t_elems."""
+    egroup = x.parent.egroup
+    r = egroup.rank
+    parts = {f: egroup.element((0,) * r + f.coords[r:]) for f in x.terms}
+    span, todo = {egroup.zero()}, [egroup.zero()]
+    while todo:
+        u = todo.pop()
+        new = {u + t for t in parts.values()} - span
+        span |= new
+        todo += new
+    t_elems = sorted(span, key=lambda t: t.coords)
+    index = {t: i for i, t in enumerate(t_elems)}
+    n = len(t_elems)
+    blocks = {}
+    for f, c in x.terms.items():
+        m = blocks.setdefault(f.coords[:r], [[0] * n for _ in range(n)])
+        for j, tj in enumerate(t_elems):
+            m[index[parts[f] + tj]][j] += c
+    return t_elems, blocks
+
+
+def nzd_by_blocks(x):
+    """nzd_test's verdict: x is a zero divisor exactly when its blocks,
+    stacked, have a common nullspace vector."""
+    t_elems, blocks = laurent_blocks(x)
+    stacked = [row for z in sorted(blocks) for row in blocks[z]]
+    null = nullspace_rational(stacked, len(t_elems))
+    if not null:
+        return NonZeroDivisor("the Laurent coefficients over the torsion "
+                              "part have no common annihilator")
+    scale = lcm(*(v.denominator for v in null[0]))
+    return ZeroDivisor(Element(x.parent, {t: v * scale for t, v
+                                          in zip(t_elems, null[0])}))
+
+
+def unit_by_blocks(x):
+    """homogeneous_unit_test's verdict for homogeneous x with several
+    terms: column block k is the coefficient of z^-b, b the k-th free
+    part, in the inverse, and block z of x sends it to the row block of
+    z^(z - b); the right-hand side is 1 at the zero exponent."""
+    t_elems, blocks = laurent_blocks(x)
+    n = len(t_elems)
+    frees = sorted(blocks)
+    width = len(frees) * n
+    rows, row_at = [], {}
+    for k, b in enumerate(frees):
+        for z, m in blocks.items():
+            d = tuple(u - v for u, v in zip(z, b))
+            if d not in row_at:
+                row_at[d] = len(rows)
+                rows.extend([0] * width for _ in range(n))
+            for i, row in enumerate(m):
+                rows[row_at[d] + i][k * n:(k + 1) * n] = row
+    egroup = x.parent.egroup
+    rhs = [0] * len(rows)
+    rhs[row_at[(0,) * egroup.rank]] = 1
+    sol = solve_rational(rows, rhs, width)
+    if sol is None:
+        return NotUnit("no inverse supported on the reflected support, "
+                       "which holds every inverse")
+    if x.parent.base == "Z" and any(v.denominator != 1 for v in sol):
+        return NotUnit("the unique rational inverse is not integral")
+    exps = [egroup.element(tuple(-u for u in b) + t.coords[egroup.rank:])
+            for b in frees for t in t_elems]
+    return Unit(Element(x.parent, dict(zip(exps, sol))))
 
 
 # --- reference graded euclidean division ---

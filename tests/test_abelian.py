@@ -141,6 +141,18 @@ def test_hom_rejects_torsion_violation():
         GroupHom(FgGroup(0, (2,)), FgGroup(0, (4,)), ((1,),))
 
 
+def test_torsion_violation_names_the_image_order():
+    """The image's order is a number when finite, "infinite" otherwise."""
+    with pytest.raises(NotAHomomorphismError,
+                       match="^generator of order 2 maps to an element of "
+                             "infinite order$"):
+        GroupHom(FgGroup(0, (2,)), FgGroup(1, ()), ((1,),))
+    with pytest.raises(NotAHomomorphismError,
+                       match="^generator of order 2 maps to an element of "
+                             "order 4$"):
+        GroupHom(FgGroup(0, (2,)), FgGroup(0, (4,)), ((1,),))
+
+
 def test_group_data_must_be_ints():
     """Rank, invariant factors and matrix entries are ints, not values
     int() would accept or bools."""

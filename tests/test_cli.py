@@ -101,7 +101,7 @@ def test_type_error_exit_2_with_spans(capsys):
      "matrix has 2 rows, codomain needs 1", [[1, 18, 27], [1, 31, 32]]),
     (("classify", "coarsen(Q[Z/2]fine,[[1]]:Z/2->Z)"),
      "matrix is not a homomorphism: generator of order 2 maps to an "
-     "element of order None", [[1, 20, 25]]),
+     "element of infinite order", [[1, 20, 25]]),
     (("classify", "restrict(Q[Z]fine,<(1,2)>)"),
      "generator (1, 2) has 2 coordinates, the group Z needs 1",
      [[1, 20, 25]]),

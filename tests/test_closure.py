@@ -351,6 +351,41 @@ def test_search_matches_every_degree_reference():
     assert 2 in degrees[(("Z", "Q"), True, False)]
 
 
+# A degree-2 witness over Z with torsion is not unique: x^2 - e(f) x = 0
+# for every f in the coset that x averages over.  solve_int picks one by
+# the order of the system's rows, so these literals pin that order.
+PINNED_DEGREE_2 = {
+    3: "monic 2; a1 = -e(0); a2 = 0",
+    19: "monic 2; a1 = -e(1,1,0); a2 = 0",
+    40: "monic 2; a1 = -e(0); a2 = 0",
+    57: "monic 2; a1 = -e(0); a2 = 0",
+    68: "monic 2; a1 = -e(0,1); a2 = 0",
+    79: "monic 2; a1 = -e(-1,0); a2 = 0",
+    82: "monic 2; a1 = -e(-1,0); a2 = 0",
+    98: "monic 2; a1 = -e(-1,0); a2 = 0",
+    109: "monic 2; a1 = -e(0); a2 = 0",
+    117: "monic 2; a1 = -e(1,0); a2 = 0",
+    121: "monic 2; a1 = -e(-1,0); a2 = 0",
+    129: "monic 2; a1 = -e(0,0); a2 = 0",
+    140: "monic 2; a1 = -e(0); a2 = 0",
+    146: "monic 2; a1 = -e(-1,0); a2 = 0",
+    149: "monic 2; a1 = -e(0,0,0); a2 = 0",
+}
+
+
+def test_z_torsion_witnesses_keep_their_row_order():
+    """150 seeded queries Z[E] in Q[E], E with torsion, box 1, max_deg
+    2 and 3 in turn: the degree-2 witnesses are the pinned ones."""
+    rng = random.Random(19)
+    got = {}
+    for i in range(150):
+        r, s, x = _query(rng, ("Z", "Q"), True, False)
+        w = find_integral_equation(r, s, x, 2 + i % 2, 1)
+        if getattr(w, "degree", None) == 2:
+            got[i] = witness_str(w)
+    assert got == PINNED_DEGREE_2
+
+
 def test_entire_torsion_queries_have_no_witness_above_degree_1():
     """Over an entire Z subring whose E has torsion, the every-degree
     reference finds no witness of degree 2 or 3 for an element with a

@@ -9,6 +9,8 @@ import pytest
 import gradal.element as element
 from _oracles import (
     is_zero_divisor_reference,
+    nzd_by_blocks,
+    unit_by_blocks,
     unit_inverse_box,
     zero_divisor_pair_bruteforce,
 )
@@ -337,6 +339,52 @@ def test_decisions_against_reference_oracles():
                 assert isinstance(res, NonZeroDivisor), x
     assert sum(counts.values()) == 2 * 15 * len(rings) >= 2000
     assert min(counts.values()) >= 50, counts
+
+
+def test_decisions_match_the_block_route():
+    """The shifted-copies systems give the verdicts, inverses,
+    annihilators and reasons of the Laurent-block systems, on 1,000
+    homogeneous elements of fine and coarse Z[Z^r x T] and Q[Z^r x T],
+    r <= 2, T up to (2, 4), with one to four terms in one box-1 fiber.
+    A single term takes the unit test's coefficient rule, whose reasons
+    the block route does not give, so its reason is not compared."""
+    rng = random.Random(4242)
+    rings = []
+    for rank in (0, 1, 2):
+        for torsion in ((), (2,), (3,), (4,), (6,), (2, 2), (2, 4)):
+            for base in (Q, Z):
+                for grading in ("fine", "coarse"):
+                    nf = group_algebra(base, FgGroup(rank, torsion), grading)
+                    fibers = {}
+                    for f in nf.egroup.box_elements(1):
+                        fibers.setdefault(nf.delta.apply(f), []).append(f)
+                    rings.append((nf, list(fibers.values())))
+    seen = {}
+    for _ in range(1000):
+        nf, fibers = rng.choice(rings)
+        fiber = rng.choice(fibers)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            c = rng.choice((-2, -1, 1, 2))
+            if nf.base == "Q":
+                c = Rational(c, rng.choice((1, 1, 2, 3)))
+            terms[rng.choice(fiber)] = c
+        x = Element(nf, terms)
+        for got, want in ((homogeneous_unit_test(x), unit_by_blocks(x)),
+                          (nzd_test(x), nzd_by_blocks(x))):
+            kind = type(got).__name__
+            assert kind == type(want).__name__, x
+            assert (getattr(got, "inverse", None)
+                    == getattr(want, "inverse", None)), x
+            assert (getattr(got, "annihilator", None)
+                    == getattr(want, "annihilator", None)), x
+            if len(x.terms) > 1 or kind != "NotUnit":
+                assert (getattr(got, "reason", None)
+                        == getattr(want, "reason", None)), x
+            key = (kind, len(x.terms) > 1)
+            seen[key] = seen.get(key, 0) + 1
+    assert min(seen[(kind, True)] for kind in ("Unit", "NotUnit",
+               "ZeroDivisor", "NonZeroDivisor")) >= 25, sorted(seen.items())
 
 
 def test_unit_over_torsion_needs_rational_coefficients():
