@@ -5,23 +5,23 @@ monic equation whose coefficients are homogeneous elements of R with
 degrees pinned to multiples of deg(x); almost-integrality by an explicit
 membership x^(k+1) in the R-span of 1, x, ..., x^k.  R and the ring of x
 differ only in their base (Z in Z, Z in Q or Q in Q), so an element of R
-is carried over by reparent.  Searches are
-bounded (max degree, exponent box) and report NoWitnessUpTo instead of
-claiming non-integrality.  One search core serves elements and
-homogeneous fractions; it solves one exact linear system per degree,
-rationally over base Q and by Hermite form over base Z.  Almost-
-integrality is that monic search at degree k+1, read as a membership,
-so the two notions agree judgment for judgment at aligned bounds.  One
-verification routine checks every witness, for elements and fractions
-alike, before it is returned.
+is carried over by reparent.  Searches are bounded (max degree, exponent
+box) and report NoWitnessUpTo instead of claiming non-integrality.  One
+search core serves elements and homogeneous fractions num/den; it solves
+one exact linear system per degree, rationally over base Q and by
+Hermite form over base Z.  Almost-integrality is that monic search at
+degree k+1, read as a membership, so the two notions agree judgment for
+judgment at aligned bounds.  One verification routine checks every
+witness before it is returned, in the arithmetic of the ring x lives
+in: a fraction's equation is multiplied through by a power of den.
 
 The module also houses the explicit constructions the package exists to
 reproduce: the torsion idempotent that breaks integral closedness, the
-graded euclidean division over a Laurent extension, the isomorphism
-splitting a free grading summand into an adjoined exponent group (along
-the idempotent of the exponent group that the projection onto the
-complement pulls back to), and the kernel-absorbing embedding attached
-to a section of a coarsening.
+graded euclidean division, worked inside a Laurent extension, the
+isomorphism splitting a free grading summand into an adjoined exponent
+group (along the idempotent of the exponent group that the projection
+onto the complement pulls back to), and the kernel-absorbing embedding
+attached to a section of a coarsening.
 """
 
 from fractions import Fraction as Rational
@@ -181,29 +181,48 @@ def _monic_solution(r, factors, n, fibers):
                  for i in range(1, n + 1))
 
 
+def _check_query(r, s, x):
+    """Raise unless s is r over a wider base and x lives over s."""
+    _check_base_change(r, s)
+    if not isinstance(x, (Element, Fraction)) or x.parent != s:
+        raise IncompatibleRingsError("x must live in the big ring")
+
+
 def _num_den(x):
-    """(num, den, embed): x = num/den, and embed maps ring elements into
-    the ring x lives in (the identity for an element, whose den is 1)."""
+    """(num, den) with x = num/den; den is 1 for an element."""
     if isinstance(x, Fraction):
-        return x.num, x.den, Fraction.from_element
-    return x, Element.one(x.parent), lambda e: e
+        return x.num, x.den
+    return x, Element.one(x.parent)
+
+
+def _cleared(num, den, coeffs):
+    """num^n + sum coeffs[i-1] * num^(n-i) * den^i, by Horner's rule.
+
+    This is den^n times x^n + sum a_i x^(n-i) for x = num/den, and den
+    is a homogeneous non zero divisor, so one vanishes iff the other does.
+    """
+    acc, den_i = num + coeffs[0] * den, den
+    for a in coeffs[1:]:
+        den_i = den_i * den
+        acc = acc * num + a * den_i
+    return acc
 
 
 def verify_integral_witness(r, s, x, w):
     """Exact check of a monic witness: equation, membership, degrees.
 
-    x is an element of s or a homogeneous fraction over s; Horner's rule
-    evaluates the equation, in genuine fraction arithmetic for the latter.
+    x is an element of s or a homogeneous fraction over s; the equation
+    is evaluated cleared of the denominator, in the arithmetic of s.
     """
-    _check_base_change(r, s)
+    _check_query(r, s, x)
     if not isinstance(w, IntegralityWitness) or w.degree < 1:
         return False
     if len(w.coeffs) != w.degree:
         return False
     for a in w.coeffs:
-        if a.parent != r:
+        if not isinstance(a, Element) or a.parent != r:
             return False
-    num, den, embed = _num_den(x)
+    num, den = _num_den(x)
     if not x.is_zero and is_homogeneous(num):
         g = degree_of(num) - degree_of(den)
         for i, a in enumerate(w.coeffs, start=1):
@@ -213,10 +232,7 @@ def verify_integral_witness(r, s, x, w):
                 return False
             if degree_of(a) != i * g:
                 return False
-    acc = x + embed(reparent(w.coeffs[0], s))
-    for a in w.coeffs[1:]:
-        acc = acc * x + embed(reparent(a, s))
-    return acc.is_zero
+    return _cleared(num, den, [reparent(a, s) for a in w.coeffs]).is_zero
 
 
 def _search(r, s, x, max_deg, box):
@@ -250,15 +266,13 @@ def _search(r, s, x, max_deg, box):
         raise GradalError(f"max_deg must be at least 1, got {max_deg}")
     if box < 0:
         raise GradalError(f"support box must be at least 0, got {box}")
-    _check_base_change(r, s)
-    if x.parent != s:
-        raise IncompatibleRingsError("x must live in the big ring")
+    _check_query(r, s, x)
     if x.is_zero:
         raise ZeroElementError("integrality of zero is trivial; pass nonzero x")
+    num, den = _num_den(x)
     if not (r.base == "Z" and not classify(r).entire
-            and any(c.denominator != 1 for c in x.terms.values())):
+            and any(c.denominator != 1 for c in num.terms.values())):
         max_deg = 1
-    num, den, _ = _num_den(x)
     g = degree_of(num) - degree_of(den)
     fibers = [None] + [box_fiber(r.delta, box, i * g)
                        for i in range(1, max_deg + 1)]
@@ -295,18 +309,13 @@ def find_almost_integral_witness(r, s, x, k_max=2, support_box=3):
     w = _search(r, s, x, k_max + 1, support_box)
     if w is None:
         return NoWitnessUpTo(k_max=k_max, box=support_box)
-    k = w.degree - 1
     combination = tuple(-a for a in reversed(w.coeffs))
-    _, _, embed = _num_den(x)
-    powers = [embed(Element.one(s))]
-    for _ in range(k + 1):
-        powers.append(powers[-1] * x)
-    acc = embed(Element.zero(s))
-    for ri, p in zip(combination, powers):
-        acc = acc + embed(reparent(ri, s)) * p
-    if acc != powers[k + 1]:
+    num, den = _num_den(x)
+    # x^(k+1) - sum combination[i] * x^i, cleared of den
+    if not _cleared(num, den, [-reparent(c, s)
+                               for c in reversed(combination)]).is_zero:
         raise InternalInvariantError("membership witness failed verification")
-    return AlmostIntegralWitness(k, combination)
+    return AlmostIntegralWitness(w.degree - 1, combination)
 
 
 def find_integral_equation_fraction(r, x, max_deg=3, support_box=3):
@@ -417,17 +426,17 @@ def torsion_idempotent(n):
 class LaurentStructure:
     """A ring together with its Laurent extension by one invisible z.
 
-    ring is base_ring with one adjoined exponent z of degree zero; the
-    maps split every exponent of ring into (base exponent, z power).
+    ring is base_ring with one adjoined exponent z of degree zero.
+    emb_e carries base exponents into ring, z_proj reads the z power of
+    an exponent of ring, and z_gen is the exponent of z itself.
     """
 
-    __slots__ = ("ring", "base_ring", "emb_e", "proj_e", "z_proj", "z_gen")
+    __slots__ = ("ring", "base_ring", "emb_e", "z_proj", "z_gen")
 
-    def __init__(self, ring, base_ring, emb_e, proj_e, z_proj, z_gen):
+    def __init__(self, ring, base_ring, emb_e, z_proj, z_gen):
         self.ring = ring
         self.base_ring = base_ring
         self.emb_e = emb_e
-        self.proj_e = proj_e
         self.z_proj = z_proj
         self.z_gen = z_gen
 
@@ -439,32 +448,27 @@ def laurent_extension(r):
     ds = direct_sum(r.egroup, zgrp)
     ring = group_algebra(r, zgrp, "coarse")
     z_gen = ds.inj2.apply(zgrp.element((1,)))
-    return LaurentStructure(ring, r, ds.inj1, ds.proj1, ds.proj2, z_gen)
+    return LaurentStructure(ring, r, ds.inj1, ds.proj2, z_gen)
 
 
-def _z_split(struct, x):
-    """x as {z exponent: coefficient Element of the base ring}."""
-    buckets = {}
-    for f, c in x.terms.items():
-        k = struct.z_proj.apply(f).coords[0]
-        rf = struct.proj_e.apply(f)
-        buckets.setdefault(k, {})[rf] = buckets.get(k, {}).get(rf, 0) + c
-    return {k: Element(struct.base_ring, t) for k, t in buckets.items()
-            if any(t.values())}
-
-def _z_embed(struct, coeff, k):
-    shift = k * struct.z_gen
-    return Element(struct.ring,
-                   {struct.emb_e.apply(f) + shift: c
-                    for f, c in coeff.terms.items()})
+def _z_top(struct, x):
+    """(k, top): the z-degree k of a nonzero x in struct.ring, its highest
+    z power, and top, the terms of x that carry z^k."""
+    zdeg = {f: struct.z_proj.apply(f).coords[0] for f in x.terms}
+    k = max(zdeg.values())
+    return k, Element(struct.ring, {f: c for f, c in x.terms.items()
+                                    if zdeg[f] == k})
 
 
 def graded_euclidean_division(struct, f, g):
     """g = u*f + v with the z-degree of v strictly below that of f.
 
     Needs a simple base ring so the leading z-coefficient (homogeneous,
-    nonzero) is invertible.  Processing always eliminates the maximal z
-    power, so the result does not depend on term order.
+    nonzero) is invertible.  Everything stays in the Laurent ring: lead,
+    the top z-layer of f, is inverted there, and each step removes the
+    top z-layer of v with the quotient term top * lead^-1.  Processing
+    always eliminates the maximal z power, so the result does not depend
+    on term order.
     """
     if not isinstance(struct, LaurentStructure):
         raise GradalError("pass the Laurent structure, see laurent_extension")
@@ -478,21 +482,17 @@ def graded_euclidean_division(struct, f, g):
         return Element.zero(struct.ring), Element.zero(struct.ring)
     degree_of(f)
     degree_of(g)
-    fsplit = _z_split(struct, f)
-    fdeg = max(fsplit)
-    lead = fsplit[fdeg]
+    fdeg, lead = _z_top(struct, f)
     res = homogeneous_unit_test(lead)
     if not isinstance(res, Unit):
         raise NotSimpleBaseError("leading coefficient is not invertible")
-    linv = res.inverse
     u = Element.zero(struct.ring)
     v = g
     while not v.is_zero:
-        vsplit = _z_split(struct, v)
-        vdeg = max(vsplit)
+        vdeg, top = _z_top(struct, v)
         if vdeg < fdeg:
             break
-        q = _z_embed(struct, vsplit[vdeg] * linv, vdeg - fdeg)
+        q = top * res.inverse
         u = u + q
         v = v - q * f
     return u, v

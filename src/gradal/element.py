@@ -1,9 +1,10 @@
-"""Elements of graded group algebras and their fraction rings.
+"""Elements of graded group algebras, and homogeneous fractions of them.
 
 An element is a finite sum of terms c * e(f) with f in the exponent
 group E and c in the base (int for Z, Fraction for Q).  Multiplication
 is convolution of exponents.  Degrees live in the grading group via the
-parent's degree map.
+parent's degree map.  A Fraction is a checked pair (num, den) handed to
+the witness search; all arithmetic is the ring's.
 
 The two decision procedures here are exact, not sampled, and both work
 in the ring's own exponent coordinates.  E = Z^r x T, so base[E] is the
@@ -25,7 +26,7 @@ summed to a target.
 """
 
 from fractions import Fraction as Rational
-from math import gcd, lcm
+from math import lcm
 
 from .abelian import hom_kernel
 from .errors import (
@@ -367,16 +368,21 @@ def homogeneous_unit_test(x):
 
 
 class Fraction:
-    """Quotient of two elements with a homogeneous nonzero denominator.
+    """A homogeneous fraction num/den over an entire ring, as a search input.
 
-    Only defined over entire rings.  Equality is cross multiplication;
-    cancellation is opportunistic (integer content, monomial denominators)
-    and never required for correctness.
+    The gates are those of a fraction: num and den Elements of one ring,
+    den nonzero and homogeneous, the ring entire.  There is no fraction
+    arithmetic: the witness search and its verification multiply through
+    by powers of den, a non zero divisor, and stay in the ring.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
+        for part in (num, den):
+            if not isinstance(part, Element):
+                raise ParentMismatchError(
+                    f"cannot form a fraction of a {type(part).__name__}")
         if num.parent != den.parent:
             raise ParentMismatchError("numerator and denominator rings differ")
         if den.is_zero:
@@ -384,7 +390,6 @@ class Fraction:
         if not classify(num.parent).entire:
             raise NotEntireError("fractions need an entire ring")
         degree_of(den)  # raises NotHomogeneous when den is mixed
-        num, den = _cancel(num, den)
         self.num = num
         self.den = den
 
@@ -392,82 +397,15 @@ class Fraction:
     def parent(self):
         return self.num.parent
 
-    @classmethod
-    def from_element(cls, x):
-        return cls(x, Element.one(x.parent))
-
     @property
     def is_zero(self):
         return self.num.is_zero
-
-    def __add__(self, other):
-        self._check(other)
-        return Fraction(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-
-    def __neg__(self):
-        return Fraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        return Fraction(self.num * other.num, self.den * other.den)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise GradalError("negative powers of a fraction are not "
-                              "supported; swap numerator and denominator")
-        out = Fraction.from_element(Element.one(self.parent))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def _check(self, other):
-        if not isinstance(other, Fraction):
-            raise ParentMismatchError(f"cannot combine Fraction with {other!r}")
-        if other.parent != self.parent:
-            raise ParentMismatchError("fractions over different rings")
-
-    def __eq__(self, other):
-        if not isinstance(other, Fraction) or other.parent != self.parent:
-            return False
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self):
-        raise TypeError("fractions are compared by cross multiplication, "
-                        "not hashed")
 
     def __str__(self):
         return f"({self.num})/({self.den})"
 
     def __repr__(self):
         return f"<{self} in {self.parent.describe()}>"
-
-
-def _cancel(num, den):
-    """Cheap cancellations that keep representatives small."""
-    if num.is_zero:
-        return num, Element.one(num.parent)
-    if len(den.terms) == 1:
-        f, c = next(iter(den.terms.items()))
-        if num.parent.base == "Q":
-            shifted = Element(num.parent,
-                              {ff - f: cc / c for ff, cc in num.terms.items()})
-            return shifted, Element.one(num.parent)
-        if c in (1, -1):
-            shifted = Element(num.parent,
-                              {ff - f: cc * c for ff, cc in num.terms.items()})
-            return shifted, Element.one(num.parent)
-    if num.parent.base == "Z":
-        cn = gcd(*(abs(c) for c in num.terms.values())) if num.terms else 0
-        cd = gcd(*(abs(c) for c in den.terms.values()))
-        g = gcd(cn, cd)
-        if g > 1:
-            num = Element(num.parent, {f: c // g for f, c in num.terms.items()})
-            den = Element(den.parent, {f: c // g for f, c in den.terms.items()})
-    return num, den
 
 
 class P70Report:

@@ -32,6 +32,7 @@ from .abelian import (
 )
 from .closure import (
     IntegralityWitness,
+    _z_top,
     components_integral_check,
     find_integral_equation,
     find_integral_equation_fraction,
@@ -550,12 +551,6 @@ def _check_a140(trial, seed, bounds):
                                    "not reported contained")
 
 
-def _z_degree(struct, x):
-    if x.is_zero:
-        return None
-    return max(struct.z_proj.apply(f).coords[0] for f in x.terms)
-
-
 def _shuffled_copy(rng, x):
     items = list(x.terms.items())
     rng.shuffle(items)
@@ -586,8 +581,7 @@ def _check_f20(trial, seed, bounds):
     u, v = graded_euclidean_division(struct, f, g)
     if g != u * f + v:
         return "fail", _payload(f=f, g=g, u=u, v=v, reason="g != u*f + v")
-    fd, vd = _z_degree(struct, f), _z_degree(struct, v)
-    if vd is not None and vd >= fd:
+    if not v.is_zero and _z_top(struct, v)[0] >= _z_top(struct, f)[0]:
         return "fail", _payload(f=f, g=g, v=v, reason="remainder too large")
     u2, v2 = graded_euclidean_division(struct, _shuffled_copy(rng, f),
                                        _shuffled_copy(rng, g))

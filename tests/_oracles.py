@@ -10,8 +10,10 @@ stop at degree 1, solving each degree's system with the package's
 solver; nzd_by_blocks and unit_by_blocks are the unit and zero-divisor
 decisions on the package's elements and solvers, with their systems
 assembled from Laurent multiplication blocks rather than shifted
-copies; tokenize_by_characters is the CLI's earlier scanner, a loop
-over characters that the regular-expression scanner must agree with.
+copies; verify_by_fractions is the witness check in fraction-field
+arithmetic on the package's elements; tokenize_by_characters is the
+CLI's earlier scanner, a loop over characters that the
+regular-expression scanner must agree with.
 """
 
 from fractions import Fraction
@@ -43,6 +45,8 @@ from gradal.element import (
     Unit,
     ZeroDivisor,
     degree_of,
+    is_homogeneous,
+    reparent,
 )
 from gradal.errors import (
     DslSyntaxError,
@@ -510,6 +514,37 @@ def search_every_degree(r, s, x, max_deg, box):
             assert verify_integral_witness(r, s, x, w)
             return w
     return None
+
+
+# --- the witness check in fraction-field arithmetic ---
+
+def verify_by_fractions(r, s, x, w):
+    """verify_integral_witness as it ran before its equation was cleared
+    of denominators: the same gates, then Horner's rule on x = num/den in
+    the fraction field, a fraction held as a (num, den) pair of Elements
+    and added and multiplied by cross multiplication.  It vanishes iff
+    its numerator does, den being a non zero divisor."""
+    if len(w.coeffs) != w.degree or any(a.parent != r for a in w.coeffs):
+        return False
+    num, den = ((x.num, x.den) if isinstance(x, RingFraction)
+                else (x, Element.one(s)))
+    if not x.is_zero and is_homogeneous(num):
+        g = degree_of(num) - degree_of(den)
+        for i, a in enumerate(w.coeffs, start=1):
+            if not a.is_zero and (not is_homogeneous(a)
+                                  or degree_of(a) != i * g):
+                return False
+
+    def add(p, q):
+        return p[0] * q[1] + q[0] * p[1], p[1] * q[1]
+
+    def embed(a):
+        return reparent(a, s), Element.one(s)
+
+    acc = add((num, den), embed(w.coeffs[0]))
+    for a in w.coeffs[1:]:
+        acc = add((acc[0] * num, acc[1] * den), embed(a))
+    return acc[0].is_zero
 
 
 # --- the CLI scanner, character by character ---

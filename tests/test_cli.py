@@ -3,6 +3,7 @@ name binding."""
 
 import gc
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -21,6 +22,10 @@ from gradal.errors import DslSyntaxError, GradalError
 from gradal.ringexpr import BaseQ, group_algebra, normalize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# subprocesses find the package in the checkout, installed or not
+ENV = dict(os.environ,
+           PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent
+                          / "src"))
 
 
 def run_main(capsys, *argv):
@@ -407,7 +412,7 @@ def test_divide_through_aliases(ring):
     so that a cycle in the name chase fails instead of hanging)."""
     proc = subprocess.run(
         [sys.executable, "-m", "gradal.cli", "divide", ring, "e(1)", "e(2)"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"u": "e(1)", "v": "0"}
 
@@ -565,10 +570,10 @@ def test_parse_and_evaluate(expect, text, value):
 def test_module_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "gradal.cli", "classify", "Q[Z]fine"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ring"] == "Q[Z] graded by Z"
     proc = subprocess.run(
         [sys.executable, "-m", "gradal.cli", "classify", "Q[Z"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 2

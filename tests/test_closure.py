@@ -7,7 +7,12 @@ from math import lcm
 
 import pytest
 
-from _oracles import divide_reference, lem50_reference, search_every_degree
+from _oracles import (
+    divide_reference,
+    lem50_reference,
+    search_every_degree,
+    verify_by_fractions,
+)
 import gradal.closure as closure
 from gradal.abelian import (
     FgGroup,
@@ -20,6 +25,7 @@ from gradal.closure import (
     AlmostIntegralWitness,
     IntegralityWitness,
     NoWitnessUpTo,
+    _z_top,
     components_integral_check,
     find_almost_integral_witness,
     find_integral_equation,
@@ -32,7 +38,7 @@ from gradal.closure import (
     verify_integral_witness,
     witness_str,
 )
-from gradal.element import Element, Fraction, reparent
+from gradal.element import Element, Fraction, degree_of, reparent
 from gradal.harness import generate_instance
 from gradal.intmat import solve_int
 from gradal.errors import (
@@ -62,10 +68,6 @@ Z = normalize(BaseZ())
 
 def e(nf, *coords, c=1):
     return Element.monomial(nf, nf.egroup.element(coords), c)
-
-
-def z_top(struct, x):
-    return max(struct.z_proj.apply(t).coords[0] for t in x.terms)
 
 
 # --- inclusions: a base change is a reparent ---
@@ -553,14 +555,74 @@ def test_verify_fraction_witness():
         found = fraction_search(sub, x, max_deg=2, support_box=2)
         assert isinstance(found, IntegralityWitness)
         assert verify_integral_witness(sub, x.parent, x, found)
-    # (x - t)(x - 1) = 0 holds for x = t/1, but a1 = -(t + 1) is not
-    # homogeneous and a2 = t has degree 1, not 2 * deg(x).
+    # (x - t)(x - 1) = 0 holds for x = t/1, cleared of den = 1, but
+    # a1 = -(t + 1) is not homogeneous and a2 = t has degree 1, not
+    # 2 * deg(x).
     x = Fraction(t, one)
     bad = IntegralityWitness(2, (-(t + one), t))
-    assert (x * x - Fraction.from_element(t + one) * x
-            + Fraction.from_element(t)).is_zero
+    num, den = x.num, x.den
+    assert (num * num - (t + one) * num * den + t * den * den).is_zero
     assert not verify_integral_witness(zr, zr, x, bad)
     assert not verify_integral_witness(zr, zr, t, bad)
+
+
+def test_verify_matches_fraction_field_oracle():
+    """The cleared check accepts exactly what Horner's rule in fraction-
+    field arithmetic accepts: found witnesses, each with one coefficient
+    changed (in degree or not), and degree-1 candidates from the fiber,
+    for elements and fractions over Z and Q, fine and coarse rings, one-
+    and two-term denominators."""
+    rng = random.Random(4800)
+    seen, verdicts = set(), set()
+    for i in range(400):
+        fraction = i % 2 == 1
+        r, s, x = _query(rng, PAIRS[i % 3], i % 4 < 2, fraction)
+        den = x.den if fraction else Element.one(s)
+        g = degree_of(x.num if fraction else x) - degree_of(den)
+        w = find_integral_equation(r, s, x, 2, rng.randint(1, 2))
+        ws = [IntegralityWitness(1, (Element(r, {
+            rng.choice(box_fiber(r.delta, 1, g) or [r.egroup.zero()]):
+            rng.choice((-2, -1, 1, 2))}),))]
+        if isinstance(w, IntegralityWitness):
+            j = rng.randrange(w.degree)
+            fiber = box_fiber(r.delta, 1, (j + 1) * g)
+            f = (rng.choice(fiber) if fiber and rng.randint(0, 1)
+                 else rng.choice(list(r.egroup.box_elements(1))))
+            coeffs = list(w.coeffs)
+            coeffs[j] = coeffs[j] + e(r, *f.coords, c=rng.choice((-1, 1)))
+            ws += [w, IntegralityWitness(w.degree, tuple(coeffs))]
+        for cand in ws:
+            got = verify_integral_witness(r, s, x, cand)
+            assert got == verify_by_fractions(r, s, x, cand), (x, cand.coeffs)
+            verdicts.add((fraction, got))
+        seen.add((r.base, r.delta.is_injective(), len(den.terms) > 1))
+    assert verdicts == {(f, v) for f in (False, True) for v in (False, True)}
+    assert ({(b, fine) for b, fine, _ in seen}
+            == set(product("ZQ", (False, True))))
+    assert {two for *_, two in seen} == {False, True}
+
+
+def test_verify_rejects_a_coefficient_that_is_not_an_element():
+    zr = group_algebra(Z, FgGroup(1, ()), "fine")
+    t = e(zr, 1)
+    for a in (1, None, Fraction(t, Element.one(zr))):
+        w = IntegralityWitness(1, (a,))
+        assert not verify_integral_witness(zr, zr, t, w)
+
+
+def test_verify_needs_x_over_the_big_ring():
+    """An x over another ring, or no ring element at all, is a typed
+    error in the check and in the search alike."""
+    zr = group_algebra(Z, FgGroup(1, ()), "fine")
+    qr = group_algebra(Q, FgGroup(1, ()), "fine")
+    w = IntegralityWitness(1, (-e(zr, 1),))
+    for x in (e(zr, 1), Fraction(e(zr, 1), Element.one(zr)), 5):
+        with pytest.raises(IncompatibleRingsError,
+                           match="^x must live in the big ring$"):
+            verify_integral_witness(zr, qr, x, w)
+        with pytest.raises(IncompatibleRingsError,
+                           match="^x must live in the big ring$"):
+            find_integral_equation(zr, qr, x)
 
 
 def test_finders_reject_zero():
@@ -690,7 +752,7 @@ def test_division_high_power():
     u, v = graded_euclidean_division(struct, f, g)
     assert g == u * f + v
     assert v == e(ring, 0)
-    assert z_top(struct, v) < z_top(struct, f)
+    assert _z_top(struct, v)[0] < _z_top(struct, f)[0]
 
 
 def test_division_edge_cases():
@@ -733,7 +795,7 @@ def test_division_random_against_reference():
         u, v = graded_euclidean_division(struct, f, g)
         assert g == u * f + v
         if not v.is_zero:
-            assert z_top(struct, v) < z_top(struct, f)
+            assert _z_top(struct, v)[0] < _z_top(struct, f)[0]
         ref = divide_reference(struct, f, g)
         assert ref is not None
         quo, rem = ref
@@ -781,7 +843,7 @@ def test_division_over_graded_base():
         u, v = graded_euclidean_division(struct, f, g)
         assert g == u * f + v
         if not v.is_zero:
-            assert z_top(struct, v) < z_top(struct, f)
+            assert _z_top(struct, v)[0] < _z_top(struct, f)[0]
 
 
 # --- exponent transport ---
