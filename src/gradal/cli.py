@@ -48,6 +48,8 @@ import re
 import sys
 from fractions import Fraction as Rational
 
+# closure, element and harness are imported by the subcommands that run
+# them, so a cold command compiles only the modules it uses.
 from .abelian import (
     FgGroup,
     GroupHom,
@@ -57,18 +59,6 @@ from .abelian import (
     quotient_by,
     subgroup_generated_by,
 )
-from .closure import (
-    AlmostIntegralWitness,
-    IntegralityWitness,
-    find_almost_integral_witness,
-    find_integral_equation,
-    graded_euclidean_division,
-    laurent_extension,
-    lem50_iso,
-    torsion_idempotent,
-    witness_str,
-)
-from .element import Element, ZeroDivisor, homogeneous_components, nzd_test
 from .errors import (
     DslSyntaxError,
     DslTypeError,
@@ -77,7 +67,6 @@ from .errors import (
     InternalInvariantError,
     UnknownCheckIdError,
 )
-from .harness import CheckConfig, jsonable, report_json, run_check
 from .ringexpr import (
     BaseQ,
     BaseZ,
@@ -581,6 +570,7 @@ def _eval_gens(node, group):
 
 
 def _eval_elem(node, nf):
+    from .element import Element
     if isinstance(node, RefAst):
         raise _unbound(node)
     terms = {}
@@ -658,6 +648,7 @@ def _cmd_classify(args, scope):
 
 
 def _cmd_components(args, scope):
+    from .element import homogeneous_components
     nf, _, scope = _ring_arg(args.ring, scope)
     x = _elem_arg(args.elem, nf, scope)
     out = []
@@ -669,6 +660,7 @@ def _cmd_components(args, scope):
 
 
 def _cmd_integrality(args, scope):
+    from .closure import IntegralityWitness, find_integral_equation, witness_str
     r, s, x = _inclusion_args(args, scope)
     res = find_integral_equation(r, s, x, args.max_deg, args.box)
     if isinstance(res, IntegralityWitness):
@@ -678,6 +670,7 @@ def _cmd_integrality(args, scope):
 
 
 def _cmd_almost(args, scope):
+    from .closure import AlmostIntegralWitness, find_almost_integral_witness
     r, s, x = _inclusion_args(args, scope)
     res = find_almost_integral_witness(r, s, x, args.kmax, args.box)
     if isinstance(res, AlmostIntegralWitness):
@@ -687,6 +680,7 @@ def _cmd_almost(args, scope):
 
 
 def _cmd_divide(args, scope):
+    from .closure import graded_euclidean_division, laurent_extension
     _, ast, scope = _ring_arg(args.ring, scope)
     if not (ast.kind == "algebra" and ast.alg_kind == "coarse"
             and _eval_group(ast.group) == FgGroup(1, ())):
@@ -701,6 +695,7 @@ def _cmd_divide(args, scope):
 
 def _idempotent_fields(n):
     """The torsion idempotent record and its five printed fields."""
+    from .closure import torsion_idempotent, witness_str
     rec = torsion_idempotent(n)
     return rec, {"n": rec.n, "f": str(rec.f), "c": str(rec.c),
                  "d": str(rec.d), "witness": witness_str(rec.witness)}
@@ -714,6 +709,7 @@ def _cmd_idempotent(args, scope):
 
 
 def _cmd_iso_lem50(args, scope):
+    from .closure import lem50_iso
     nf, _, scope = _ring_arg(args.ring, scope)
     node, _ = _parse(args.subgroup, scope, _Parser.gens)
     fgens = _eval_gens(node, nf.ggroup)
@@ -733,6 +729,7 @@ def _cmd_iso_lem50(args, scope):
 
 
 def _cmd_check(args, scope):
+    from .harness import CheckConfig, report_json, run_check
     report = run_check(CheckConfig(args.check_id, args.trials, args.seed))
     return [json.loads(report_json(report))]
 
@@ -762,6 +759,7 @@ def _demo_a140():
 
 
 def _demo_p90():
+    from .element import Element, ZeroDivisor, nzd_test
     good = group_algebra(normalize(BaseQ()), FgGroup(2, ()), "fine")
     psi = GroupHom(good.ggroup, FgGroup(1, ()), ((1, 1),))
     entire_side = {
@@ -862,8 +860,9 @@ def _parser():
 
 
 def _emit(objects, pretty):
+    """Each subcommand builds JSON-native objects: str keys, lists, and
+    rationals already written as strings."""
     for obj in objects:
-        obj = jsonable(obj)
         if pretty:
             print(json.dumps(obj, indent=2))
         else:

@@ -1,11 +1,14 @@
 """Source hygiene: no module imports a name it never uses, every
 function the bench tracer wraps still exists and every function a bench
 workload must reach is called by its inputs, every __all__ entry
-resolves, rings are built only by the ringexpr constructors, every
-CLI subcommand is run by some test in tests/test_cli.py, every word
-the DSL parser reads as grammar is a keyword a let cannot bind, every
-__slots__ field of a gradal class is read somewhere, and nothing in
-gradal uses dataclasses, so importing it generates no code.
+resolves, the package re-exports each public name as its defining
+module's object, read at each access, rings are built only by the
+ringexpr constructors, every CLI subcommand is run by some test in
+tests/test_cli.py, every word the DSL parser reads as grammar is a
+keyword a let cannot bind, every __slots__ field of a gradal class is
+read somewhere, and nothing in gradal uses dataclasses, so importing it
+generates no code.  In a fresh interpreter, import gradal loads no
+submodule and each golden CLI command loads exactly the modules it runs.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
 is read anywhere in the module or listed in the module's __all__.  The
@@ -211,6 +214,52 @@ def test_all_entries_resolve():
         missing)
 
 
+def test_public_names_come_from_their_defining_module():
+    """gradal re-exports each __all__ name as the very object of the
+    module that defines it: the Fraction of element, not the
+    fractions.Fraction that intmat also binds."""
+    import fractions
+    import gradal
+    from gradal import element, intmat
+    assert gradal.Fraction is element.Fraction is not fractions.Fraction
+    assert gradal.hermite_columns is intmat.hermite_columns
+    assert set(gradal._OWNER) == set(gradal.__all__)
+    wrong = []
+    for name in gradal.__all__:
+        module = importlib.import_module("gradal." + gradal._OWNER[name])
+        obj = getattr(module, name)
+        if (getattr(gradal, name) is not obj
+                or getattr(obj, "__module__", module.__name__)
+                != module.__name__):
+            wrong.append(f"gradal.{name} is not {module.__name__}.{name}")
+    assert not wrong, "\n".join(wrong)
+
+
+def test_package_namespace():
+    """A star import binds all of __all__, dir lists it, and a name the
+    package does not export is an AttributeError, not a lookup into some
+    module (solve_int is intmat's, not public)."""
+    import gradal
+    scope = {}
+    exec("from gradal import *", scope)
+    assert set(gradal.__all__) <= set(scope)
+    assert set(gradal.__all__) <= set(dir(gradal))
+    assert not hasattr(gradal, "no_such_name")
+    assert not hasattr(gradal, "solve_int")
+
+
+def test_package_names_are_read_at_each_access(monkeypatch):
+    """The package caches nothing, so a function patched into its
+    defining module is the one gradal returns, until the patch is undone."""
+    import gradal
+    from gradal import closure
+    original, patched = closure.find_integral_equation, object()
+    monkeypatch.setattr(closure, "find_integral_equation", patched)
+    assert gradal.find_integral_equation is patched
+    monkeypatch.undo()
+    assert gradal.find_integral_equation is original
+
+
 def invoked_strings(source):
     """String constants passed to a call or listed in a tuple or list:
     the places a CLI test spells out its argv."""
@@ -339,15 +388,62 @@ def test_no_dataclasses_in_gradal():
                        "__slots__ class:\n" + "\n".join(found))
 
 
+def fresh_stdout(code, *argv):
+    """What code prints in a fresh interpreter without site imports, with
+    gradal on its path and argv as sys.argv[1:]."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 def test_cli_import_loads_no_code_generators():
     """A fresh interpreter without site imports gradal.cli and loads
     neither dataclasses nor inspect."""
     code = ("import sys; import gradal.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert fresh_stdout(code) == "[]"
+
+
+GRADAL_LOADED = ("import sys; print(' '.join(sorted(m for m in sys.modules "
+                 "if m == 'gradal' or m.startswith('gradal.'))))")
+
+# What gradal.cli imports at the top, and the modules beyond those that
+# each golden command loads.
+CLI_TOP = ("gradal", "gradal.cli", "gradal.errors", "gradal.abelian",
+           "gradal.intmat", "gradal.ringexpr")
+COMMAND_MODULES = {
+    "classify": (),
+    "demo a140": (),
+    "demo p90": ("element",),
+    "demo a90": ("closure", "element"),
+    "divide": ("closure", "element"),
+    "integrality": ("closure", "element"),
+    "check": ("closure", "element", "harness"),
+}
+
+
+def test_import_gradal_loads_no_submodule():
+    assert fresh_stdout("import gradal; " + GRADAL_LOADED) == "gradal"
+
+
+def test_cli_commands_load_only_their_modules():
+    """Each golden command (CLI_COMMANDS in bench/workloads.py), run by
+    main in a fresh interpreter, loads exactly the gradal modules it
+    runs: only check compiles the harness, and classify and demo a140
+    compile neither closure nor element."""
+    code = ("import contextlib, io, sys\nfrom gradal.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0\n" + GRADAL_LOADED)
+    wrong = []
+    for _, _, argv in bench_table("workloads.py", "CLI_COMMANDS"):
+        key = " ".join(argv[:2]) if argv[0] == "demo" else argv[0]
+        want = " ".join(sorted(CLI_TOP + tuple(
+            "gradal." + m for m in COMMAND_MODULES[key])))
+        got = fresh_stdout(code, *argv)
+        if got != want:
+            wrong.append(f"{' '.join(argv)}: loads {got}, not {want}")
+    assert not wrong, "\n".join(wrong)
 
 
 def slot_fields(source):
