@@ -3,13 +3,14 @@
 A group is written as Z^rank x Z/d1 x ... x Z/dk with 2 <= d1 | d2 | ...
 | dk.  Elements are integer coordinate vectors with torsion coordinates
 reduced into [0, dj).  Homomorphisms are integer matrices acting on
-coordinates.  All structural operations (quotients, subgroups, kernels,
-direct sums) go through Smith normal form of a presentation matrix and
-return the result together with the maps that relate it to its ambient
-group, since renormalization permutes and mixes coordinates.
+coordinates.  Structural operations (quotients, subgroups, kernels,
+direct sums) return the result together with the maps that relate it to
+its ambient group, since renormalization permutes and mixes coordinates.
 
-Lattice membership and integer solving use the Hermite echelon form
-instead, which keeps the two concerns independently testable.
+Invariant factors come from the Smith form of a presentation matrix.
+Bases, kernels, coordinates and integer solutions come from the column
+Hermite form, which is unique for its lattice, so they never depend on
+the generators that span it.
 
 >>> G = FgGroup(1, (4,))
 >>> G.element((3, 7)).coords
@@ -31,10 +32,10 @@ from .errors import (
     ParentMismatchError,
 )
 from .intmat import (
+    _echelon_solve,
     hermite_columns,
     identity,
     inverse_unimodular,
-    kernel_int,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -374,7 +375,7 @@ def normalize_presentation(ambient_dim, rel_cols):
     m = ambient_dim
     k = len(rel_cols)
     a = [[rel_cols[j][i] for j in range(k)] for i in range(m)]
-    u, d, _ = smith_normal_form(a, m, k)
+    u, d = smith_normal_form(a, m, k)
     diag = [d[i][i] for i in range(min(m, k))]
     torsion_idx = [i for i, val in enumerate(diag) if val >= 2]
     free_idx = [i for i in range(m) if i >= len(diag) or diag[i] == 0]
@@ -396,15 +397,15 @@ def _subgroup_from_lattice(g, lattice_cols):
     cols = [list(c) for c in lattice_cols] + rels
     a = [[cols[j][i] for j in range(len(cols))] for i in range(m)]
     h, _, pivots = hermite_columns(a, m, len(cols))
-    basis = [[h[i][c] for i in range(m)] for (_, c) in pivots]
-    s = len(basis)
+    s = len(pivots)
     if s == 0:
         trivial = FgGroup(0, ())
         return trivial, zero_hom(trivial, g)
-    bmat = [[basis[j][i] for j in range(s)] for i in range(m)]
+    # The pivot columns 0..s-1 of h are a basis of the lattice.
+    bmat = [row[:s] for row in h]
     rel_in_basis = []
     for rc in rels:
-        x = solve_int(bmat, rc, m, s)
+        x = _echelon_solve(h, pivots, rc)
         if x is None:
             raise InternalInvariantError("relation escaped its own lattice")
         rel_in_basis.append(x)
@@ -449,9 +450,12 @@ def _presentation(h):
 def hom_kernel(psi):
     """Kernel of a homomorphism as (k, iota) with iota: k -> domain."""
     a, b = psi.domain, psi.codomain
-    ker = kernel_int(_presentation(psi), b.dim, a.dim + len(b.torsion))
-    xparts = [vec[:a.dim] for vec in ker]
-    return _subgroup_from_lattice(a, xparts)
+    n = a.dim + len(b.torsion)
+    _, v, pivots = hermite_columns(_presentation(psi), b.dim, n)
+    # Every column of the echelon form after the pivots 0..k-1 is zero,
+    # so the same columns of v span the integer kernel.
+    return _subgroup_from_lattice(
+        a, [[row[j] for row in v[:a.dim]] for j in range(len(pivots), n)])
 
 
 def hom_image(psi):

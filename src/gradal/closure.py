@@ -398,10 +398,13 @@ def torsion_idempotent(n):
     lies outside the integer-coefficient subring, and satisfies the
     monic equation f^2 + (c-1)f - d = 0 with c = 1 + (n-1)e_g^(n-1) and
     d = n*f, both with integer coefficients.  All identities are checked
-    exactly on construction.
+    exactly on construction, at a cost quadratic in n, so orders above
+    256 are refused.
     """
     if n < 2:
         raise BadOrderError(f"need n >= 2, got {n}")
+    if n > 256:
+        raise BadOrderError(f"need n <= 256, got {n}")
     grp = FgGroup(0, (n,))
     ring_z = group_algebra(normalize(BaseZ()), grp, "coarse")
     ring_q = group_algebra(normalize(BaseQ()), grp, "coarse")

@@ -51,7 +51,7 @@ class IncompatibleRingsError(GradalError):
 
 
 class BadOrderError(GradalError):
-    """A torsion order outside the supported range (n >= 2)."""
+    """A torsion order outside the supported range (2 <= n <= 256)."""
 
 
 class NotSimpleBaseError(GradalError):

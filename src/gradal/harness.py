@@ -40,7 +40,6 @@ from .closure import (
     laurent_extension,
     lem50_iso,
     torsion_idempotent,
-    witness_str,
 )
 from .element import (
     Element,
@@ -76,7 +75,6 @@ __all__ = [
     "generate_instance",
     "run_check",
     "report_json",
-    "jsonable",
 ]
 
 _M64 = (1 << 64) - 1
@@ -438,7 +436,7 @@ def _check_a90(trial, seed, bounds):
     if not isinstance(w, IntegralityWitness) or w.degree != 2:
         return "fail", _payload(n=n, f=rec.f,
                                 reason="no degree-2 witness found")
-    return "pass", _payload(n=n, witness=witness_str(rec.witness))
+    return "pass", None
 
 
 def _integral_sample(rng, r, s, psi):
@@ -712,18 +710,6 @@ def run_check(cfg):
     )
 
 
-def jsonable(v):
-    if isinstance(v, Rational):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, dict):
-        return {str(k): jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [jsonable(x) for x in v]
-    if isinstance(v, (int, str, bool)) or v is None:
-        return v
-    return str(v)
-
-
 def report_json(report):
     obj = {
         "check_id": report.check_id,
@@ -734,7 +720,7 @@ def report_json(report):
         "inconclusive": report.inconclusive,
     }
     if report.counterexample is not None:
-        obj["counterexample"] = jsonable(report.counterexample)
+        obj["counterexample"] = report.counterexample
     if report.errors:
         obj.update(errors=len(report.errors), first_error=report.errors[0])
     return json.dumps(obj, separators=(",", ":"))

@@ -5,13 +5,17 @@ the rational routines), so every result is exact at any size.  Zero-row
 and zero-column shapes come up constantly when the trivial group is
 involved; functions that cannot infer a dimension take it explicitly.
 
-Two normal forms are provided with their transforms:
+Each question has one routine:
 
-* Smith normal form, used to put group presentations into invariant
-  factor form.  U * A * V = D with U, V unimodular and the diagonal of D
-  nonnegative with d1 | d2 | ... .
-* Column-style Hermite echelon form, used for lattice membership,
-  integer solving and unimodular inverses.  A * V = H, V unimodular.
+* Smith normal form answers invariant factors only: U * A * V = D with
+  U unimodular and the diagonal of D nonnegative with d1 | d2 | ... .
+  Only U and D are built.
+* The column Hermite form A * V = H, V unimodular, answers the lattice
+  questions: bases, integer kernels, integer solving and unimodular
+  inverses.  With its reduced entries it is unique for the lattice the
+  columns of A span.
+* Sparse Gauss-Jordan elimination answers rational systems and
+  nullspaces.
 """
 
 from fractions import Fraction
@@ -62,9 +66,8 @@ def _pivot_position(d, m, n, start):
     return None if best is None else (best[1], best[2])
 
 
-def _move_pivot(d, u, v, t, pos):
-    """Swap the pivot at pos into (t, t), carrying the row swap into u
-    and the column swap into v."""
+def _move_pivot(d, u, t, pos):
+    """Swap the pivot at pos into (t, t), carrying the row swap into u."""
     pi, pj = pos
     if pi != t:
         d[t], d[pi] = d[pi], d[t]
@@ -72,29 +75,27 @@ def _move_pivot(d, u, v, t, pos):
     if pj != t:
         for row in d:
             row[t], row[pj] = row[pj], row[t]
-        for row in v:
-            row[t], row[pj] = row[pj], row[t]
 
 
 def smith_normal_form(a, m=None, n=None):
-    """Return (u, d, v) with u*a*v = d in Smith normal form.
+    """Return (u, d) with u*a*v = d in Smith normal form for some
+    unimodular n x n matrix v, which is not built.
 
-    u is m x m, v is n x n, both unimodular.  The diagonal of d is
-    nonnegative and forms a divisibility chain; zero entries come last.
-    Pivot choice: smallest nonzero absolute value in the working
-    submatrix, ties broken row-major.
+    u is m x m and unimodular.  The diagonal of d is nonnegative and
+    forms a divisibility chain; zero entries come last.  Pivot choice:
+    smallest nonzero absolute value in the working submatrix, ties
+    broken row-major.
     """
     m = len(a) if m is None else m
     n = (len(a[0]) if a else 0) if n is None else n
     d = [list(row) for row in a]
     u = identity(m)
-    v = identity(n)
     t = 0
     while t < min(m, n):
         pos = _pivot_position(d, m, n, t)
         if pos is None:
             break
-        _move_pivot(d, u, v, t, pos)
+        _move_pivot(d, u, t, pos)
         # Clear row and column t; restart whenever a remainder shrinks
         # below the pivot, which guarantees termination.
         while True:
@@ -113,12 +114,10 @@ def smith_normal_form(a, m=None, n=None):
                     q = d[t][j] // d[t][t]
                     for row in d:
                         row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
                     if d[t][j]:
                         restart = True
             if restart:
-                _move_pivot(d, u, v, t, _pivot_position(d, m, n, t))
+                _move_pivot(d, u, t, _pivot_position(d, m, n, t))
                 continue
             # Row and column are clear.  Force divisibility of the rest.
             offender = None
@@ -141,16 +140,16 @@ def smith_normal_form(a, m=None, n=None):
             for j in range(m):
                 u[t][j] = -u[t][j]
         t += 1
-    return u, d, v
+    return u, d
 
 
 def hermite_columns(a, m=None, n=None):
     """Column echelon form: a*v = h with v unimodular.
 
     Returns (h, v, pivots) where pivots is a list of (row, col) with
-    strictly increasing rows and cols.  Pivot entries are positive,
-    entries left of a pivot in its row are reduced into [0, pivot), and
-    every non-pivot column is zero.
+    strictly increasing rows; the k-th pivot is in column k.  Pivot
+    entries are positive, entries left of a pivot in its row are reduced
+    into [0, pivot), and every non-pivot column is zero.
     """
     m = len(a) if m is None else m
     n = (len(a[0]) if a else 0) if n is None else n
@@ -200,6 +199,25 @@ def hermite_columns(a, m=None, n=None):
     return h, v, pivots
 
 
+def _echelon_solve(h, pivots, b):
+    """The y with h*y = b, one entry per pivot, or None when there is none.
+
+    h and pivots are as hermite_columns returns them, so pivot k sits in
+    column k and y is found by forward substitution down the pivot rows.
+    """
+    residual = list(b)
+    y = []
+    for (r, c) in pivots:
+        q, rem = divmod(residual[r], h[r][c])
+        if rem:
+            return None
+        y.append(q)
+        if q:
+            for i in range(r, len(h)):
+                residual[i] -= q * h[i][c]
+    return None if any(residual) else y
+
+
 def solve_int(a, b, m=None, n=None):
     """One integer solution x of a*x = b, or None.
 
@@ -209,32 +227,9 @@ def solve_int(a, b, m=None, n=None):
     m = len(a) if m is None else m
     n = (len(a[0]) if a else 0) if n is None else n
     h, v, pivots = hermite_columns(a, m, n)
-    residual = list(b)
-    y = [0] * n
-    for (r, c) in pivots:
-        val = residual[r]
-        if val % h[r][c]:
-            return None
-        q = val // h[r][c]
-        y[c] = q
-        if q:
-            for i in range(r, m):
-                residual[i] -= q * h[i][c]
-    if any(residual):
-        return None
-    return mat_vec(v, y)
-
-
-def kernel_int(a, m=None, n=None):
-    """Basis (list of length-n vectors) of the integer kernel of a."""
-    m = len(a) if m is None else m
-    n = (len(a[0]) if a else 0) if n is None else n
-    u, d, v = smith_normal_form(a, m, n)
-    basis = []
-    for j in range(n):
-        if j >= m or d[j][j] == 0:
-            basis.append([v[i][j] for i in range(n)])
-    return basis
+    y = _echelon_solve(h, pivots, b)
+    # mat_vec stops at the shorter vector: x = v[:, :len(y)] * y.
+    return None if y is None else mat_vec(v, y)
 
 
 def _rref(rows, ncols):

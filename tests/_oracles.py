@@ -53,7 +53,12 @@ from gradal.errors import (
     GradalError,
     HypothesisViolatedError,
 )
-from gradal.intmat import nullspace_rational, solve_rational
+from gradal.intmat import (
+    hermite_columns,
+    inverse_unimodular,
+    nullspace_rational,
+    solve_rational,
+)
 from gradal.ringexpr import classify, coarsen, group_algebra, restrict_data
 
 
@@ -71,6 +76,18 @@ def mat_mul_plain(a, b):
                 for j in range(cols):
                     out[i][j] += aik * b[k][j]
     return out
+
+
+def snf_column_transform(ua, d):
+    """A unimodular v with ua*v = d, built from column Hermite forms.
+
+    smith_normal_form builds no column transform.  ua and d must span
+    the same column lattice, which their Hermite forms, unique per
+    lattice, decide; then ua*w1 = h = d*w2 and v = w1 * w2^-1."""
+    h, w1, _ = hermite_columns(ua)
+    h2, w2, _ = hermite_columns(d)
+    assert h == h2
+    return mat_mul_plain(w1, inverse_unimodular(w2))
 
 
 def det_bareiss(rows):

@@ -340,6 +340,55 @@ def test_hom_kernel_matches_brute_force():
         assert members == brute
 
 
+def test_hom_kernel_with_free_rank():
+    """Domains with free rank: iota is an injective map into the kernel
+    of psi that reaches every kernel element of a box, and the quotient
+    by the kernel is the image (first isomorphism theorem)."""
+    rng = random.Random(4711)
+    kernel_ranks = set()
+    for _ in range(60):
+        a = FgGroup(rng.randint(1, 3), rng.choice([(), (2,), (3,), (2, 2)]))
+        b = random_group(rng)
+        psi = random_hom(rng, a, b)
+        kern, iota = hom_kernel(psi)
+        kernel_ranks.add(kern.rank)
+        assert compose(psi, iota) == zero_hom(kern, b)
+        assert iota.is_injective()
+        for x in box_fiber(psi, 2, b.zero()):
+            y = solve_in_subgroup(iota, x)
+            assert y is not None and iota.apply(y) == x
+        q, _ = quotient_by(a, [iota.apply(x) for x in kern.generators()])
+        img, _ = hom_image(psi)
+        assert q == img
+    assert {0, 1, 2} <= kernel_ranks
+
+
+def test_subgroup_depends_on_the_lattice_only():
+    """(sub, iota) is read off the Hermite form, which is unique for its
+    lattice: shuffling the generators, adding integer combinations of
+    them, or adding relations of g changes nothing."""
+    rng = random.Random(2718)
+    for _ in range(150):
+        g = random_group(rng)
+        gens = random_elements(rng, g, rng.randint(1, 3))
+        want = subgroup_generated_by(g, gens)
+        assert subgroup_generated_by(g, rng.sample(gens, len(gens))) == want
+        combos = [sum((rng.randint(-3, 3) * x for x in gens), g.zero())
+                  for _ in range(2)]
+        assert subgroup_generated_by(g, gens + combos) == want
+        rels = g.relation_columns()
+        assert subgroup_generated_by(
+            g, gens + [g.element(rc) for rc in rels]) == want
+        # Integer columns, as hom_kernel passes them: each generator moved
+        # by relations, and the relations themselves as extra columns.
+        lifted = []
+        for x in gens:
+            ks = [rng.randint(-2, 2) for _ in rels]
+            lifted.append([c + sum(k * rc[i] for k, rc in zip(ks, rels))
+                           for i, c in enumerate(x.coords)])
+        assert abelian._subgroup_from_lattice(g, lifted + rels) == want
+
+
 def test_hom_image():
     g = FgGroup(2, ())
     psi = GroupHom(g, FgGroup(1, ()), ((2, 4),))

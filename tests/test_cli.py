@@ -178,6 +178,21 @@ def test_idempotent_output(capsys):
                                "message": "need n >= 2, got 1"}
 
 
+@pytest.mark.parametrize("argv", [("idempotent", "--n"),
+                                  ("demo", "a90", "--n")])
+def test_idempotent_order_is_bounded(capsys, argv):
+    """The construction is quadratic in n: 256 is the largest order run,
+    and larger ones are refused up front with exit 3."""
+    rc, out, err = run_main(capsys, *argv, "256")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["n"] == 256
+    for n in ("257", "10000000"):
+        rc, out, err = run_main(capsys, *argv, n)
+        assert rc == 3 and out == ""
+        assert json.loads(err) == {"error": "hypothesis",
+                                   "message": f"need n <= 256, got {n}"}
+
+
 @pytest.mark.parametrize("ring", ["Q[Z^\u00b2]fine", "Q[Z^\u0663]fine",
                                   "Q[Z/\uff12]fine"])
 def test_non_ascii_digits_exit_2(capsys, ring):

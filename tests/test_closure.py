@@ -128,6 +128,8 @@ def test_torsion_idempotent_bad_order():
         torsion_idempotent(1)
     with pytest.raises(BadOrderError):
         torsion_idempotent(0)
+    with pytest.raises(BadOrderError, match="need n <= 256, got 257"):
+        torsion_idempotent(257)
 
 
 def test_idempotent_witness_canonical_search():
