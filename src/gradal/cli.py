@@ -588,7 +588,6 @@ def _eval_elem(node, nf):
                 raise DslTypeError(
                     f"coefficient {num}/{den} is not an integer, "
                     "the ring has integer coefficients", (span,))
-            c = int(c)
         f = e.element(coords)
         terms[f] = terms.get(f, 0) + c
     return Element(nf, terms)

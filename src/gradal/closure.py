@@ -25,7 +25,7 @@ attached to a section of a coarsening.
 """
 
 from fractions import Fraction as Rational
-from math import lcm
+from math import lcm, prod
 
 from .abelian import (
     FgGroup,
@@ -235,10 +235,15 @@ def verify_integral_witness(r, s, x, w):
     return _cleared(num, den, [reparent(a, s) for a in w.coeffs]).is_zero
 
 
+# Most candidates a witness search lists: max_deg * (2 box + 1)^rank * |T|.
+_SEARCH_CELLS = 10 ** 6
+
+
 def _search(r, s, x, max_deg, box):
     """Lowest-degree verified monic witness for x over r, or None.
 
-    A max_deg below 1 or a negative box describes no search and raises
+    A max_deg below 1 or a negative box describes no search, and more
+    than _SEARCH_CELLS candidates one too large to run: both raise
     GradalError.  x is an element of s or a homogeneous fraction over s.
     At degree n the factor standing in for x^j is num^j * den^(n-j); a
     fraction stops at degree 1 and an element has den 1, so one list
@@ -273,6 +278,11 @@ def _search(r, s, x, max_deg, box):
     if not (r.base == "Z" and not classify(r).entire
             and any(c.denominator != 1 for c in num.terms.values())):
         max_deg = 1
+    exps = r.delta.domain
+    cells = max_deg * (2 * box + 1) ** exps.rank * prod(exps.torsion)
+    if cells > _SEARCH_CELLS:
+        raise GradalError(f"a search over {cells} candidates exceeds the "
+                          f"limit of {_SEARCH_CELLS}; lower max_deg or box")
     g = degree_of(num) - degree_of(den)
     fibers = [None] + [box_fiber(r.delta, box, i * g)
                        for i in range(1, max_deg + 1)]

@@ -274,6 +274,10 @@ def _torsion_span(x):
     return sorted(span, key=lambda t: t.coords)
 
 
+# Most entries, rows times unknowns, of a dense shifted-products system.
+_SYSTEM_CELLS = 10 ** 7
+
+
 def _shift_system(target, columns):
     """The exact system sum_k c_k * p_k * e(s_k) = target, dense.
 
@@ -281,7 +285,8 @@ def _shift_system(target, columns):
     order.  There is one row per exponent, in order of first appearance:
     target's terms, then each shifted p, terms in coordinate order;
     solve_int picks its integer solution by that order.  Returns (rows,
-    rhs).
+    rhs).  A system of more than _SYSTEM_CELLS entries is refused with
+    GradalError before its rows are allocated.
     """
     index = {f: i for i, f in enumerate(target.support())}
     cols = []
@@ -290,6 +295,10 @@ def _shift_system(target, columns):
         for s in shifts:
             cols.append([(index.setdefault(f + s, len(index)), c)
                          for f, c in terms])
+    cells = len(index) * len(cols)
+    if cells > _SYSTEM_CELLS:
+        raise GradalError(f"a {len(index)} x {len(cols)} system of {cells} "
+                          f"entries exceeds the limit of {_SYSTEM_CELLS}")
     rows = [[0] * len(cols) for _ in index]
     for j, col in enumerate(cols):
         for i, c in col:

@@ -9,13 +9,16 @@ Each question has one routine:
 
 * Smith normal form answers invariant factors only: U * A * V = D with
   U unimodular and the diagonal of D nonnegative with d1 | d2 | ... .
-  Only U and D are built.
+  Only U and D are built, from the rows of [A | I_m].
 * The column Hermite form A * V = H, V unimodular, answers the lattice
   questions: bases, integer kernels, integer solving and unimodular
-  inverses.  With its reduced entries it is unique for the lattice the
-  columns of A span.
+  inverses.  V is built from the columns of [A; I_n].  With its reduced
+  entries the form is unique for the lattice the columns of A span.
 * Sparse Gauss-Jordan elimination answers rational systems and
   nullspaces.
+
+Each integer form carries its transform in the matrix it reduces, as
+_rref carries its right-hand sides, so every operation is written once.
 """
 
 from fractions import Fraction
@@ -66,14 +69,13 @@ def _pivot_position(d, m, n, start):
     return None if best is None else (best[1], best[2])
 
 
-def _move_pivot(d, u, t, pos):
-    """Swap the pivot at pos into (t, t), carrying the row swap into u."""
+def _move_pivot(du, t, pos):
+    """Swap the pivot at pos into (t, t); the row swap carries u along."""
     pi, pj = pos
     if pi != t:
-        d[t], d[pi] = d[pi], d[t]
-        u[t], u[pi] = u[pi], u[t]
+        du[t], du[pi] = du[pi], du[t]
     if pj != t:
-        for row in d:
+        for row in du:
             row[t], row[pj] = row[pj], row[t]
 
 
@@ -84,63 +86,51 @@ def smith_normal_form(a, m=None, n=None):
     u is m x m and unimodular.  The diagonal of d is nonnegative and
     forms a divisibility chain; zero entries come last.  Pivot choice:
     smallest nonzero absolute value in the working submatrix, ties
-    broken row-major.
+    broken row-major.  Reduces the rows of [a | I_m].
     """
     m = len(a) if m is None else m
     n = (len(a[0]) if a else 0) if n is None else n
-    d = [list(row) for row in a]
-    u = identity(m)
+    du = [list(row) + e for row, e in zip(a, identity(m))]
     t = 0
     while t < min(m, n):
-        pos = _pivot_position(d, m, n, t)
+        pos = _pivot_position(du, m, n, t)
         if pos is None:
             break
-        _move_pivot(d, u, t, pos)
+        _move_pivot(du, t, pos)
+        pivot = du[t]
         # Clear row and column t; restart whenever a remainder shrinks
         # below the pivot, which guarantees termination.
         while True:
             restart = False
             for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    for j in range(n):
-                        d[i][j] -= q * d[t][j]
-                    for j in range(m):
-                        u[i][j] -= q * u[t][j]
-                    if d[i][t]:
+                row = du[i]
+                if row[t]:
+                    q = row[t] // pivot[t]
+                    du[i] = row = [x - q * y for x, y in zip(row, pivot)]
+                    if row[t]:
                         restart = True
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    for row in d:
+                if pivot[j]:
+                    q = pivot[j] // pivot[t]
+                    for row in du:
                         row[j] -= q * row[t]
-                    if d[t][j]:
+                    if pivot[j]:
                         restart = True
             if restart:
-                _move_pivot(d, u, t, _pivot_position(d, m, n, t))
+                _move_pivot(du, t, _pivot_position(du, m, n, t))
+                pivot = du[t]
                 continue
             # Row and column are clear.  Force divisibility of the rest.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((row for row in du[t + 1:m]
+                             if any(x % pivot[t] for x in row[t + 1:n])),
+                            None)
             if offender is None:
                 break
-            for j in range(n):
-                d[t][j] += d[offender][j]
-            for j in range(m):
-                u[t][j] += u[offender][j]
-        if d[t][t] < 0:
-            for j in range(n):
-                d[t][j] = -d[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
+            du[t] = pivot = [x + y for x, y in zip(pivot, offender)]
+        if pivot[t] < 0:
+            du[t] = [-x for x in pivot]
         t += 1
-    return u, d
+    return [row[n:] for row in du], [row[:n] for row in du]
 
 
 def hermite_columns(a, m=None, n=None):
@@ -149,54 +139,45 @@ def hermite_columns(a, m=None, n=None):
     Returns (h, v, pivots) where pivots is a list of (row, col) with
     strictly increasing rows; the k-th pivot is in column k.  Pivot
     entries are positive, entries left of a pivot in its row are reduced
-    into [0, pivot), and every non-pivot column is zero.
+    into [0, pivot), and every non-pivot column is zero.  Reduces the
+    columns of [a; I_n].
     """
     m = len(a) if m is None else m
     n = (len(a[0]) if a else 0) if n is None else n
-    h = [list(row) for row in a]
-    v = identity(n)
+    hv = [list(row) for row in a] + identity(n)
     pivots = []
     p = 0
     for r in range(m):
         if p >= n:
             break
-        nz = [j for j in range(p, n) if h[r][j]]
+        h = hv[r]
+        nz = [j for j in range(p, n) if h[j]]
         if not nz:
             continue
         # gcd-combine all nonzero columns at row r into column p.
         j0 = nz[0]
         if j0 != p:
-            for row in h:
-                row[p], row[j0] = row[j0], row[p]
-            for row in v:
+            for row in hv:
                 row[p], row[j0] = row[j0], row[p]
         for j in range(p + 1, n):
-            while h[r][j]:
-                if abs(h[r][j]) < abs(h[r][p]):
-                    for row in h:
+            while h[j]:
+                if abs(h[j]) < abs(h[p]):
+                    for row in hv:
                         row[p], row[j] = row[j], row[p]
-                    for row in v:
-                        row[p], row[j] = row[j], row[p]
-                q = h[r][j] // h[r][p]
-                for row in h:
+                q = h[j] // h[p]
+                for row in hv:
                     row[j] -= q * row[p]
-                for row in v:
-                    row[j] -= q * row[p]
-        if h[r][p] < 0:
-            for row in h:
-                row[p] = -row[p]
-            for row in v:
+        if h[p] < 0:
+            for row in hv:
                 row[p] = -row[p]
         for j in range(p):
-            q = h[r][j] // h[r][p]
+            q = h[j] // h[p]
             if q:
-                for row in h:
-                    row[j] -= q * row[p]
-                for row in v:
+                for row in hv:
                     row[j] -= q * row[p]
         pivots.append((r, p))
         p += 1
-    return h, v, pivots
+    return hv[:m], hv[m:], pivots
 
 
 def _echelon_solve(h, pivots, b):

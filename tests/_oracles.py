@@ -13,7 +13,10 @@ assembled from Laurent multiplication blocks rather than shifted
 copies; verify_by_fractions is the witness check in fraction-field
 arithmetic on the package's elements; tokenize_by_characters is the
 CLI's earlier scanner, a loop over characters that the
-regular-expression scanner must agree with.
+regular-expression scanner must agree with; smith_by_parallel_updates
+and hermite_by_parallel_updates are the integer normal forms as they
+were before their transforms rode in the reduced matrix, each operation
+written once for the matrix and once for its transform.
 """
 
 from fractions import Fraction
@@ -612,3 +615,127 @@ def tokenize_by_characters(text):
         raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
     toks.append(("end", "", line, col))
     return toks
+
+
+# --- the integer normal forms, transforms updated alongside ---
+
+def _smallest_entry(d, m, n, start):
+    best = None
+    for i in range(start, m):
+        for j in range(start, n):
+            v = abs(d[i][j])
+            if v and (best is None or v < best[0]):
+                best = (v, i, j)
+    return None if best is None else (best[1], best[2])
+
+
+def _swap_into_place(d, u, t, pos):
+    pi, pj = pos
+    if pi != t:
+        d[t], d[pi] = d[pi], d[t]
+        u[t], u[pi] = u[pi], u[t]
+    if pj != t:
+        for row in d:
+            row[t], row[pj] = row[pj], row[t]
+
+
+def smith_by_parallel_updates(a, m, n):
+    """(u, d) with u*a*v = d in Smith form, u updated beside d."""
+    d = [list(row) for row in a]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    t = 0
+    while t < min(m, n):
+        pos = _smallest_entry(d, m, n, t)
+        if pos is None:
+            break
+        _swap_into_place(d, u, t, pos)
+        while True:
+            restart = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    for j in range(n):
+                        d[i][j] -= q * d[t][j]
+                    for j in range(m):
+                        u[i][j] -= q * u[t][j]
+                    if d[i][t]:
+                        restart = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    for row in d:
+                        row[j] -= q * row[t]
+                    if d[t][j]:
+                        restart = True
+            if restart:
+                _swap_into_place(d, u, t, _smallest_entry(d, m, n, t))
+                continue
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % d[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            for j in range(n):
+                d[t][j] += d[offender][j]
+            for j in range(m):
+                u[t][j] += u[offender][j]
+        if d[t][t] < 0:
+            for j in range(n):
+                d[t][j] = -d[t][j]
+            for j in range(m):
+                u[t][j] = -u[t][j]
+        t += 1
+    return u, d
+
+
+def hermite_by_parallel_updates(a, m, n):
+    """(h, v, pivots) with a*v = h in column Hermite form, v updated
+    beside h."""
+    h = [list(row) for row in a]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots = []
+    p = 0
+    for r in range(m):
+        if p >= n:
+            break
+        nz = [j for j in range(p, n) if h[r][j]]
+        if not nz:
+            continue
+        j0 = nz[0]
+        if j0 != p:
+            for row in h:
+                row[p], row[j0] = row[j0], row[p]
+            for row in v:
+                row[p], row[j0] = row[j0], row[p]
+        for j in range(p + 1, n):
+            while h[r][j]:
+                if abs(h[r][j]) < abs(h[r][p]):
+                    for row in h:
+                        row[p], row[j] = row[j], row[p]
+                    for row in v:
+                        row[p], row[j] = row[j], row[p]
+                q = h[r][j] // h[r][p]
+                for row in h:
+                    row[j] -= q * row[p]
+                for row in v:
+                    row[j] -= q * row[p]
+        if h[r][p] < 0:
+            for row in h:
+                row[p] = -row[p]
+            for row in v:
+                row[p] = -row[p]
+        for j in range(p):
+            q = h[r][j] // h[r][p]
+            if q:
+                for row in h:
+                    row[j] -= q * row[p]
+                for row in v:
+                    row[j] -= q * row[p]
+        pivots.append((r, p))
+        p += 1
+    return h, v, pivots

@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -118,6 +119,10 @@ def test_type_error_exit_2_with_spans(capsys):
     (("components", "Q[Z]fine", "e(1,2)"),
      "exponent (1, 2) has 2 coordinates, the exponent group Z needs 1",
      [[1, 1, 7]]),
+    (("classify", "coarsen(Q[Z]fine, psi)"), "'psi' is not a bound hom",
+     [[1, 19, 22]]),
+    (("classify", "restrict(Q[Z]fine, S)"), "'S' is not a bound gens",
+     [[1, 20, 21]]),
 ])
 def test_typed_errors_exit_2_with_their_spans(capsys, argv, message, spans):
     rc, out, err = run_main(capsys, *argv)
@@ -148,6 +153,34 @@ def test_bounds_that_describe_no_search_exit_3(capsys, argv):
     assert json.loads(err)["error"] == "hypothesis"
 
 
+@pytest.mark.parametrize("box,message", [
+    ("10", "a 9261 x 9261 system of 85766121 entries exceeds the limit of "
+           "10000000"),
+    ("20", "a 68921 x 68921 system of 4750104241 entries exceeds the limit "
+           "of 10000000"),
+    ("200", "a search over 64481201 candidates exceeds the limit of "
+            "1000000; lower max_deg or box"),
+])
+def test_oversized_searches_are_refused_exit_3(capsys, box, message):
+    """A search too large to list, or a system too large to allocate,
+    is refused up front, before memory or time is spent on it."""
+    start = time.perf_counter()
+    rc, out, err = run_main(capsys, "integrality", "Z[Z^3]coarse",
+                            "Q[Z^3]coarse", "e(0,0,0)", "--box", box)
+    assert time.perf_counter() - start < 1
+    assert rc == 3 and out == ""
+    assert json.loads(err) == {"error": "hypothesis", "message": message}
+
+
+def test_largest_searches_still_run(capsys):
+    """The 961 x 961 system of a rank-2 box of radius 15 is in bounds."""
+    rc, out, err = run_main(capsys, "integrality", "Z[Z^2]coarse",
+                            "Q[Z^2]coarse", "e(0,0)", "--box", "15")
+    assert rc == 0 and err == ""
+    assert json.loads(out) == {"found": True, "degree": 1,
+                               "witness": "monic 1; a1 = -e(0,0)"}
+
+
 def test_smallest_bounds_still_search(capsys):
     rc, out, err = run_main(capsys, "integrality", "Z[Z]fine", "Q[Z]fine",
                             "e(1)", "--max-deg", "1", "--box", "1")
@@ -162,6 +195,13 @@ def test_almost_output(capsys):
                             "1/2*e(0)+1/2*e(1)")
     assert rc == 0 and err == ""
     assert out == '{"found":true,"k":1,"combination":["0","e(0)"]}\n'
+
+
+def test_components_output(capsys):
+    rc, out, err = run_main(capsys, "components", "Z[Z]fine", "e(1)+2*e(0)")
+    assert rc == 0 and err == ""
+    assert out == ('{"degree":"(0)","element":"2*e(0)"}\n'
+                   '{"degree":"(1)","element":"e(1)"}\n')
 
 
 def test_idempotent_output(capsys):
@@ -510,6 +550,7 @@ def test_let_error_from_the_furthest_production(capsys, text, line, col,
     (("classify", "let ; Q"), 1, 5, "expected a name after let, found ';'"),
     (("classify", "Q[Z]fine[Z]"), 1, 12,
      "expected 'fine' or 'coarse', found 'end'"),
+    (("classify", "Q[Z]fine extra"), 1, 10, "trailing input, found 'extra'"),
 ])
 def test_syntax_errors_name_the_token_found(capsys, argv, line, col,
                                             message):

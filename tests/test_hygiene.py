@@ -11,7 +11,11 @@ generates no code.  In a fresh interpreter, import gradal loads no
 submodule and each golden CLI command loads exactly the modules it runs.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
-is read anywhere in the module or listed in the module's __all__.  The
+is read anywhere in the module or listed in a literal __all__; a
+computed one, such as the package's list(_OWNER), keeps no import alive.
+A called function is named by its qualified name as the module's AST
+gives it, found by the line its code starts on, so the coverage checks
+run on Python 3.10, whose code objects carry no co_qualname.  The
 bench tables (TRACED in bench/tracer.py, COVERAGE in bench/worker.py,
 CLI_COMMANDS in bench/workloads.py) are read with ast as well, so the
 bench package is never imported.
@@ -54,7 +58,10 @@ def _used(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+            try:
+                used.update(ast.literal_eval(node.value))
+            except ValueError:
+                pass  # a computed __all__, such as list(d), names no import
     return used
 
 
@@ -69,6 +76,7 @@ def test_scanner_flags_unused_and_keeps_exported():
     src = ("import os\nimport os.path as osp\nfrom math import gcd, lcm\n"
            "from x import y as z\n__all__ = ['lcm']\nprint(gcd)\n")
     assert unused_imports(src) == [("os", 1), ("osp", 2), ("z", 4)]
+    assert unused_imports("import os\n__all__ = list(d)\n") == [("os", 1)]
 
 
 def test_no_unused_imports():
@@ -106,6 +114,48 @@ def test_traced_functions_resolve():
     assert not missing, "traced but gone:\n" + "\n".join(missing)
 
 
+def qualnames(source):
+    """{(first line, name): qualified name} of every function in source.
+
+    A function's code object starts at its first decorator, or at def
+    when it has none.  This stands in for code.co_qualname, which only
+    exists from Python 3.11."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                out[first, child.name] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_qualnames_match_the_interpreter():
+    src = ("import functools\nclass A:\n    @staticmethod\n"
+           "    @functools.lru_cache\n    def f():\n"
+           "        def g(): pass\n        return g\n"
+           "    class B:\n        def h(self): pass\n"
+           "def k(): return lambda: 0\n")
+    scope = {}
+    exec(compile(src, "<qualnames>", "exec"), scope)
+    a = scope["A"]
+    fns = [a.f.__wrapped__, a.f(), a.B.h, scope["k"]]
+    names = qualnames(src)
+    assert len(names) == len(fns)
+    for fn in fns:
+        code = fn.__code__
+        assert names[code.co_firstlineno, code.co_name] == fn.__qualname__
+    assert names[3, "f"] == "A.f"
+
+
 def called_functions(run):
     """"module.qualname" of every gradal function that run() calls."""
     codes = set()
@@ -120,8 +170,11 @@ def called_functions(run):
     finally:
         sys.setprofile(None)
     src = ROOT / "src" / "gradal"
-    return {f"{path.stem}.{code.co_qualname}" for code in codes
-            for path in [pathlib.Path(code.co_filename)] if path.parent == src}
+    names = {path: qualnames(path.read_text()) for path in src.glob("*.py")}
+    return {f"{path.stem}.{qual}" for code in codes
+            for path in [pathlib.Path(code.co_filename)] if path.parent == src
+            for qual in [names[path].get((code.co_firstlineno,
+                                          code.co_name))] if qual}
 
 
 def test_called_functions_records_methods():

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     det_bareiss,
+    hermite_by_parallel_updates,
     is_divisibility_chain,
     mat_mul_plain,
     rref_dense,
+    smith_by_parallel_updates,
     snf_column_transform,
 )
 from gradal.intmat import (
@@ -75,6 +77,26 @@ def test_snf_fixed_cases():
     assert [d[0][0], d[1][1]] == [2, 12]
     _, d = smith_normal_form([[0, 0], [0, 0]])
     assert [d[0][0], d[1][1]] == [0, 0]
+
+
+def test_normal_forms_match_parallel_update_oracles():
+    """The normal forms reduce the matrix with its transform attached;
+    their u, d and h, v, pivots are exactly those of the routines that
+    update each transform beside the matrix, on every shape from 0 rows
+    and 0 columns up."""
+    rng = random.Random(23)
+    empty = 0
+    for _ in range(2400):
+        m, n = rng.randint(0, 6), rng.randint(0, 7)
+        bound = rng.choice((1, 3, 40))
+        density = rng.choice((0.2, 0.5, 1.0))
+        a = [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(m)]
+        empty += m == 0 or n == 0
+        assert smith_normal_form(a, m, n) == smith_by_parallel_updates(a, m, n)
+        assert (hermite_columns(a, m, n)
+                == hermite_by_parallel_updates(a, m, n))
+    assert empty > 300
 
 
 def test_hermite_columns_contract():
