@@ -22,7 +22,7 @@ the generators that span it.
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
-from operator import mod, mul
+from operator import add, mod, mul, neg, sub
 
 from .errors import (
     GradalError,
@@ -142,6 +142,10 @@ class FgGroup(_Value):
         for v in coords:
             if type(v) is not int:
                 raise GradalError(f"coordinates must be ints, got {v!r}")
+        return self._mod(coords)
+
+    def _mod(self, coords):
+        """reduce without its checks, for the results of validated operands."""
         if not self.torsion:
             return coords
         r = self.rank
@@ -220,22 +224,25 @@ class GroupElem:
         if self.group != other.group:
             raise ParentMismatchError(
                 f"elements of {self.group} and {other.group}")
+        return self.group
 
     def __add__(self, other):
-        self._check(other)
-        return self.group.element(
-            tuple(a + b for a, b in zip(self.coords, other.coords)))
+        g = self._check(other)
+        return GroupElem(g, g._mod(tuple(map(add, self.coords, other.coords))))
 
     def __sub__(self, other):
-        self._check(other)
-        return self.group.element(
-            tuple(a - b for a, b in zip(self.coords, other.coords)))
+        g = self._check(other)
+        return GroupElem(g, g._mod(tuple(map(sub, self.coords, other.coords))))
 
     def __neg__(self):
-        return self.group.element(tuple(-a for a in self.coords))
+        g = self.group
+        return GroupElem(g, g._mod(tuple(map(neg, self.coords))))
 
     def __rmul__(self, k):
-        return self.group.element(tuple(k * a for a in self.coords))
+        if type(k) is not int:
+            raise GradalError(f"group multiples must be by ints, got {k!r}")
+        g = self.group
+        return GroupElem(g, g._mod(tuple(k * a for a in self.coords)))
 
     @property
     def is_zero(self):
@@ -280,16 +287,16 @@ class GroupHom(_Value):
                 if type(v) is not int:
                     raise NotAHomomorphismError(
                         f"matrix entries must be ints, got {v!r}")
+        r = codomain.rank
         for j, d in enumerate(codomain.torsion):
-            i = codomain.rank + j
-            rows[i] = [x % d for x in rows[i]]
+            rows[r + j] = [x % d for x in rows[r + j]]
         mat = tuple(map(tuple, rows))
         # A torsion generator of order d must map to an element killed by d.
         for j, d in enumerate(domain.torsion):
-            col = domain.rank + j
-            img = codomain.element(tuple(row[col] for row in mat))
-            if not (d * img).is_zero:
-                order = img.elem_order()
+            img = tuple(row[domain.rank + j] for row in mat)
+            if any(img[:r]) or any(d * c % t for c, t in
+                                   zip(img[r:], codomain.torsion)):
+                order = GroupElem(codomain, img).elem_order()
                 raise NotAHomomorphismError(
                     f"generator of order {d} maps to an element of "
                     + (f"order {order}" if order else "infinite order"))
@@ -307,7 +314,8 @@ class GroupHom(_Value):
         if elem.group != self.domain:
             raise ParentMismatchError(
                 f"element of {elem.group}, hom domain {self.domain}")
-        return self.codomain.element(mat_vec(self.matrix, elem.coords))
+        cod = self.codomain
+        return GroupElem(cod, cod._mod(tuple(mat_vec(self.matrix, elem.coords))))
 
     def is_injective(self):
         k, _ = hom_kernel(self)

@@ -2,9 +2,12 @@
 
 An element is a finite sum of terms c * e(f) with f in the exponent
 group E and c in the base (int for Z, Fraction for Q).  Multiplication
-is convolution of exponents.  Degrees live in the grading group via the
-parent's degree map.  A Fraction is a checked pair (num, den) handed to
-the witness search; all arithmetic is the ring's.
+is convolution of exponents on plain ints: coordinate tuples add, with
+one torsion reduction per pair, and over Q coefficients multiply as
+integer numerators over each operand's common denominator.  Degrees
+live in the grading group via the parent's degree map.  A Fraction is
+a checked pair (num, den) handed to the witness search; all arithmetic
+is the ring's.
 
 The two decision procedures here are exact, not sampled, and both work
 in the ring's own exponent coordinates.  E = Z^r x T, so base[E] is the
@@ -27,8 +30,9 @@ summed to a target.
 
 from fractions import Fraction as Rational
 from math import lcm
+from operator import add
 
-from .abelian import hom_kernel
+from .abelian import GroupElem, hom_kernel
 from .errors import (
     GradalError,
     HypothesisViolatedError,
@@ -70,6 +74,14 @@ def _coerce(base, c):
             raise GradalError(f"coefficient {c} is not an integer")
         return c.numerator
     return c
+
+
+def _ints(x):
+    """(coords, numerator) pairs of x's terms over the lcm of their
+    denominators, and that lcm."""
+    den = lcm(*(c.denominator for c in x.terms.values()))
+    return [(f.coords, c.numerator * (den // c.denominator))
+            for f, c in x.terms.items()], den
 
 
 def _term_str(c, f):
@@ -145,12 +157,18 @@ class Element:
         if isinstance(other, (int, Rational)):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for f1, c1 in self.terms.items():
-            for f2, c2 in other.terms.items():
-                f = f1 + f2
-                out[f] = out.get(f, 0) + c1 * c2
-        return Element(self.parent, out)
+        g, (a, da), (b, db) = self.parent.egroup, _ints(self), _ints(other)
+        acc = {}
+        for f1, c1 in a:
+            for f2, c2 in b:
+                f = g._mod(tuple(map(add, f1, f2)))
+                acc[f] = acc.get(f, 0) + c1 * c2
+        q = self.parent.base == "Q"
+        out = Element.__new__(Element)  # terms valid by construction
+        out.parent = self.parent
+        out.terms = {GroupElem(g, f): Rational(c, da * db) if q else c
+                     for f, c in acc.items() if c}
+        return out
 
     def __rmul__(self, other):
         if isinstance(other, (int, Rational)):
@@ -158,9 +176,13 @@ class Element:
         return NotImplemented
 
     def scale(self, c):
+        if isinstance(c, bool) or not isinstance(c, (int, Rational)):
+            raise GradalError(f"scalar {c!r} is not an int or a Fraction")
         return Element(self.parent, {f: c * v for f, v in self.terms.items()})
 
     def __pow__(self, n):
+        if type(n) is not int:
+            raise GradalError(f"exponent {n!r} is not an int")
         if n < 0:
             raise GradalError("negative powers need the unit test first")
         out = Element.one(self.parent)

@@ -16,7 +16,11 @@ CLI's earlier scanner, a loop over characters that the
 regular-expression scanner must agree with; smith_by_parallel_updates
 and hermite_by_parallel_updates are the integer normal forms as they
 were before their transforms rode in the reduced matrix, each operation
-written once for the matrix and once for its transform.
+written once for the matrix and once for its transform;
+mul_by_group_elems and hom_matrix_by_group_elems are Element.__mul__
+and the GroupHom constructor's checks as they were before they ran on
+plain ints, through validated GroupElems, FgGroup.element and Element's
+constructor.
 """
 
 from fractions import Fraction
@@ -55,6 +59,7 @@ from gradal.errors import (
     DslSyntaxError,
     GradalError,
     HypothesisViolatedError,
+    NotAHomomorphismError,
 )
 from gradal.intmat import (
     hermite_columns,
@@ -739,3 +744,48 @@ def hermite_by_parallel_updates(a, m, n):
         pivots.append((r, p))
         p += 1
     return h, v, pivots
+
+
+# --- products and hom checks through validated GroupElems ---
+
+def mul_by_group_elems(x, y):
+    """x * y as a convolution of GroupElems: each exponent sum built and
+    checked by FgGroup.element, each coefficient product in the base, the
+    result through Element's constructor."""
+    out = {}
+    for f1, c1 in x.terms.items():
+        for f2, c2 in y.terms.items():
+            f = _add_coords(x.parent.egroup, f1, f2)
+            out[f] = out.get(f, 0) + c1 * c2
+    return Element(x.parent, out)
+
+
+def hom_matrix_by_group_elems(domain, codomain, matrix):
+    """The matrix GroupHom(domain, codomain, matrix) stores, or the
+    NotAHomomorphismError it raises: each torsion generator's image is
+    built by FgGroup.element, and d times it too."""
+    rows = [list(r) for r in matrix]
+    if len(rows) != codomain.dim:
+        raise NotAHomomorphismError(
+            f"matrix has {len(rows)} rows, codomain dim {codomain.dim}")
+    for row in rows:
+        if len(row) != domain.dim:
+            raise NotAHomomorphismError(
+                f"matrix row width {len(row)}, domain dim {domain.dim}")
+        for v in row:
+            if type(v) is not int:
+                raise NotAHomomorphismError(
+                    f"matrix entries must be ints, got {v!r}")
+    for j, d in enumerate(codomain.torsion):
+        i = codomain.rank + j
+        rows[i] = [x % d for x in rows[i]]
+    mat = tuple(map(tuple, rows))
+    for j, d in enumerate(domain.torsion):
+        col = domain.rank + j
+        img = codomain.element(tuple(row[col] for row in mat))
+        if not codomain.element(tuple(d * c for c in img.coords)).is_zero:
+            order = img.elem_order()
+            raise NotAHomomorphismError(
+                f"generator of order {d} maps to an element of "
+                + (f"order {order}" if order else "infinite order"))
+    return mat

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction as Rational
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradal.abelian as abelian
-from _oracles import torsionfree_summand_bruteforce
+from _oracles import hom_matrix_by_group_elems, torsionfree_summand_bruteforce
 from gradal.abelian import (
     FgGroup,
     GroupHom,
@@ -165,6 +166,49 @@ def test_group_data_must_be_ints():
             GroupHom(FgGroup(1), FgGroup(1), ((entry,),))
     with pytest.raises(NotAHomomorphismError):
         GroupHom(FgGroup(0, (2,)), FgGroup(0, (2,)), ())
+
+
+def test_hom_checks_match_group_elem_checks():
+    """GroupHom accepts and rejects what the checks through validated
+    GroupElems do, with the same error and the same stored matrix, on
+    seeded maps with bad shapes, non-int entries and torsion generators
+    sent to elements of the right, wrong or infinite order."""
+    rng = random.Random(4242)
+    groups = [FgGroup(0, ()), FgGroup(1, ()), FgGroup(2, ()), FgGroup(0, (2,)),
+              FgGroup(0, (4,)), FgGroup(0, (2, 4)), FgGroup(1, (2,)),
+              FgGroup(1, (3,)), FgGroup(1, (2, 6)), FgGroup(0, (6,))]
+    seen = {"ok": 0, "order": 0, "infinite": 0, "entries": 0, "shape": 0}
+    for _ in range(1500):
+        dom, cod = rng.choice(groups), rng.choice(groups)
+        cols = []
+        for j in range(dom.dim):
+            col = [rng.randint(-7, 7) for _ in range(cod.dim)]
+            if j >= dom.rank and rng.random() < 0.6:  # a killed image
+                d = dom.torsion[j - dom.rank]
+                col[:cod.rank] = [0] * cod.rank
+                col[cod.rank:] = [rng.randint(-3, 3) * (t // gcd(t, d))
+                                  for t in cod.torsion]
+            cols.append(col)
+        mat = [[col[i] for col in cols] for i in range(cod.dim)]
+        if mat and mat[0] and rng.random() < 0.1:
+            mat[rng.randrange(len(mat))][0] = rng.choice(
+                [1.0, True, Rational(1), "1", None])
+        if rng.random() < 0.05:
+            mat = mat[1:] if rng.random() < 0.5 else [row[1:] for row in mat]
+        try:
+            want = hom_matrix_by_group_elems(dom, cod, mat)
+        except NotAHomomorphismError as exc:
+            with pytest.raises(NotAHomomorphismError) as got:
+                GroupHom(dom, cod, mat)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            msg = str(exc)
+            seen["infinite" if "infinite" in msg else "order" if "order" in msg
+                 else "entries" if "entries" in msg else "shape"] += 1
+        else:
+            assert GroupHom(dom, cod, mat).matrix == want
+            seen["ok"] += 1
+    assert min(seen.values()) > 20, seen
 
 
 @pytest.mark.parametrize("group,coords", [

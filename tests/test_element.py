@@ -8,7 +8,9 @@ import pytest
 
 import gradal.element as element
 from _oracles import (
+    _dict_mul,
     is_zero_divisor_reference,
+    mul_by_group_elems,
     nzd_by_blocks,
     unit_by_blocks,
     unit_inverse_box,
@@ -100,6 +102,49 @@ def test_ring_laws_random():
         assert x * Element.one(nf) == x
         assert x - x == Element.zero(nf)
         assert x ** 2 == x * x
+
+
+def test_products_match_group_elem_convolution():
+    """x * y equals the GroupElem convolution and _dict_mul term for
+    term, in the same order and with the same coefficient types, over
+    Z and Q, with torsion exponents that wrap and coefficients that
+    cancel, and with empty operands."""
+    rng = random.Random(2718)
+    groups = [FgGroup(1, ()), FgGroup(2, ()), FgGroup(0, (4,)),
+              FgGroup(1, (2,)), FgGroup(1, (2, 6))]
+    rings = [group_algebra(base, g, "fine") for base in (Z, Q) for g in groups]
+
+    def dense(nf):  # few exponents, small coefficients: sums collide
+        terms = {}
+        coeffs = [-1, 1, -1, 1, 2] + [Rational(-1, 2)] * (nf.base == "Q")
+        for _ in range(rng.randint(0, 4)):
+            f = [rng.randint(-1, 1) for _ in range(nf.egroup.rank)]
+            f += [rng.randrange(d) for d in nf.egroup.torsion]
+            terms[nf.egroup.element(f)] = rng.choice(coeffs)
+        return Element(nf, terms)
+
+    wrapped = cancelled = empty = 0
+    for _ in range(400):
+        nf = rng.choice(rings)
+        x = dense(nf)
+        y = dense(nf) if rng.random() < 0.5 else random_element(rng, nf)
+        if len(x.terms) > 1 and rng.random() < 0.3:
+            # c_g*e(0) - c_f*e(f-g): f*0 and g*(f-g) cancel at f
+            (f, cf), (g, cg) = rng.sample(list(x.terms.items()), 2)
+            y = Element(nf, {nf.egroup.zero(): cg, f - g: -cf})
+        got, want = x * y, mul_by_group_elems(x, y)
+        plain = _dict_mul(nf.egroup, x.terms, y.terms)
+        assert got.terms == want.terms == plain
+        assert list(got.terms) == list(want.terms) == list(plain)
+        ctype = Rational if nf.base == "Q" else int
+        assert all(type(c) is ctype for c in got.terms.values())
+        sums = [tuple(map(sum, zip(f.coords, g.coords)))
+                for f in x.terms for g in y.terms]
+        reduced = {nf.egroup.element(s) for s in sums}
+        wrapped += any(nf.egroup.element(s).coords != s for s in sums)
+        cancelled += len(got.terms) < len(reduced)
+        empty += x.is_zero or y.is_zero
+    assert wrapped > 50 and cancelled > 20 and empty > 20
 
 
 def test_pow_and_scale():
@@ -541,9 +586,17 @@ def test_coefficients_are_int_or_fraction(nf, c):
 
 
 def test_scale_by_float_rejected():
+    """Scalars, multiples and exponents follow the coefficient rule:
+    int or Fraction, never float or bool."""
     for nf in (ZZ, QZ):
-        with pytest.raises(GradalError):
-            (3 * e(nf, 1)).scale(0.5)
+        x = 3 * e(nf, 1)
+        for op in (lambda: x.scale(0.5), lambda: x * True,
+                   lambda: True * x, lambda: x.scale(False),
+                   lambda: x ** 2.0, lambda: x ** True,
+                   lambda: True * nf.egroup.element((1,)),
+                   lambda: 2.0 * nf.egroup.element((1,))):
+            with pytest.raises(GradalError):
+                op()
 
 
 def test_coefficient_types_kept():

@@ -1,5 +1,6 @@
 """Randomized re-verification harness: determinism, accounting, payloads."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -165,6 +166,18 @@ def test_every_report_matches_its_golden():
     got = [report_json(run_check(CheckConfig(cid, 24, 2024)))
            for cid in CHECK_IDS]
     assert got == want
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (1, "511b005f2cf3cd1f1c25e8b6dd04ae42d8431fa290613fd56320553f8fc38057"),
+    (7, "b315e90afd4bc00be0c48712c982f8f3297cfbac2a09620f4156a3738ff9e169"),
+])
+def test_reports_at_more_seeds_match_their_digests(seed, digest):
+    """SHA-256 of report_json of each check at 24 trials, concatenated
+    in CHECK_IDS order, beside the seed-2024 golden."""
+    got = "".join(report_json(run_check(CheckConfig(cid, 24, seed)))
+                  for cid in CHECK_IDS)
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 def test_box_choice_is_choice_over_the_box_list():
