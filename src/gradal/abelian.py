@@ -198,14 +198,15 @@ class FgGroup(_Value):
 
 
 class GroupElem:
-    """A coordinate tuple in a group; compared and hashed by (group, coords)."""
+    """A coordinate tuple in a group; compared and hashed by (group, coords),
+    the hash computed at first use, since many are never hashed."""
 
     __slots__ = ("group", "coords", "_hash")
 
     def __init__(self, group, coords):
         self.group = group
         self.coords = coords
-        self._hash = hash((group, coords))
+        self._hash = None
 
     def __eq__(self, other):
         if self is other:
@@ -215,15 +216,18 @@ class GroupElem:
         return self.coords == other.coords and self.group == other.group
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.group, self.coords))
         return self._hash
 
     def __repr__(self):
         return f"GroupElem(group={self.group!r}, coords={self.coords!r})"
 
     def _check(self, other):
-        if self.group != other.group:
+        if other.__class__ is not GroupElem or self.group != other.group:
             raise ParentMismatchError(
-                f"elements of {self.group} and {other.group}")
+                f"elements of {self.group} and "
+                f"{getattr(other, 'group', type(other).__name__)}")
         return self.group
 
     def __add__(self, other):
@@ -270,6 +274,9 @@ class GroupHom(_Value):
     codomain coordinates.  Rows hitting torsion coordinates are stored
     reduced, so equality of homs, by (domain, codomain, matrix), is
     equality of the maps.
+
+    The constructor checks its input, then ends in _fill.  compose and
+    add_homs build homomorphisms from homomorphisms and call _fill alone.
     """
 
     __slots__ = ("domain", "codomain", "matrix")
@@ -288,32 +295,36 @@ class GroupHom(_Value):
                     raise NotAHomomorphismError(
                         f"matrix entries must be ints, got {v!r}")
         r = codomain.rank
-        for j, d in enumerate(codomain.torsion):
-            rows[r + j] = [x % d for x in rows[r + j]]
-        mat = tuple(map(tuple, rows))
         # A torsion generator of order d must map to an element killed by d.
         for j, d in enumerate(domain.torsion):
-            img = tuple(row[domain.rank + j] for row in mat)
+            img = tuple(row[domain.rank + j] for row in rows)
             if any(img[:r]) or any(d * c % t for c, t in
                                    zip(img[r:], codomain.torsion)):
-                order = GroupElem(codomain, img).elem_order()
+                order = codomain.element(img).elem_order()
                 raise NotAHomomorphismError(
                     f"generator of order {d} maps to an element of "
                     + (f"order {order}" if order else "infinite order"))
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = mat
+        self._fill(domain, codomain, rows)
+
+    def _fill(self, domain, codomain, rows):
+        """Store the hom of rows (new lists), torsion rows reduced here."""
+        for i, d in enumerate(codomain.torsion, codomain.rank):
+            rows[i] = [x % d for x in rows[i]]
+        mat = tuple(map(tuple, rows))
+        self.domain, self.codomain, self.matrix = domain, codomain, mat
         self._key = (domain, codomain, mat)
         self._hash = hash(self._key)
+        return self
 
     def __repr__(self):
         return (f"GroupHom(domain={self.domain!r}, codomain={self.codomain!r}, "
                 f"matrix={self.matrix!r})")
 
     def apply(self, elem):
-        if elem.group != self.domain:
+        if elem.__class__ is not GroupElem or elem.group != self.domain:
             raise ParentMismatchError(
-                f"element of {elem.group}, hom domain {self.domain}")
+                f"element of {getattr(elem, 'group', type(elem).__name__)}, "
+                f"hom domain {self.domain}")
         cod = self.codomain
         return GroupElem(cod, cod._mod(tuple(mat_vec(self.matrix, elem.coords))))
 
@@ -322,9 +333,11 @@ class GroupHom(_Value):
         return k.is_trivial
 
     def is_surjective(self):
-        q, _ = quotient_by(self.codomain,
-                           [self.apply(g) for g in self.domain.generators()])
-        return q.is_trivial
+        """An invariant-factor question: onto when the Smith form of
+        _presentation has codomain.dim diagonal entries, all 1."""
+        m, n = self.codomain.dim, self.domain.dim + len(self.codomain.torsion)
+        _, d = smith_normal_form(_presentation(self), m, n)
+        return m <= n and all(d[i][i] == 1 for i in range(m))
 
 
 def identity_hom(g):
@@ -337,18 +350,19 @@ def zero_hom(a, b):
 
 def compose(f, g):
     """f after g."""
-    if g.codomain != f.domain:
+    if not (f.__class__ is g.__class__ is GroupHom) or g.codomain != f.domain:
         raise ParentMismatchError("compose: codomain/domain mismatch")
-    return GroupHom(g.domain, f.codomain,
-                    mat_mul(f.matrix, g.matrix, cols_b=g.domain.dim))
+    return GroupHom.__new__(GroupHom)._fill(
+        g.domain, f.codomain, mat_mul(f.matrix, g.matrix, cols_b=g.domain.dim))
 
 
 def add_homs(f, g):
-    if f.domain != g.domain or f.codomain != g.codomain:
+    if (not (f.__class__ is g.__class__ is GroupHom)
+            or f.domain != g.domain or f.codomain != g.codomain):
         raise ParentMismatchError("add_homs: shape mismatch")
     m = [[a + b for a, b in zip(ra, rb)]
          for ra, rb in zip(f.matrix, g.matrix)]
-    return GroupHom(f.domain, f.codomain, m)
+    return GroupHom.__new__(GroupHom)._fill(f.domain, f.codomain, m)
 
 
 def box_fiber(hom, box, target):

@@ -9,6 +9,10 @@ live in the grading group via the parent's degree map.  A Fraction is
 a checked pair (num, den) handed to the witness search; all arithmetic
 is the ring's.
 
+Element(parent, terms) checks each exponent and coefficient.  Sums,
+negations, products, homogeneous parts and same-base reparents take
+terms of elements of the ring, so Element._of builds them unchecked.
+
 The two decision procedures here are exact, not sampled, and both work
 in the ring's own exponent coordinates.  E = Z^r x T, so base[E] is the
 Laurent ring base[T][Z^r], and Q[T] is a finite product of fields
@@ -103,14 +107,22 @@ class Element:
             raise ParentMismatchError("parent must be a ring normal form")
         clean = {}
         for f, c in terms.items():
-            if f.group != parent.egroup:
+            if f.__class__ is not GroupElem or f.group != parent.egroup:
                 raise ParentMismatchError(
-                    f"exponent in {f.group}, ring exponents in {parent.egroup}")
+                    f"exponent in {getattr(f, 'group', type(f).__name__)}, "
+                    f"ring exponents in {parent.egroup}")
             c = _coerce(parent.base, c)
             if c:
                 clean[f] = c
         self.parent = parent
         self.terms = clean
+
+    @classmethod
+    def _of(cls, parent, terms):
+        """The element with these terms, unchecked (see module docstring)."""
+        out = cls.__new__(cls)
+        out.parent, out.terms = parent, terms
+        return out
 
     @classmethod
     def zero(cls, parent):
@@ -132,7 +144,11 @@ class Element:
         return sorted(self.terms, key=lambda f: f.coords)
 
     def coeff(self, f):
-        return self.terms.get(f, _coerce(self.parent.base, 0))
+        c = self.terms.get(f)
+        if c is None:
+            Element(self.parent, {f: 0})  # raises for a foreign exponent
+            c = _coerce(self.parent.base, 0)
+        return c
 
     def _check(self, other):
         if not isinstance(other, Element):
@@ -145,10 +161,10 @@ class Element:
         out = dict(self.terms)
         for f, c in other.terms.items():
             out[f] = out.get(f, 0) + c
-        return Element(self.parent, out)
+        return Element._of(self.parent, {f: c for f, c in out.items() if c})
 
     def __neg__(self):
-        return Element(self.parent, {f: -c for f, c in self.terms.items()})
+        return Element._of(self.parent, {f: -c for f, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -164,11 +180,9 @@ class Element:
                 f = g._mod(tuple(map(add, f1, f2)))
                 acc[f] = acc.get(f, 0) + c1 * c2
         q = self.parent.base == "Q"
-        out = Element.__new__(Element)  # terms valid by construction
-        out.parent = self.parent
-        out.terms = {GroupElem(g, f): Rational(c, da * db) if q else c
-                     for f, c in acc.items() if c}
-        return out
+        return Element._of(self.parent,
+                           {GroupElem(g, f): Rational(c, da * db) if q else c
+                            for f, c in acc.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Rational)):
@@ -221,7 +235,7 @@ def homogeneous_components(x):
     for f, c in x.terms.items():
         d = x.parent.delta.apply(f)
         buckets.setdefault(d, {})[f] = c
-    return {d: Element(x.parent, t)
+    return {d: Element._of(x.parent, t)
             for d, t in sorted(buckets.items(), key=lambda kv: kv[0].coords)}
 
 
@@ -249,7 +263,8 @@ def reparent(x, nf):
         raise ParentMismatchError(f"cannot reparent a {type(x).__name__}")
     if nf.egroup != x.parent.egroup:
         raise ParentMismatchError("exponent groups differ")
-    return Element(nf, dict(x.terms))
+    return (Element._of if nf.base == x.parent.base else Element)(
+        nf, dict(x.terms))
 
 
 class Unit:

@@ -20,7 +20,9 @@ written once for the matrix and once for its transform;
 mul_by_group_elems and hom_matrix_by_group_elems are Element.__mul__
 and the GroupHom constructor's checks as they were before they ran on
 plain ints, through validated GroupElems, FgGroup.element and Element's
-constructor.
+constructor; surjective_by_quotient is GroupHom.is_surjective as it was
+before it read the Smith diagonal, the triviality of the quotient by the
+images of the generators.
 """
 
 from fractions import Fraction
@@ -37,6 +39,7 @@ from gradal.abelian import (
     hom_kernel,
     identity_hom,
     lift_hom,
+    quotient_by,
     subgroup_generated_by,
 )
 from gradal.closure import (
@@ -789,3 +792,11 @@ def hom_matrix_by_group_elems(domain, codomain, matrix):
                 f"generator of order {d} maps to an element of "
                 + (f"order {order}" if order else "infinite order"))
     return mat
+
+
+def surjective_by_quotient(h):
+    """Whether h is onto: the codomain modulo the images of the domain's
+    generators is the trivial group."""
+    q, _ = quotient_by(h.codomain,
+                       [h.apply(x) for x in h.domain.generators()])
+    return q.is_trivial

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradal.abelian as abelian
-from _oracles import hom_matrix_by_group_elems, torsionfree_summand_bruteforce
+from _oracles import (
+    hom_matrix_by_group_elems,
+    surjective_by_quotient,
+    torsionfree_summand_bruteforce,
+)
 from gradal.abelian import (
     FgGroup,
     GroupHom,
@@ -668,9 +672,10 @@ def _random_hom(rng, a, b):
 
 def test_groups_elements_homs_are_values():
     """Equal keys iff ==, == implies equal hashes, and each hash is the
-    hash of the key tuple; a value never equals its key tuple, and an
-    element never equals an element of another group with the same
-    coordinates."""
+    hash of the key tuple, for elements built by every route, though an
+    element computes its hash at first use; a value never equals its key
+    tuple, and an element never equals an element of another group with
+    the same coordinates."""
     rng = random.Random(5150)
     chains = [(), (2,), (3,), (2, 2), (2, 4)]
     draws = {"group": 0, "elem": 0, "hom": 0}
@@ -696,15 +701,84 @@ def test_groups_elements_homs_are_values():
         x, y = (a.element(tuple(rng.randint(-1, 1) for _ in range(a.dim)))
                 for _ in range(2))
         check("elem", x, y, lambda e: (e.group, e.coords))
+        hom = _random_hom(rng, a, b)
+        check("elem", x + y, -x, lambda e: (e.group, e.coords))
+        check("elem", hom.apply(x), b.zero(), lambda e: (e.group, e.coords))
         if a.dim == b.dim:
             z = b.element(x.coords)
             check("elem", x, z, lambda e: (e.group, e.coords))
             if a != b and z.coords == x.coords:
                 other_group += 1
                 assert x != z
-        check("hom", _random_hom(rng, a, b), _random_hom(rng, a, b),
+        check("hom", hom, _random_hom(rng, a, b),
               lambda h: (h.domain, h.codomain, h.matrix))
     assert hash(FgGroup(1, (2,))) == hash((1, (2,)))
     assert min(equal.values()) > 20 and min(draws.values()) > 200, (
         equal, draws)
     assert other_group > 20, other_group
+
+
+def test_is_surjective_matches_the_quotient_route():
+    """is_surjective reads the Smith diagonal of the presentation; it
+    agrees with the triviality of the quotient by the generators' images
+    on seeded homs, trivial domains and codomains among them."""
+    rng = random.Random(1357)
+    groups = SMALL_GROUPS + [FgGroup(0, (6,)), FgGroup(1, (2, 6))]
+    seen = {True: 0, False: 0}
+    trivial_ends = 0
+    for _ in range(1000):
+        a, b = rng.choice(groups), rng.choice(groups)
+        h = _random_hom(rng, a, b) if rng.random() < 0.5 else random_hom(
+            rng, a, b)
+        want = surjective_by_quotient(h)
+        assert h.is_surjective() is want, h
+        seen[want] += 1
+        trivial_ends += a.is_trivial or b.is_trivial
+    assert min(seen.values()) >= 200 and trivial_ends > 50, (seen,
+                                                             trivial_ends)
+
+
+def test_composites_and_sums_are_checked_homs():
+    """compose and add_homs skip the constructor's checks; each result
+    equals, and hashes like, the hom the constructor builds from its
+    matrix, and its columns are the images of the generators, reduced."""
+    rng = random.Random(2468)
+    unreduced = 0
+    for _ in range(400):
+        a, b, c = (rng.choice(SMALL_GROUPS) for _ in range(3))
+        f, g, g2 = random_hom(rng, b, c), random_hom(rng, a, b), random_hom(
+            rng, a, b)
+        for h, images in ((compose(f, g), [f.apply(g.apply(x))
+                                           for x in a.generators()]),
+                          (add_homs(g, g2), [g.apply(x) + g2.apply(x)
+                                             for x in a.generators()])):
+            checked = GroupHom(h.domain, h.codomain, h.matrix)
+            assert h == checked and hash(h) == hash(checked)
+            assert h.matrix == hom_matrix_by_group_elems(
+                h.domain, h.codomain, h.matrix)
+            assert h.matrix == tuple(zip(*(x.coords for x in images))) or (
+                not images and h.matrix == ((),) * h.codomain.dim)
+        sums = [[u + v for u, v in zip(ru, rv)]
+                for ru, rv in zip(g.matrix, g2.matrix)]
+        unreduced += any(v >= d for row, d in zip(sums[b.rank:], b.torsion)
+                         for v in row)
+    assert unreduced > 50, unreduced
+
+
+def test_foreign_operands_are_typed_errors():
+    """A non-element or non-hom operand raises ParentMismatchError, not
+    an AttributeError from inside the operation."""
+    g = FgGroup(1, (2,))
+    h = identity_hom(g)
+    for op in (lambda: h.apply(3), lambda: h.apply((1, 0)),
+               lambda: g.element((1, 0)) + 1,
+               lambda: g.element((1, 0)) - (1, 0),
+               lambda: compose(h, 5), lambda: compose(5, h),
+               lambda: add_homs(h, 5), lambda: add_homs(5, h)):
+        with pytest.raises(ParentMismatchError):
+            op()
+    with pytest.raises(ParentMismatchError, match="^element of int, hom "):
+        h.apply(3)
+    with pytest.raises(ParentMismatchError,
+                       match=r"^elements of Z x Z/2 and int$"):
+        g.element((1, 0)) + 1

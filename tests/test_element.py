@@ -147,6 +147,58 @@ def test_products_match_group_elem_convolution():
     assert wrapped > 50 and cancelled > 20 and empty > 20
 
 
+def test_derived_elements_survive_the_checked_constructor():
+    """Sums, differences, negations, zero, homogeneous parts and
+    same-base reparents skip Element's checks; each is unchanged by
+    Element(parent, terms): the same terms, in the same order, with the
+    same coefficient types, so no zero coefficient is kept."""
+    rng = random.Random(8642)
+    groups = [FgGroup(1, ()), FgGroup(2, ()), FgGroup(0, (4,)),
+              FgGroup(1, (2,)), FgGroup(1, (2, 6))]
+    pairs = [(group_algebra(base, g, "fine"), group_algebra(base, g, "coarse"))
+             for base in (Z, Q) for g in groups]
+    cancelled = 0
+
+    def unchanged(v, parent):
+        w = Element(v.parent, v.terms)
+        assert v.parent is parent
+        assert list(w.terms.items()) == list(v.terms.items())
+        assert [type(c) for c in w.terms.values()] == [
+            type(c) for c in v.terms.values()]
+
+    for _ in range(400):
+        nf, other = rng.choice(pairs)
+        x = random_element(rng, nf)
+        y = random_element(rng, nf) if rng.random() < 0.6 else (
+            -x + random_element(rng, nf, max_terms=1))
+        results = [x + y, x - y, -x, y - x, x - x, Element.zero(nf),
+                   *homogeneous_components(x).values()]
+        for v in results:
+            unchanged(v, nf)
+        unchanged(reparent(x, other), other)
+        unchanged(reparent(reparent(x, other), nf), nf)
+        cancelled += len((x + y).terms) < len(set(x.terms) | set(y.terms))
+    assert cancelled > 50, cancelled
+
+
+def test_foreign_exponents_are_typed_errors():
+    """An exponent of another group, or a bare tuple, raises
+    ParentMismatchError in Element(...) and in coeff."""
+    x = e(QZ, 1, c=2)
+    bad = (FgGroup(2, ()).element((1, 1)), (1, 1), (1,), 1)
+    for f in bad:
+        with pytest.raises(ParentMismatchError, match="^exponent in "):
+            x.coeff(f)
+        with pytest.raises(ParentMismatchError, match="^exponent in "):
+            Element(QZ, {f: 1})
+    with pytest.raises(ParentMismatchError,
+                       match=r"^exponent in tuple, ring exponents in Z$"):
+        Element(QZ, {(1, 1): 1})
+    assert x.coeff(QZ.egroup.element((0,))) == 0
+    assert type(x.coeff(QZ.egroup.element((0,)))) is Rational
+    assert type(e(ZZ, 1).coeff(ZZ.egroup.element((0,)))) is int
+
+
 def test_pow_and_scale():
     x = e(QZ, 1) + e(QZ, 0)
     assert x ** 0 == Element.one(QZ)

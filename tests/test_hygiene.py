@@ -253,6 +253,48 @@ def test_normal_form_built_only_in_ringexpr():
                        "constructors:\n" + "\n".join(found))
 
 
+# The private builders that skip the boundary checks, by defining module.
+TRUSTED_BUILDERS = {"_of": "element.py", "_fill": "abelian.py"}
+
+
+def trusted_builder_calls(source):
+    """(name, line) of each call of a trusted builder, or of __new__ on
+    Element or GroupHom, by bare name or as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr",
+                                                                  None)
+            if name == "__new__" and isinstance(fn.value, ast.Name):
+                name = {"Element": "_of", "GroupHom": "_fill"}.get(
+                    fn.value.id)
+            if name in TRUSTED_BUILDERS:
+                out.append((node.lineno, name))
+    return [(name, line) for line, name in sorted(out)]
+
+
+def test_trusted_builder_scanner():
+    src = ("a = Element._of(p, t)\nb = GroupHom.__new__(GroupHom)._fill(d)\n"
+           "c = _of(p, t)\nd = Element.__new__(Element)\ne = x._of\n"
+           "f = object.__new__(cls)\n")
+    assert trusted_builder_calls(src) == [
+        ("_of", 1), ("_fill", 2), ("_fill", 2), ("_of", 3), ("_of", 4)]
+
+
+def test_trusted_builders_called_only_in_their_module():
+    """Element._of and GroupHom._fill skip the checks of Element(...) and
+    GroupHom(...); only their own module, which builds from validated
+    operands, may call them."""
+    found = []
+    for path in sorted((ROOT / "src" / "gradal").glob("*.py")):
+        for name, line in trusted_builder_calls(path.read_text()):
+            if path.name != TRUSTED_BUILDERS[name]:
+                found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert not found, ("trusted builder called outside its module, use the "
+                       "checked constructor:\n" + "\n".join(found))
+
+
 def test_all_entries_resolve():
     missing = []
     names = ["gradal"] + sorted(
