@@ -12,6 +12,8 @@ Bases, kernels, coordinates and integer solutions come from the column
 Hermite form, which is unique for its lattice, so they never depend on
 the generators that span it.
 
+A _Value compares by content, a plain result _Record by identity.
+
 >>> G = FgGroup(1, (4,))
 >>> G.element((3, 7)).coords
 (3, 3)
@@ -86,6 +88,41 @@ class _Value:
         return self._hash
 
 
+class _Record:
+    """A plain record: its fields are the subclass's __slots__, filled in
+    order by position and then by keyword; a field not given is None."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} has {len(fields)} fields")
+        for name, value in zip(fields, args):
+            setattr(self, name, value)
+        for name in fields[len(args):]:
+            setattr(self, name, kwargs.pop(name, None))
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}: extra {sorted(kwargs)}")
+
+
+def _check_ints(what, values, error=GradalError):
+    """Raise error unless every value is an int (a bool is not)."""
+    for v in values:
+        if type(v) is not int:
+            raise error(f"{what} must be ints, got {v!r}")
+
+
+def _home(x):
+    """Where x lives, for an error message: its group, else its type."""
+    return getattr(x, "group", type(x).__name__)
+
+
+def _not_a(kind, x):
+    """The error for an operand x that is not a kind."""
+    return ParentMismatchError(f"expected a {kind}, got {type(x).__name__}")
+
+
 class FgGroup(_Value):
     """Z^rank x Z/torsion[0] x ... with the divisibility chain enforced.
 
@@ -96,10 +133,7 @@ class FgGroup(_Value):
 
     def __init__(self, rank, torsion=()):
         torsion = tuple(torsion)
-        for v in (rank, *torsion):
-            if type(v) is not int:
-                raise GradalError(
-                    f"rank and invariant factors must be ints, got {v!r}")
+        _check_ints("rank and invariant factors", (rank, *torsion))
         if rank < 0:
             raise GradalError(f"negative rank {rank}")
         for d in torsion:
@@ -139,9 +173,7 @@ class FgGroup(_Value):
         if len(coords) != self.dim:
             raise ParentMismatchError(
                 f"expected {self.dim} coordinates, got {len(coords)}")
-        for v in coords:
-            if type(v) is not int:
-                raise GradalError(f"coordinates must be ints, got {v!r}")
+        _check_ints("coordinates", coords)
         return self._mod(coords)
 
     def _mod(self, coords):
@@ -226,8 +258,7 @@ class GroupElem:
     def _check(self, other):
         if other.__class__ is not GroupElem or self.group != other.group:
             raise ParentMismatchError(
-                f"elements of {self.group} and "
-                f"{getattr(other, 'group', type(other).__name__)}")
+                f"elements of {self.group} and {_home(other)}")
         return self.group
 
     def __add__(self, other):
@@ -243,8 +274,7 @@ class GroupElem:
         return GroupElem(g, g._mod(tuple(map(neg, self.coords))))
 
     def __rmul__(self, k):
-        if type(k) is not int:
-            raise GradalError(f"group multiples must be by ints, got {k!r}")
+        _check_ints("group multiples", (k,))
         g = self.group
         return GroupElem(g, g._mod(tuple(k * a for a in self.coords)))
 
@@ -290,10 +320,7 @@ class GroupHom(_Value):
             if len(row) != domain.dim:
                 raise NotAHomomorphismError(
                     f"matrix row width {len(row)}, domain dim {domain.dim}")
-            for v in row:
-                if type(v) is not int:
-                    raise NotAHomomorphismError(
-                        f"matrix entries must be ints, got {v!r}")
+            _check_ints("matrix entries", row, NotAHomomorphismError)
         r = codomain.rank
         # A torsion generator of order d must map to an element killed by d.
         for j, d in enumerate(domain.torsion):
@@ -323,8 +350,7 @@ class GroupHom(_Value):
     def apply(self, elem):
         if elem.__class__ is not GroupElem or elem.group != self.domain:
             raise ParentMismatchError(
-                f"element of {getattr(elem, 'group', type(elem).__name__)}, "
-                f"hom domain {self.domain}")
+                f"element of {_home(elem)}, hom domain {self.domain}")
         cod = self.codomain
         return GroupElem(cod, cod._mod(tuple(mat_vec(self.matrix, elem.coords))))
 
@@ -371,8 +397,8 @@ def box_fiber(hom, box, target):
     at the first codomain row that misses target; only those kept become
     GroupElems."""
     cod, dom = hom.codomain, hom.domain
-    if target.group != cod:
-        raise ParentMismatchError(f"target in {target.group}, codomain {cod}")
+    if target.__class__ is not GroupElem or target.group != cod:
+        raise ParentMismatchError(f"target in {_home(target)}, codomain {cod}")
     rows = tuple(zip(hom.matrix, target.coords, (0,) * cod.rank + cod.torsion))
     ranges = [range(-box, box + 1)] * dom.rank + [range(d) for d in dom.torsion]
     out = []
@@ -438,8 +464,8 @@ def _subgroup_from_lattice(g, lattice_cols):
 def subgroup_generated_by(g, gens):
     """Abstract subgroup generated by elements of g, with its embedding."""
     for x in gens:
-        if x.group != g:
-            raise ParentMismatchError(f"generator of {x.group}, ambient {g}")
+        if x.__class__ is not GroupElem or x.group != g:
+            raise ParentMismatchError(f"generator of {_home(x)}, ambient {g}")
     return _subgroup_from_lattice(g, [list(x.coords) for x in gens])
 
 
@@ -449,8 +475,8 @@ def quotient_by(g, gens):
     Returns (q, proj) with proj the projection g -> q.
     """
     for x in gens:
-        if x.group != g:
-            raise ParentMismatchError(f"generator of {x.group}, ambient {g}")
+        if x.__class__ is not GroupElem or x.group != g:
+            raise ParentMismatchError(f"generator of {_home(x)}, ambient {g}")
     rel_cols = g.relation_columns() + [list(x.coords) for x in gens]
     q, to_n, _ = normalize_presentation(g.dim, rel_cols)
     return q, GroupHom(g, q, to_n)
@@ -471,6 +497,8 @@ def _presentation(h):
 
 def hom_kernel(psi):
     """Kernel of a homomorphism as (k, iota) with iota: k -> domain."""
+    if psi.__class__ is not GroupHom:
+        raise _not_a("hom", psi)
     a, b = psi.domain, psi.codomain
     n = a.dim + len(b.torsion)
     _, v, pivots = hermite_columns(_presentation(psi), b.dim, n)
@@ -482,6 +510,8 @@ def hom_kernel(psi):
 
 def hom_image(psi):
     """Image subgroup of the codomain, as (s, iota)."""
+    if psi.__class__ is not GroupHom:
+        raise _not_a("hom", psi)
     return subgroup_generated_by(
         psi.codomain, [psi.apply(g) for g in psi.domain.generators()])
 
@@ -493,8 +523,8 @@ def solve_in_subgroup(iota, target):
     depend on which solution the integer solver picks.
     """
     g = iota.codomain
-    if target.group != g:
-        raise ParentMismatchError("target does not live in the codomain")
+    if target.__class__ is not GroupElem or target.group != g:
+        raise ParentMismatchError(f"target in {_home(target)}, codomain {g}")
     sol = solve_int(_presentation(iota), list(target.coords), g.dim,
                     iota.domain.dim + len(g.torsion))
     if sol is None:
@@ -511,8 +541,8 @@ def lift_hom(iota, psi):
     (iota is then not injective), x is corrected by some z in the kernel
     of iota with d*z = -d*x, and no such z means no lift.
     """
-    if psi.codomain != iota.codomain:
-        raise ParentMismatchError("psi must land in the codomain of iota")
+    if psi.__class__ is not GroupHom or psi.codomain != iota.codomain:
+        raise ParentMismatchError("psi must be a hom into iota's codomain")
     cols = []
     for gen in psi.domain.generators():
         x = solve_in_subgroup(iota, psi.apply(gen))
@@ -537,7 +567,7 @@ def hom_inverse(phi):
     For an injective phi the lift of the identity is unique, so when it
     exists it is a two-sided inverse.
     """
-    if not phi.is_injective():
+    if not hom_kernel(phi)[0].is_trivial:
         raise GradalError("not injective, no inverse")
     inv = lift_hom(phi, identity_hom(phi.codomain))
     if inv is None:
@@ -545,17 +575,10 @@ def hom_inverse(phi):
     return inv
 
 
-class DirectSum:
+class DirectSum(_Record):
     """A group with the injections and projections of its two summands."""
 
     __slots__ = ("group", "inj1", "inj2", "proj1", "proj2")
-
-    def __init__(self, group, inj1, inj2, proj1, proj2):
-        self.group = group
-        self.inj1 = inj1
-        self.inj2 = inj2
-        self.proj1 = proj1
-        self.proj2 = proj2
 
 
 @lru_cache(maxsize=256)
@@ -566,6 +589,8 @@ def direct_sum(a, b):
     The trivial-summand cases return the other group unchanged so that
     adjoining the trivial group is the identity on the nose.
     """
+    if not (a.__class__ is b.__class__ is FgGroup):
+        raise _not_a("group", b if a.__class__ is FgGroup else a)
     if a.is_trivial:
         return DirectSum(b, zero_hom(a, b), identity_hom(b),
                          zero_hom(b, a), identity_hom(b))
@@ -598,6 +623,8 @@ def find_section(psi):
 
     A section is a lift of the identity of the codomain through psi.
     """
+    if psi.__class__ is not GroupHom:
+        raise _not_a("hom", psi)
     a, b = psi.domain, psi.codomain
     if not psi.is_surjective():
         raise NotSurjectiveError(f"{a} -> {b} is not onto")

@@ -53,6 +53,7 @@ from fractions import Fraction as Rational
 from .abelian import (
     FgGroup,
     GroupHom,
+    _Record,
     direct_sum,
     find_section,
     is_in_torsionfree_summand,
@@ -95,14 +96,8 @@ _TOKEN = re.compile(r"(?P<sym>->|[][()<>,;*+/^:=-])|(?P<int>[0-9]+)"
                     r"|(?P<bad>.)", re.S)
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # name, int, sym, end
-        self.text = text
-        self.line = line
-        self.col = col
+class _Tok(_Record):
+    __slots__ = ("kind", "text", "line", "col")  # kind: name, int, sym, end
 
 
 def _tokenize(text):
@@ -125,70 +120,34 @@ def _tokenize(text):
 
 # --- syntax trees (spans, (line, first col, end col), feed error reports) ---
 
-class GroupAst:
-    __slots__ = ("kind", "n", "left", "right", "span")
-
-    def __init__(self, kind, span, n=0, left=None, right=None):
-        self.kind = kind  # zero, free, torsion, prod
-        self.span = span
-        self.n = n
-        self.left = left
-        self.right = right
+class GroupAst(_Record):
+    # kind: zero, free, torsion, prod
+    __slots__ = ("kind", "span", "n", "left", "right")
 
 
-class HomAst:
+class HomAst(_Record):
     __slots__ = ("rows", "dom", "cod", "span", "mat_span")
 
-    def __init__(self, rows, dom, cod, span, mat_span):
-        self.rows = rows
-        self.dom = dom
-        self.cod = cod
-        self.span = span
-        self.mat_span = mat_span
 
-
-class GensAst:
+class GensAst(_Record):
     __slots__ = ("tuples", "span", "tuple_spans")
 
-    def __init__(self, tuples, span, tuple_spans):
-        self.tuples = tuples
-        self.span = span
-        self.tuple_spans = tuple_spans
 
-
-class ElemAst:
+class ElemAst(_Record):
+    # terms: ((num, den, coords), ...), sign folded into num
     __slots__ = ("terms", "span", "term_spans")
 
-    def __init__(self, terms, span, term_spans):
-        self.terms = terms  # ((num, den, coords), ...), sign folded into num
-        self.span = span
-        self.term_spans = term_spans
 
-
-class RingAst:
+class RingAst(_Record):
+    # kind: Z, Q, algebra, coarsen, restrict, frac
     __slots__ = ("kind", "span", "inner", "group", "alg_kind", "hom", "gens")
 
-    def __init__(self, kind, span, inner=None, group=None, alg_kind="",
-                 hom=None, gens=None):
-        self.kind = kind  # Z, Q, algebra, coarsen, restrict, frac
-        self.span = span
-        self.inner = inner
-        self.group = group
-        self.alg_kind = alg_kind
-        self.hom = hom
-        self.gens = gens
 
-
-class RefAst:
+class RefAst(_Record):
     """A name that is unbound, or bound to another kind, where it is
     written; evaluating it reports "'name' is not a bound kind"."""
 
     __slots__ = ("name", "kind", "span")
-
-    def __init__(self, name, kind, span):
-        self.name = name
-        self.kind = kind
-        self.span = span
 
 
 def _unbound(node):

@@ -30,6 +30,8 @@ from math import lcm, prod
 from .abelian import (
     FgGroup,
     GroupHom,
+    _Record,
+    _check_ints,
     add_homs,
     box_fiber,
     compose,
@@ -95,35 +97,22 @@ __all__ = [
 ]
 
 
-class IntegralityWitness:
+class IntegralityWitness(_Record):
     """x^degree + coeffs[0]*x^(degree-1) + ... + coeffs[-1] = 0."""
 
     __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree, coeffs):
-        self.degree = degree
-        self.coeffs = coeffs
 
-
-class AlmostIntegralWitness:
+class AlmostIntegralWitness(_Record):
     """x^(k+1) = sum(combination[i] * x^i), a combination of 1, ..., x^k."""
 
     __slots__ = ("k", "combination")
 
-    def __init__(self, k, combination):
-        self.k = k
-        self.combination = combination
 
-
-class NoWitnessUpTo:
+class NoWitnessUpTo(_Record):
     """No witness within the bounds searched (a bound not used is None)."""
 
     __slots__ = ("max_deg", "k_max", "box")
-
-    def __init__(self, max_deg=None, k_max=None, box=None):
-        self.max_deg = max_deg
-        self.k_max = k_max
-        self.box = box
 
 
 def witness_str(w):
@@ -267,6 +256,7 @@ def _search(r, s, x, max_deg, box):
       makes p integral over base(r)[K], a Laurent ring and so normal
       (Gilmer 1984); hence p lies in base(r)[K] and x in r.
     """
+    _check_ints("search bounds", (max_deg, box))
     if max_deg < 1:
         raise GradalError(f"max_deg must be at least 1, got {max_deg}")
     if box < 0:
@@ -314,6 +304,7 @@ def find_almost_integral_witness(r, s, x, k_max=2, support_box=3):
     k_max + 1.  x may also be a homogeneous fraction over s.  The
     membership is re-checked before the witness is returned.
     """
+    _check_ints("search bounds", (k_max,))
     if k_max < 0:
         raise GradalError(f"k_max must be at least 0, got {k_max}")
     w = _search(r, s, x, k_max + 1, support_box)
@@ -336,14 +327,10 @@ def find_integral_equation_fraction(r, x, max_deg=3, support_box=3):
     return w or NoWitnessUpTo(max_deg=max_deg, box=support_box)
 
 
-class ComponentsReport:
+class ComponentsReport(_Record):
     """The coarse search result and (degree, result) per fine component."""
 
     __slots__ = ("coarse_result", "fine_results")
-
-    def __init__(self, coarse_result, fine_results):
-        self.coarse_result = coarse_result
-        self.fine_results = fine_results
 
     @property
     def coarse_found(self):
@@ -386,19 +373,10 @@ def components_integral_check(r, psi, x, max_deg=3, support_box=3):
     return ComponentsReport(coarse_result, tuple(fine))
 
 
-class TorsionIdempotent:
+class TorsionIdempotent(_Record):
     """f in ring_q over ring_z, with f^2 + (c-1)f - d = 0 as witness."""
 
     __slots__ = ("n", "ring_z", "ring_q", "f", "c", "d", "witness")
-
-    def __init__(self, n, ring_z, ring_q, f, c, d, witness):
-        self.n = n
-        self.ring_z = ring_z
-        self.ring_q = ring_q
-        self.f = f
-        self.c = c
-        self.d = d
-        self.witness = witness
 
 
 def torsion_idempotent(n):
@@ -436,7 +414,7 @@ def torsion_idempotent(n):
     return TorsionIdempotent(n, ring_z, ring_q, f, c, d, witness)
 
 
-class LaurentStructure:
+class LaurentStructure(_Record):
     """A ring together with its Laurent extension by one invisible z.
 
     ring is base_ring with one adjoined exponent z of degree zero.
@@ -445,13 +423,6 @@ class LaurentStructure:
     """
 
     __slots__ = ("ring", "base_ring", "emb_e", "z_proj", "z_gen")
-
-    def __init__(self, ring, base_ring, emb_e, z_proj, z_gen):
-        self.ring = ring
-        self.base_ring = base_ring
-        self.emb_e = emb_e
-        self.z_proj = z_proj
-        self.z_gen = z_gen
 
 
 def laurent_extension(r):
@@ -511,7 +482,7 @@ def graded_euclidean_division(struct, f, g):
     return u, v
 
 
-class RingMap:
+class RingMap(_Record):
     """Monomial ring morphism: e_f goes to e_(exponent_map(f)).
 
     Multiplicative and unital by construction; degree behavior is
@@ -520,11 +491,6 @@ class RingMap:
     """
 
     __slots__ = ("domain", "codomain", "exponent_map")
-
-    def __init__(self, domain, codomain, exponent_map):
-        self.domain = domain
-        self.codomain = codomain
-        self.exponent_map = exponent_map
 
     def apply(self, x):
         if x.parent != self.domain:
@@ -542,17 +508,10 @@ def _hom_minus(f, g):
     return add_homs(f, GroupHom(g.domain, g.codomain, neg))
 
 
-class Lem50Pair:
+class Lem50Pair(_Record):
     """Mutually inverse maps p: target -> coarse and q: coarse -> target."""
 
     __slots__ = ("p", "q", "target", "coarse", "psi")
-
-    def __init__(self, p, q, target, coarse, psi):
-        self.p = p
-        self.q = q
-        self.target = target
-        self.coarse = coarse
-        self.psi = psi
 
 
 def lem50_iso(r, f_gens, h_gens):

@@ -36,7 +36,7 @@ from fractions import Fraction as Rational
 from math import lcm
 from operator import add
 
-from .abelian import GroupElem, hom_kernel
+from .abelian import GroupElem, _Record, _check_ints, _home, _not_a, hom_kernel
 from .errors import (
     GradalError,
     HypothesisViolatedError,
@@ -97,6 +97,11 @@ def _term_str(c, f):
     return f"{c}*{mono}"
 
 
+def _foreign_exponent(f, parent):
+    return ParentMismatchError(
+        f"exponent in {_home(f)}, ring exponents in {parent.egroup}")
+
+
 class Element:
     """Finite support map from exponents to coefficients."""
 
@@ -108,9 +113,7 @@ class Element:
         clean = {}
         for f, c in terms.items():
             if f.__class__ is not GroupElem or f.group != parent.egroup:
-                raise ParentMismatchError(
-                    f"exponent in {getattr(f, 'group', type(f).__name__)}, "
-                    f"ring exponents in {parent.egroup}")
+                raise _foreign_exponent(f, parent)
             c = _coerce(parent.base, c)
             if c:
                 clean[f] = c
@@ -144,11 +147,10 @@ class Element:
         return sorted(self.terms, key=lambda f: f.coords)
 
     def coeff(self, f):
-        c = self.terms.get(f)
-        if c is None:
-            Element(self.parent, {f: 0})  # raises for a foreign exponent
-            c = _coerce(self.parent.base, 0)
-        return c
+        p = self.parent
+        if f.__class__ is not GroupElem or f.group != p.egroup:
+            raise _foreign_exponent(f, p)
+        return self.terms.get(f) or _coerce(p.base, 0)
 
     def _check(self, other):
         if not isinstance(other, Element):
@@ -195,8 +197,7 @@ class Element:
         return Element(self.parent, {f: c * v for f, v in self.terms.items()})
 
     def __pow__(self, n):
-        if type(n) is not int:
-            raise GradalError(f"exponent {n!r} is not an int")
+        _check_ints("powers", (n,))
         if n < 0:
             raise GradalError("negative powers need the unit test first")
         out = Element.one(self.parent)
@@ -261,38 +262,28 @@ def reparent(x, nf):
     """
     if not isinstance(x, Element):
         raise ParentMismatchError(f"cannot reparent a {type(x).__name__}")
+    if nf.__class__ is not NormalForm:
+        raise _not_a("ring", nf)
     if nf.egroup != x.parent.egroup:
         raise ParentMismatchError("exponent groups differ")
     return (Element._of if nf.base == x.parent.base else Element)(
         nf, dict(x.terms))
 
 
-class Unit:
+class Unit(_Record):
     __slots__ = ("inverse",)
 
-    def __init__(self, inverse):
-        self.inverse = inverse
 
-
-class NotUnit:
+class NotUnit(_Record):
     __slots__ = ("reason",)
 
-    def __init__(self, reason=""):
-        self.reason = reason
 
-
-class NonZeroDivisor:
+class NonZeroDivisor(_Record):
     __slots__ = ("reason",)
 
-    def __init__(self, reason=""):
-        self.reason = reason
 
-
-class ZeroDivisor:
+class ZeroDivisor(_Record):
     __slots__ = ("annihilator",)
-
-    def __init__(self, annihilator):
-        self.annihilator = annihilator
 
 
 def _torsion_span(x):
@@ -454,13 +445,8 @@ class Fraction:
         return f"<{self} in {self.parent.describe()}>"
 
 
-class P70Report:
+class P70Report(_Record):
     __slots__ = ("x_homogeneous", "y_homogeneous", "product_nonzero")
-
-    def __init__(self, x_homogeneous, y_homogeneous, product_nonzero):
-        self.x_homogeneous = x_homogeneous
-        self.y_homogeneous = y_homogeneous
-        self.product_nonzero = product_nonzero
 
     @property
     def passed(self):

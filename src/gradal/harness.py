@@ -22,6 +22,8 @@ from .abelian import (
     FgGroup,
     GroupElem,
     GroupHom,
+    _Record,
+    _check_ints,
     box_fiber,
     compose,
     direct_sum,
@@ -130,6 +132,7 @@ class CheckConfig:
     def __init__(self, check_id, trials=24, seed=2024):
         if check_id not in CHECK_IDS:
             raise UnknownCheckIdError(f"unknown check id {check_id!r}")
+        _check_ints("trials and seed", (trials, seed))
         if trials < 1:
             raise GradalError("trials must be at least 1")
         self.check_id = check_id
@@ -138,24 +141,12 @@ class CheckConfig:
         self.bounds = dict(DEFAULT_BOUNDS)
 
 
-class CheckReport:
+class CheckReport(_Record):
     """Per-trial verdicts in trial order, their counts, the first failing
     trial with its payload (or None) and the trials that raised."""
 
     __slots__ = ("check_id", "seed", "trials", "results", "passes", "fails",
                  "inconclusive", "counterexample", "errors")
-
-    def __init__(self, check_id, seed, trials, results, passes, fails,
-                 inconclusive, counterexample, errors):
-        self.check_id = check_id
-        self.seed = seed
-        self.trials = trials
-        self.results = results
-        self.passes = passes
-        self.fails = fails
-        self.inconclusive = inconclusive
-        self.counterexample = counterexample
-        self.errors = errors
 
 
 def _sample_coeff(rng, base):

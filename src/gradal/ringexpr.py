@@ -19,7 +19,10 @@ from functools import lru_cache
 
 from .abelian import (
     FgGroup,
+    GroupHom,
+    _Record,
     _Value,
+    _not_a,
     add_homs,
     compose,
     direct_sum,
@@ -86,15 +89,8 @@ class NormalForm(_Value):
         return f"Frac({body})" if self.fraction else body
 
 
-class Classification:
+class Classification(_Record):
     __slots__ = ("entire", "simple", "noetherian", "support", "full_support")
-
-    def __init__(self, entire, simple, noetherian, support, full_support):
-        self.entire = entire
-        self.simple = simple
-        self.noetherian = noetherian
-        self.support = support
-        self.full_support = full_support
 
 
 class BaseZ:
@@ -140,8 +136,8 @@ def group_algebra(nf, f, kind):
 
 def coarsen(nf, psi):
     """Push the grading through a surjection psi of grading groups."""
-    if psi.domain != nf.ggroup:
-        raise ParentMismatchError("psi must start at the grading group")
+    if psi.__class__ is not GroupHom or psi.domain != nf.ggroup:
+        raise ParentMismatchError("psi must be a hom from the grading group")
     if not psi.is_surjective():
         raise NotSurjectiveError("coarsening map is not onto")
     if nf.fraction:
@@ -181,8 +177,8 @@ def regrade_restrict(nf, gens):
 
 def regrade_extend(nf, embed):
     """View the grading inside a bigger group via an embedding."""
-    if embed.domain != nf.ggroup:
-        raise ParentMismatchError("embedding must start at the grading group")
+    if embed.__class__ is not GroupHom or embed.domain != nf.ggroup:
+        raise ParentMismatchError("embed must be a hom from the grading group")
     if not embed.is_injective():
         raise NotASubgroupError("grading extension map is not injective")
     return NormalForm(nf.base, nf.egroup, embed.codomain,
@@ -222,6 +218,8 @@ def classify(nf):
     generated over a noetherian base.  Computed once per ring value:
     equal rings built separately share one Classification.
     """
+    if nf.__class__ is not NormalForm:
+        raise _not_a("ring", nf)
     k, _ = hom_kernel(nf.delta)
     if nf.fraction:
         entire = True

@@ -502,6 +502,15 @@ def test_names_resolve_where_written(capsys, tmp_path):
                           "let G = Z^2; let H = (G); Q[H]fine")
     assert rc == 0
     assert json.loads(out)["ring"] == "Q[Z^2] graded by Z^2"
+    # A use is a copy of the bound node with the use's span, and nothing
+    # else changed.
+    _, scope = cli._parse("let R = Q[Z/2]coarse;", {})
+    node, _ = cli._parse("R", scope, cli._Parser.ring)
+    bound = scope["R"][1]
+    assert (node.span, bound.span) == ((1, 1, 2), (1, 9, 21))
+    assert [getattr(node, f) for f in cli.RingAst.__slots__ if f != "span"] \
+        == [getattr(bound, f) for f in cli.RingAst.__slots__ if f != "span"]
+    assert node.alg_kind == "coarse" and node.hom is None
 
 
 def test_name_bound_after_its_use(capsys):

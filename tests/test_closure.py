@@ -162,6 +162,18 @@ def test_verify_refuses_spoilt_witnesses():
     for a1 in (-e(zr, 0), e(zr, 0) - e(zr, 1)):
         w = IntegralityWitness(1, (a1,))
         assert not verify_integral_witness(zr, qr, e(qr, 1), w)
+    # A record takes its fields by position, by keyword or both.
+    a1 = -e(zr, 1)
+    for w in (IntegralityWitness(1, (a1,)),
+              IntegralityWitness(1, coeffs=(a1,)),
+              IntegralityWitness(coeffs=(a1,), degree=1)):
+        assert (w.degree, w.coeffs) == (1, (a1,))
+        assert verify_integral_witness(zr, qr, e(qr, 1), w)
+    for bad in (lambda: IntegralityWitness(1, (a1,), 2),
+                lambda: IntegralityWitness(1, coefs=(a1,)),
+                lambda: IntegralityWitness(1, degree=1)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_search_refuses_x_outside_the_big_ring():
@@ -644,8 +656,9 @@ def test_finders_reject_zero():
 
 
 def test_finders_reject_bounds_that_describe_no_search():
-    """max_deg < 1, a negative box or k_max < 0 raise GradalError; the
-    smallest bounds that describe a search are accepted."""
+    """max_deg < 1, a negative box, k_max < 0 or a bound that is not an
+    int raise GradalError; the smallest bounds that describe a search are
+    accepted."""
     zr = group_algebra(Z, FgGroup(1, ()), "fine")
     qr = group_algebra(Q, FgGroup(1, ()), "fine")
     x = e(qr, 1)
@@ -667,7 +680,18 @@ def test_finders_reject_bounds_that_describe_no_search():
                       IntegralityWitness)
     res = find_integral_equation(zr, qr, x, 1, 0)
     assert isinstance(res, NoWitnessUpTo) and (res.max_deg, res.box) == (1, 0)
+    assert res.k_max is None  # a field not given
     assert find_almost_integral_witness(zr, qr, x, 0, 1).k == 0
+    # A bound that is not an int is refused, not searched with max_deg
+    # True or failing inside the search.
+    for max_deg, box in ((True, 1), (2.5, 1), (1, 1.5), (1, False), ("2", 1)):
+        with pytest.raises(GradalError, match="^search bounds must be ints"):
+            find_integral_equation(zr, qr, x, max_deg, box)
+        with pytest.raises(GradalError, match="^search bounds must be ints"):
+            find_integral_equation_fraction(zr, frac, max_deg, box)
+    for k_max, box in ((True, 1), (1.0, 1), (1, 0.5)):
+        with pytest.raises(GradalError, match="^search bounds must be ints"):
+            find_almost_integral_witness(zr, qr, x, k_max, box)
 
 
 # --- component integrality ---

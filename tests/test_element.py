@@ -16,7 +16,22 @@ from _oracles import (
     unit_inverse_box,
     zero_divisor_pair_bruteforce,
 )
-from gradal.abelian import FgGroup, GroupHom, hom_kernel, quotient_by
+from gradal.abelian import (
+    FgGroup,
+    GroupHom,
+    box_fiber,
+    direct_sum,
+    find_section,
+    hom_image,
+    hom_inverse,
+    hom_kernel,
+    identity_hom,
+    is_in_torsionfree_summand,
+    lift_hom,
+    quotient_by,
+    solve_in_subgroup,
+    subgroup_generated_by,
+)
 from gradal.element import (
     Element,
     Fraction,
@@ -51,6 +66,7 @@ from gradal.ringexpr import (
     fraction_field,
     group_algebra,
     normalize,
+    regrade_extend,
 )
 
 Q = normalize(BaseQ())
@@ -197,6 +213,44 @@ def test_foreign_exponents_are_typed_errors():
     assert x.coeff(QZ.egroup.element((0,))) == 0
     assert type(x.coeff(QZ.egroup.element((0,)))) is Rational
     assert type(e(ZZ, 1).coeff(ZZ.egroup.element((0,)))) is int
+
+
+_G = FgGroup(1, (2,))
+_H = identity_hom(_G)
+FOREIGN = [
+    ("reparent", lambda: reparent(e(QZ, 1), 3), "^expected a ring, got int$"),
+    ("coeff", lambda: e(QZ, 1).coeff([1, 0]), "^exponent in list, "),
+    ("hom_kernel", lambda: hom_kernel(5), "^expected a hom, got int$"),
+    ("hom_image", lambda: hom_image(5), "^expected a hom, got int$"),
+    ("hom_inverse", lambda: hom_inverse(5), "^expected a hom, got int$"),
+    ("find_section", lambda: find_section(5), "^expected a hom, got int$"),
+    ("lift_hom", lambda: lift_hom(_H, 5), "^psi must be a hom into"),
+    ("quotient_by", lambda: quotient_by(_G, [5]), "^generator of int, "),
+    ("subgroup_generated_by", lambda: subgroup_generated_by(_G, [(1, 0)]),
+     "^generator of tuple, "),
+    ("is_in_torsionfree_summand",
+     lambda: is_in_torsionfree_summand(_G, [5]), "^generator of int, "),
+    ("box_fiber", lambda: box_fiber(_H, 1, 5), "^target in int, "),
+    ("solve_in_subgroup", lambda: solve_in_subgroup(_H, 5),
+     "^target in int, "),
+    ("direct_sum", lambda: direct_sum(_G, 5), "^expected a group, got int$"),
+    ("group_algebra", lambda: group_algebra(QZ, 5, "fine"),
+     "^expected a group, got int$"),
+    ("coarsen", lambda: coarsen(QZ, 5), "^psi must be a hom from"),
+    ("regrade_extend", lambda: regrade_extend(QZ, 5),
+     "^embed must be a hom from"),
+    ("classify", lambda: classify(5), "^expected a ring, got int$"),
+]
+
+
+@pytest.mark.parametrize("call,message", [f[1:] for f in FOREIGN],
+                         ids=[f[0] for f in FOREIGN])
+def test_foreign_operands_at_every_entry_point(call, message):
+    """A public entry point given a non-group, non-element, non-hom or
+    non-ring operand raises ParentMismatchError, not an AttributeError
+    or TypeError from inside it."""
+    with pytest.raises(ParentMismatchError, match=message):
+        call()
 
 
 def test_pow_and_scale():

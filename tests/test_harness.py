@@ -64,6 +64,12 @@ def test_unknown_check_id():
         CheckConfig(check_id="NOPE")
     with pytest.raises(GradalError):
         CheckConfig(check_id="P70", trials=0)
+    # A count or seed that is not an int is refused here, not reported as
+    # "trials":true or raised mid-run.
+    for trials, seed in ((True, 2024), (2, True), (2.0, 1), ("2", 1),
+                         (2, 1.5), (2, "7")):
+        with pytest.raises(GradalError, match="^trials and seed must be ints"):
+            CheckConfig("P70", trials, seed)
 
 
 def test_report_json_shape():

@@ -6,8 +6,10 @@ module's object, read at each access, rings are built only by the
 ringexpr constructors, every CLI subcommand is run by some test in
 tests/test_cli.py, every word the DSL parser reads as grammar is a
 keyword a let cannot bind, every __slots__ field of a gradal class is
-read somewhere, and nothing in gradal uses dataclasses, so importing it
-generates no code.  In a fresh interpreter, import gradal loads no
+read somewhere, nothing in gradal uses dataclasses, so importing it
+generates no code, and no class but _Record has an __init__ that only
+copies its arguments into same-named fields: a plain record subclasses
+_Record instead.  In a fresh interpreter, import gradal loads no
 submodule and each golden CLI command loads exactly the modules it runs.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
@@ -481,6 +483,74 @@ def test_no_dataclasses_in_gradal():
             found.append(f"{path.relative_to(ROOT)}:{line}")
     assert not found, ("dataclasses generate code at import; write a "
                        "__slots__ class:\n" + "\n".join(found))
+
+
+def plain_copy_inits(source):
+    """(class, line) of each class, other than _Record, whose __init__
+    does nothing but assign each parameter to the attribute of the same
+    name, a docstring aside."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or cls.name == "_Record":
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__init__"):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            body = fn.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)):
+                body = body[1:]
+            copied = []
+            for st in body:
+                if not isinstance(st, ast.Assign) or len(st.targets) != 1:
+                    break
+                target, value = st.targets[0], st.value
+                pairs = [(target, value)]
+                if isinstance(target, ast.Tuple) and isinstance(value,
+                                                                ast.Tuple):
+                    pairs = list(zip(target.elts, value.elts))
+                if not all(isinstance(t, ast.Attribute)
+                           and isinstance(t.value, ast.Name)
+                           and t.value.id == params[0]
+                           and isinstance(v, ast.Name) and v.id == t.attr
+                           for t, v in pairs):
+                    break
+                copied += [v.id for _, v in pairs]
+            else:
+                if (body and not (a.vararg or a.kwarg)
+                        and sorted(copied) == sorted(params[1:])):
+                    out.append((cls.name, fn.lineno))
+    return out
+
+
+def test_plain_copy_init_scanner():
+    src = ("class A:\n    def __init__(self, x, y=0):\n"
+           "        'doc'\n        self.x = x\n        self.y = y\n"
+           "class B:\n    def __init__(self, x, *, y):\n"
+           "        self.x, self.y = x, y\n"
+           "class C:\n    def __init__(self, x):\n        self.x = x\n"
+           "        self.h = None\n"
+           "class D:\n    def __init__(self, x, y):\n        self.x = y\n"
+           "        self.y = x\n"
+           "class E:\n    def __init__(self, x, y):\n        self.x = x\n"
+           "class F:\n    def __init__(self, x):\n        self.x = list(x)\n"
+           "class G:\n    def __init__(self, *args):\n"
+           "        self.args = args\n"
+           "class _Record:\n    def __init__(self, a):\n        self.a = a\n")
+    assert plain_copy_inits(src) == [("A", 2), ("B", 7)]
+
+
+def test_plain_records_subclass_record():
+    """A class whose constructor only copies its arguments is a plain
+    record: it subclasses abelian._Record and writes no __init__."""
+    found = []
+    for path in sorted((ROOT / "src" / "gradal").glob("*.py")):
+        for cls, line in plain_copy_inits(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}: {cls}")
+    assert not found, ("__init__ only copies its arguments; subclass "
+                       "_Record:\n" + "\n".join(found))
 
 
 def fresh_stdout(code, *argv):
