@@ -13,6 +13,8 @@ Hermite form, which is unique for its lattice, so they never depend on
 the generators that span it.
 
 A _Value compares by content, a plain result _Record by identity.
+Every operand of the wrong kind meets one of two guards, _need (a class)
+or _member (an element of a given group), which raise ParentMismatchError.
 
 >>> G = FgGroup(1, (4,))
 >>> G.element((3, 7)).coords
@@ -61,7 +63,6 @@ __all__ = [
     "hom_inverse",
     "solve_in_subgroup",
     "lift_hom",
-    "torsion_decomposition",
     "find_section",
     "is_in_torsionfree_summand",
     "identity_hom",
@@ -113,14 +114,26 @@ def _check_ints(what, values, error=GradalError):
             raise error(f"{what} must be ints, got {v!r}")
 
 
-def _home(x):
-    """Where x lives, for an error message: its group, else its type."""
-    return getattr(x, "group", type(x).__name__)
+_A_GROUP = "expected a group, got {0.__class__.__name__}"
+_A_HOM = "expected a hom, got {0.__class__.__name__}"
+_A_RING = "expected a ring, got {0.__class__.__name__}"
+_GENERATOR = "generator of {0}, ambient {1}"
 
 
-def _not_a(kind, x):
-    """The error for an operand x that is not a kind."""
-    return ParentMismatchError(f"expected a {kind}, got {type(x).__name__}")
+def _need(x, cls, message):
+    """x, when it is a cls; else ParentMismatchError(message.format(x))."""
+    if x.__class__ is not cls:
+        raise ParentMismatchError(message.format(x))
+    return x
+
+
+def _member(x, group, message):
+    """x, when it is an element of group; else ParentMismatchError with
+    message.format(where, group), where being x's group, else its type."""
+    if x.__class__ is not GroupElem or x.group != group:
+        raise ParentMismatchError(message.format(
+            getattr(x, "group", x.__class__.__name__), group))
+    return x
 
 
 class FgGroup(_Value):
@@ -169,7 +182,11 @@ class FgGroup(_Value):
         return n
 
     def reduce(self, coords):
-        coords = tuple(coords)
+        try:
+            coords = tuple(coords)
+        except TypeError:
+            raise ParentMismatchError(f"expected {self.dim} coordinates, "
+                                      f"got {type(coords).__name__}") from None
         if len(coords) != self.dim:
             raise ParentMismatchError(
                 f"expected {self.dim} coordinates, got {len(coords)}")
@@ -255,18 +272,12 @@ class GroupElem:
     def __repr__(self):
         return f"GroupElem(group={self.group!r}, coords={self.coords!r})"
 
-    def _check(self, other):
-        if other.__class__ is not GroupElem or self.group != other.group:
-            raise ParentMismatchError(
-                f"elements of {self.group} and {_home(other)}")
-        return self.group
-
     def __add__(self, other):
-        g = self._check(other)
+        g = _member(other, self.group, "elements of {1} and {0}").group
         return GroupElem(g, g._mod(tuple(map(add, self.coords, other.coords))))
 
     def __sub__(self, other):
-        g = self._check(other)
+        g = _member(other, self.group, "elements of {1} and {0}").group
         return GroupElem(g, g._mod(tuple(map(sub, self.coords, other.coords))))
 
     def __neg__(self):
@@ -312,8 +323,9 @@ class GroupHom(_Value):
     __slots__ = ("domain", "codomain", "matrix")
 
     def __init__(self, domain, codomain, matrix):
+        _need(domain, FgGroup, _A_GROUP)
         rows = [list(r) for r in matrix]
-        if len(rows) != codomain.dim:
+        if len(rows) != _need(codomain, FgGroup, _A_GROUP).dim:
             raise NotAHomomorphismError(
                 f"matrix has {len(rows)} rows, codomain dim {codomain.dim}")
         for row in rows:
@@ -348,9 +360,7 @@ class GroupHom(_Value):
                 f"matrix={self.matrix!r})")
 
     def apply(self, elem):
-        if elem.__class__ is not GroupElem or elem.group != self.domain:
-            raise ParentMismatchError(
-                f"element of {_home(elem)}, hom domain {self.domain}")
+        _member(elem, self.domain, "element of {0}, hom domain {1}")
         cod = self.codomain
         return GroupElem(cod, cod._mod(tuple(mat_vec(self.matrix, elem.coords))))
 
@@ -367,25 +377,28 @@ class GroupHom(_Value):
 
 
 def identity_hom(g):
-    return GroupHom(g, g, identity(g.dim))
+    return GroupHom(g, g, identity(_need(g, FgGroup, _A_GROUP).dim))
 
 
 def zero_hom(a, b):
-    return GroupHom(a, b, zeros(b.dim, a.dim))
+    return GroupHom(a, b, zeros(_need(b, FgGroup, _A_GROUP).dim,
+                                _need(a, FgGroup, _A_GROUP).dim))
 
 
 def compose(f, g):
     """f after g."""
-    if not (f.__class__ is g.__class__ is GroupHom) or g.codomain != f.domain:
-        raise ParentMismatchError("compose: codomain/domain mismatch")
+    what = "compose: codomain/domain mismatch"
+    if _need(g, GroupHom, what).codomain != _need(f, GroupHom, what).domain:
+        raise ParentMismatchError(what)
     return GroupHom.__new__(GroupHom)._fill(
         g.domain, f.codomain, mat_mul(f.matrix, g.matrix, cols_b=g.domain.dim))
 
 
 def add_homs(f, g):
-    if (not (f.__class__ is g.__class__ is GroupHom)
-            or f.domain != g.domain or f.codomain != g.codomain):
-        raise ParentMismatchError("add_homs: shape mismatch")
+    what = "add_homs: shape mismatch"
+    if (_need(f, GroupHom, what).domain != _need(g, GroupHom, what).domain
+            or f.codomain != g.codomain):
+        raise ParentMismatchError(what)
     m = [[a + b for a, b in zip(ra, rb)]
          for ra, rb in zip(f.matrix, g.matrix)]
     return GroupHom.__new__(GroupHom)._fill(f.domain, f.codomain, m)
@@ -396,9 +409,8 @@ def box_fiber(hom, box, target):
     box_elements yields them.  A candidate is a coordinate tuple, dropped
     at the first codomain row that misses target; only those kept become
     GroupElems."""
-    cod, dom = hom.codomain, hom.domain
-    if target.__class__ is not GroupElem or target.group != cod:
-        raise ParentMismatchError(f"target in {_home(target)}, codomain {cod}")
+    cod, dom = _need(hom, GroupHom, _A_HOM).codomain, hom.domain
+    _member(target, cod, "target in {0}, codomain {1}")
     rows = tuple(zip(hom.matrix, target.coords, (0,) * cod.rank + cod.torsion))
     ranges = [range(-box, box + 1)] * dom.rank + [range(d) for d in dom.torsion]
     out = []
@@ -463,10 +475,8 @@ def _subgroup_from_lattice(g, lattice_cols):
 
 def subgroup_generated_by(g, gens):
     """Abstract subgroup generated by elements of g, with its embedding."""
-    for x in gens:
-        if x.__class__ is not GroupElem or x.group != g:
-            raise ParentMismatchError(f"generator of {_home(x)}, ambient {g}")
-    return _subgroup_from_lattice(g, [list(x.coords) for x in gens])
+    return _subgroup_from_lattice(_need(g, FgGroup, _A_GROUP), [
+        list(_member(x, g, _GENERATOR).coords) for x in gens])
 
 
 def quotient_by(g, gens):
@@ -474,18 +484,10 @@ def quotient_by(g, gens):
 
     Returns (q, proj) with proj the projection g -> q.
     """
-    for x in gens:
-        if x.__class__ is not GroupElem or x.group != g:
-            raise ParentMismatchError(f"generator of {_home(x)}, ambient {g}")
-    rel_cols = g.relation_columns() + [list(x.coords) for x in gens]
+    rel_cols = _need(g, FgGroup, _A_GROUP).relation_columns() + [
+        list(_member(x, g, _GENERATOR).coords) for x in gens]
     q, to_n, _ = normalize_presentation(g.dim, rel_cols)
     return q, GroupHom(g, q, to_n)
-
-
-def _from_columns(domain, codomain, cols):
-    """The hom sending the j-th generator of domain to the column cols[j]."""
-    return GroupHom(domain, codomain,
-                    [[col[i] for col in cols] for i in range(codomain.dim)])
 
 
 def _presentation(h):
@@ -497,9 +499,7 @@ def _presentation(h):
 
 def hom_kernel(psi):
     """Kernel of a homomorphism as (k, iota) with iota: k -> domain."""
-    if psi.__class__ is not GroupHom:
-        raise _not_a("hom", psi)
-    a, b = psi.domain, psi.codomain
+    a, b = _need(psi, GroupHom, _A_HOM).domain, psi.codomain
     n = a.dim + len(b.torsion)
     _, v, pivots = hermite_columns(_presentation(psi), b.dim, n)
     # Every column of the echelon form after the pivots 0..k-1 is zero,
@@ -510,10 +510,8 @@ def hom_kernel(psi):
 
 def hom_image(psi):
     """Image subgroup of the codomain, as (s, iota)."""
-    if psi.__class__ is not GroupHom:
-        raise _not_a("hom", psi)
-    return subgroup_generated_by(
-        psi.codomain, [psi.apply(g) for g in psi.domain.generators()])
+    return subgroup_generated_by(_need(psi, GroupHom, _A_HOM).codomain, [
+        psi.apply(g) for g in psi.domain.generators()])
 
 
 def solve_in_subgroup(iota, target):
@@ -522,9 +520,8 @@ def solve_in_subgroup(iota, target):
     When iota is injective the preimage is unique, so the answer does not
     depend on which solution the integer solver picks.
     """
-    g = iota.codomain
-    if target.__class__ is not GroupElem or target.group != g:
-        raise ParentMismatchError(f"target in {_home(target)}, codomain {g}")
+    g = _need(iota, GroupHom, _A_HOM).codomain
+    _member(target, g, "target in {0}, codomain {1}")
     sol = solve_int(_presentation(iota), list(target.coords), g.dim,
                     iota.domain.dim + len(g.torsion))
     if sol is None:
@@ -541,8 +538,10 @@ def lift_hom(iota, psi):
     (iota is then not injective), x is corrected by some z in the kernel
     of iota with d*z = -d*x, and no such z means no lift.
     """
-    if psi.__class__ is not GroupHom or psi.codomain != iota.codomain:
-        raise ParentMismatchError("psi must be a hom into iota's codomain")
+    what = "psi must be a hom into iota's codomain"
+    cod = _need(iota, GroupHom, _A_HOM).codomain
+    if _need(psi, GroupHom, what).codomain != cod:
+        raise ParentMismatchError(what)
     cols = []
     for gen in psi.domain.generators():
         x = solve_in_subgroup(iota, psi.apply(gen))
@@ -558,7 +557,8 @@ def lift_hom(iota, psi):
                 return None
             x = x + iota_k.apply(z)
         cols.append(x.coords)
-    return _from_columns(psi.domain, iota.domain, cols)
+    return GroupHom(psi.domain, iota.domain,
+                    [[c[i] for c in cols] for i in range(iota.domain.dim)])
 
 
 def hom_inverse(phi):
@@ -581,7 +581,6 @@ class DirectSum(_Record):
     __slots__ = ("group", "inj1", "inj2", "proj1", "proj2")
 
 
-@lru_cache(maxsize=256)
 def direct_sum(a, b):
     """Direct sum renormalized to invariant factor form, computed once
     per pair of group values.
@@ -589,8 +588,12 @@ def direct_sum(a, b):
     The trivial-summand cases return the other group unchanged so that
     adjoining the trivial group is the identity on the nose.
     """
-    if not (a.__class__ is b.__class__ is FgGroup):
-        raise _not_a("group", b if a.__class__ is FgGroup else a)
+    return _direct_sum(_need(a, FgGroup, _A_GROUP),
+                       _need(b, FgGroup, _A_GROUP))
+
+
+@lru_cache(maxsize=256)
+def _direct_sum(a, b):
     if a.is_trivial:
         return DirectSum(b, zero_hom(a, b), identity_hom(b),
                          zero_hom(b, a), identity_hom(b))
@@ -611,21 +614,12 @@ def direct_sum(a, b):
     return DirectSum(s, inj1, inj2, proj1, proj2)
 
 
-def torsion_decomposition(g):
-    """(t, iota, rank): the torsion subgroup, its embedding, the free rank."""
-    t = FgGroup(0, g.torsion)
-    cols = [x.coords for x in g.generators()[g.rank:]]
-    return t, _from_columns(t, g, cols), g.rank
-
-
 def find_section(psi):
     """A section of a surjection, or None when no section exists.
 
     A section is a lift of the identity of the codomain through psi.
     """
-    if psi.__class__ is not GroupHom:
-        raise _not_a("hom", psi)
-    a, b = psi.domain, psi.codomain
+    a, b = _need(psi, GroupHom, _A_HOM).domain, psi.codomain
     if not psi.is_surjective():
         raise NotSurjectiveError(f"{a} -> {b} is not onto")
     pi = lift_hom(psi, identity_hom(b))
@@ -647,8 +641,6 @@ def is_in_torsionfree_summand(g, gens):
     that this isomorphism already forces c to be injective.  The test is
     a comparison of invariant factors, so it decides every input.
     """
-    t, iota_t, _ = torsion_decomposition(g)
     q, proj = quotient_by(g, gens)
-    qt, _ = quotient_by(q, [proj.apply(iota_t.apply(x))
-                            for x in t.generators()])
-    return direct_sum(t, qt).group == q
+    qt, _ = quotient_by(q, [proj.apply(x) for x in g.generators()[g.rank:]])
+    return direct_sum(FgGroup(0, g.torsion), qt).group == q

@@ -36,7 +36,8 @@ from fractions import Fraction as Rational
 from math import lcm
 from operator import add
 
-from .abelian import GroupElem, _Record, _check_ints, _home, _not_a, hom_kernel
+from .abelian import (GroupElem, _A_RING, _Record, _check_ints, _member, _need,
+                      hom_kernel)
 from .errors import (
     GradalError,
     HypothesisViolatedError,
@@ -97,9 +98,8 @@ def _term_str(c, f):
     return f"{c}*{mono}"
 
 
-def _foreign_exponent(f, parent):
-    return ParentMismatchError(
-        f"exponent in {_home(f)}, ring exponents in {parent.egroup}")
+_EXPONENT = "exponent in {0}, ring exponents in {1}"
+_AN_ELEMENT = "expected an element, got {0.__class__.__name__}"
 
 
 class Element:
@@ -108,12 +108,10 @@ class Element:
     __slots__ = ("parent", "terms")
 
     def __init__(self, parent, terms):
-        if not isinstance(parent, NormalForm):
-            raise ParentMismatchError("parent must be a ring normal form")
+        _need(parent, NormalForm, "parent must be a ring normal form")
         clean = {}
         for f, c in terms.items():
-            if f.__class__ is not GroupElem or f.group != parent.egroup:
-                raise _foreign_exponent(f, parent)
+            _member(f, parent.egroup, _EXPONENT)
             c = _coerce(parent.base, c)
             if c:
                 clean[f] = c
@@ -147,14 +145,11 @@ class Element:
         return sorted(self.terms, key=lambda f: f.coords)
 
     def coeff(self, f):
-        p = self.parent
-        if f.__class__ is not GroupElem or f.group != p.egroup:
-            raise _foreign_exponent(f, p)
-        return self.terms.get(f) or _coerce(p.base, 0)
+        _member(f, self.parent.egroup, _EXPONENT)
+        return self.terms.get(f) or _coerce(self.parent.base, 0)
 
     def _check(self, other):
-        if not isinstance(other, Element):
-            raise ParentMismatchError(f"cannot combine Element with {other!r}")
+        _need(other, Element, "cannot combine Element with {0!r}")
         if other.parent != self.parent:
             raise ParentMismatchError("elements of different rings")
 
@@ -169,6 +164,7 @@ class Element:
         return Element._of(self.parent, {f: -c for f, c in self.terms.items()})
 
     def __sub__(self, other):
+        self._check(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -233,7 +229,7 @@ class Element:
 def homogeneous_components(x):
     """Decomposition by degree, as an ordered {degree: part} dict."""
     buckets = {}
-    for f, c in x.terms.items():
+    for f, c in _need(x, Element, _AN_ELEMENT).terms.items():
         d = x.parent.delta.apply(f)
         buckets.setdefault(d, {})[f] = c
     return {d: Element._of(x.parent, t)
@@ -245,9 +241,9 @@ def is_homogeneous(x):
 
 
 def degree_of(x):
-    if x.is_zero:
-        raise ZeroElementError("the zero element has no degree")
     comps = homogeneous_components(x)
+    if not comps:
+        raise ZeroElementError("the zero element has no degree")
     if len(comps) > 1:
         raise NotHomogeneousError(
             f"{x} has {len(comps)} homogeneous components")
@@ -260,11 +256,8 @@ def reparent(x, nf):
     Legal when the exponent groups agree; moving from base Z into base Q
     widens coefficients, the reverse needs them integral.
     """
-    if not isinstance(x, Element):
-        raise ParentMismatchError(f"cannot reparent a {type(x).__name__}")
-    if nf.__class__ is not NormalForm:
-        raise _not_a("ring", nf)
-    if nf.egroup != x.parent.egroup:
+    _need(x, Element, "cannot reparent a {0.__class__.__name__}")
+    if _need(nf, NormalForm, _A_RING).egroup != x.parent.egroup:
         raise ParentMismatchError("exponent groups differ")
     return (Element._of if nf.base == x.parent.base else Element)(
         nf, dict(x.terms))
@@ -289,7 +282,11 @@ class ZeroDivisor(_Record):
 def _torsion_span(x):
     """V, the subgroup of T that the torsion parts of x's terms generate,
     as exponents of E = Z^r x T with free part 0, sorted by coordinates
-    (so the zero first).  The module docstring says why V is enough."""
+    (so the zero first).  The module docstring says why V is enough.
+
+    Both systems over V have at least |V| rows and |V| unknowns, so a
+    closure past sqrt(_SYSTEM_CELLS) elements raises GradalError at once.
+    """
     egroup = x.parent.egroup
     r = egroup.rank
     parts = {egroup.element((0,) * r + f.coords[r:]) for f in x.terms}
@@ -299,6 +296,10 @@ def _torsion_span(x):
         new = {u + t for t in parts} - span
         span |= new
         todo += new
+        if len(span) ** 2 > _SYSTEM_CELLS:
+            raise GradalError(f"a torsion span of {len(span)} or more "
+                              f"elements exceeds the system limit of "
+                              f"{_SYSTEM_CELLS}")
     return sorted(span, key=lambda t: t.coords)
 
 
@@ -347,7 +348,7 @@ def nzd_test(x):
     nullspace of x * w = 0 over the copies of x shifted by V.  A term
     with no torsion part gives V = 0 and an empty nullspace.
     """
-    if x.is_zero:
+    if _need(x, Element, _AN_ELEMENT).is_zero:
         raise ZeroElementError("zero divisor test on the zero element")
     span = _torsion_span(x)
     rows, _ = _shift_system(Element.zero(x.parent), [(x, span)])
@@ -373,7 +374,7 @@ def homogeneous_unit_test(x):
     also be integral.  The inverse is an Element, so x may not live in a
     fraction form: there the answer would be the underlying ring's.
     """
-    if x.parent.fraction:
+    if _need(x, Element, _AN_ELEMENT).parent.fraction:
         raise HypothesisViolatedError(
             "unit test over a fraction form; pass the underlying ring")
     if x.is_zero:
@@ -417,9 +418,8 @@ class Fraction:
 
     def __init__(self, num, den):
         for part in (num, den):
-            if not isinstance(part, Element):
-                raise ParentMismatchError(
-                    f"cannot form a fraction of a {type(part).__name__}")
+            _need(part, Element, "cannot form a fraction of a "
+                                 "{0.__class__.__name__}")
         if num.parent != den.parent:
             raise ParentMismatchError("numerator and denominator rings differ")
         if den.is_zero:
@@ -459,7 +459,8 @@ def lemma_p70_check(nf, psi, x, y):
     homogeneous and the product nonzero.  Returns the three verdict bits;
     inputs outside the hypotheses raise PreconditionViolated.
     """
-    if x.parent != nf or y.parent != nf:
+    if (_need(x, Element, _AN_ELEMENT).parent != nf
+            or _need(y, Element, _AN_ELEMENT).parent != nf):
         raise PreconditionViolatedError("elements must live in the given ring")
     if not classify(nf).entire:
         raise PreconditionViolatedError("ring is not entire")

@@ -24,6 +24,7 @@ from .abelian import (
     GroupHom,
     _Record,
     _check_ints,
+    _need,
     box_fiber,
     compose,
     direct_sum,
@@ -672,6 +673,8 @@ CHECK_IDS = tuple(_CHECKS)
 def run_check(cfg):
     """Run the configured trials; merge results in trial-index order.
     A trial that raises a GradalError is recorded as an "error"."""
+    _need(cfg, CheckConfig,
+          "expected a check config, got {0.__class__.__name__}")
     fn = _CHECKS[cfg.check_id]
     results = []
     errors = []
@@ -702,6 +705,8 @@ def run_check(cfg):
 
 
 def report_json(report):
+    _need(report, CheckReport,
+          "expected a check report, got {0.__class__.__name__}")
     obj = {
         "check_id": report.check_id,
         "seed": report.seed,

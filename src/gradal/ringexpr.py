@@ -20,9 +20,11 @@ from functools import lru_cache
 from .abelian import (
     FgGroup,
     GroupHom,
+    _A_RING,
     _Record,
     _Value,
-    _not_a,
+    _member,
+    _need,
     add_homs,
     compose,
     direct_sum,
@@ -120,7 +122,7 @@ def group_algebra(nf, f, kind):
     """
     if kind not in ("fine", "coarse"):
         raise GradalError(f"unknown group algebra kind {kind!r}")
-    if nf.fraction:
+    if _need(nf, NormalForm, _A_RING).fraction:
         raise GradalError(
             "adjoin exponents before passing to fractions, not after")
     ds_e = direct_sum(nf.egroup, f)
@@ -136,8 +138,10 @@ def group_algebra(nf, f, kind):
 
 def coarsen(nf, psi):
     """Push the grading through a surjection psi of grading groups."""
-    if psi.__class__ is not GroupHom or psi.domain != nf.ggroup:
-        raise ParentMismatchError("psi must be a hom from the grading group")
+    what = "psi must be a hom from the grading group"
+    g = _need(nf, NormalForm, _A_RING).ggroup
+    if _need(psi, GroupHom, what).domain != g:
+        raise ParentMismatchError(what)
     if not psi.is_surjective():
         raise NotSurjectiveError("coarsening map is not onto")
     if nf.fraction:
@@ -156,12 +160,11 @@ def restrict_data(nf, gens):
     exponent group into the old one; callers transporting elements need
     kappa, plain regrading does not.
     """
-    if nf.fraction:
+    if _need(nf, NormalForm, _A_RING).fraction:
         raise GradalError(
             "restricting a fraction ring is not supported; restrict first")
     for x in gens:
-        if x.group != nf.ggroup:
-            raise ParentMismatchError("subgroup generators must live in G")
+        _member(x, nf.ggroup, "subgroup generators must live in G")
     q, proj = quotient_by(nf.ggroup, list(gens))
     e2, kappa = hom_kernel(compose(proj, nf.delta))
     f, iota_f = subgroup_generated_by(nf.ggroup, list(gens))
@@ -177,8 +180,10 @@ def regrade_restrict(nf, gens):
 
 def regrade_extend(nf, embed):
     """View the grading inside a bigger group via an embedding."""
-    if embed.__class__ is not GroupHom or embed.domain != nf.ggroup:
-        raise ParentMismatchError("embed must be a hom from the grading group")
+    what = "embed must be a hom from the grading group"
+    g = _need(nf, NormalForm, _A_RING).ggroup
+    if _need(embed, GroupHom, what).domain != g:
+        raise ParentMismatchError(what)
     if not embed.is_injective():
         raise NotASubgroupError("grading extension map is not injective")
     return NormalForm(nf.base, nf.egroup, embed.codomain,
@@ -187,7 +192,7 @@ def regrade_extend(nf, embed):
 
 def fraction_field(nf):
     """Graded ring of fractions: homogeneous nonzero denominators."""
-    if nf.fraction:
+    if _need(nf, NormalForm, _A_RING).fraction:
         return nf
     if not classify(nf).entire:
         raise NotEntireError(
@@ -206,7 +211,6 @@ def normalize(expr):
     raise GradalError(f"not a ring expression: {expr!r}")
 
 
-@lru_cache(maxsize=256)
 def classify(nf):
     """Entire / simple / noetherian plus the degree support subgroup.
 
@@ -218,8 +222,11 @@ def classify(nf):
     generated over a noetherian base.  Computed once per ring value:
     equal rings built separately share one Classification.
     """
-    if nf.__class__ is not NormalForm:
-        raise _not_a("ring", nf)
+    return _classify(_need(nf, NormalForm, _A_RING))
+
+
+@lru_cache(maxsize=256)
+def _classify(nf):
     k, _ = hom_kernel(nf.delta)
     if nf.fraction:
         entire = True

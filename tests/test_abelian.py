@@ -31,7 +31,6 @@ from gradal.abelian import (
     quotient_by,
     solve_in_subgroup,
     subgroup_generated_by,
-    torsion_decomposition,
     zero_hom,
 )
 from gradal.errors import (
@@ -583,16 +582,6 @@ def test_hom_inverse_rejects_non_isomorphisms():
         assert type(exc.value) is GradalError
         seen["not"] += 1
     assert min(seen.values()) > 5, seen
-
-
-def test_torsion_decomposition():
-    g = FgGroup(2, (2, 6))
-    t, iota, rank = torsion_decomposition(g)
-    assert t == FgGroup(0, (2, 6))
-    assert rank == 2
-    for x in t.torsion_elements():
-        y = iota.apply(x)
-        assert y.elem_order() is not None
 
 
 def test_torsionfree_summand_positive_cases():

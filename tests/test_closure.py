@@ -132,6 +132,14 @@ def test_torsion_idempotent_bad_order():
         torsion_idempotent(257)
 
 
+def test_torsion_idempotent_order_must_be_an_int():
+    """A bool or a float order is refused as an order, not read as a
+    number (True) or reported as a bad invariant factor (2.0)."""
+    for n in (True, 2.0, "2"):
+        with pytest.raises(BadOrderError, match="^orders must be ints, got "):
+            torsion_idempotent(n)
+
+
 def test_idempotent_witness_canonical_search():
     rec = torsion_idempotent(2)
     found = find_integral_equation(rec.ring_z, rec.ring_q, rec.f,

@@ -31,6 +31,17 @@ from gradal.abelian import (
     quotient_by,
     solve_in_subgroup,
     subgroup_generated_by,
+    zero_hom,
+)
+from gradal.closure import (
+    RingMap,
+    components_integral_check,
+    find_integral_equation,
+    find_integral_equation_fraction,
+    graded_euclidean_division,
+    j_pi_embedding,
+    laurent_extension,
+    witness_str,
 )
 from gradal.element import (
     Element,
@@ -58,6 +69,7 @@ from gradal.errors import (
     PreconditionViolatedError,
     ZeroElementError,
 )
+from gradal.harness import report_json, run_check
 from gradal.ringexpr import (
     BaseQ,
     BaseZ,
@@ -67,6 +79,7 @@ from gradal.ringexpr import (
     group_algebra,
     normalize,
     regrade_extend,
+    regrade_restrict,
 )
 
 Q = normalize(BaseQ())
@@ -240,6 +253,78 @@ FOREIGN = [
     ("regrade_extend", lambda: regrade_extend(QZ, 5),
      "^embed must be a hom from"),
     ("classify", lambda: classify(5), "^expected a ring, got int$"),
+    # the operand that each function reads first
+    ("quotient_by-group", lambda: quotient_by(5, []),
+     "^expected a group, got int$"),
+    ("subgroup_generated_by-group", lambda: subgroup_generated_by(5, []),
+     "^expected a group, got int$"),
+    ("is_in_torsionfree_summand-group",
+     lambda: is_in_torsionfree_summand(5, []), "^expected a group, got int$"),
+    ("solve_in_subgroup-hom", lambda: solve_in_subgroup(5, _G.zero()),
+     "^expected a hom, got int$"),
+    ("box_fiber-hom", lambda: box_fiber(5, 1, _G.zero()),
+     "^expected a hom, got int$"),
+    ("lift_hom-iota", lambda: lift_hom(5, _H), "^expected a hom, got int$"),
+    ("coarsen-ring", lambda: coarsen(5, _H), "^expected a ring, got int$"),
+    ("fraction_field", lambda: fraction_field(5),
+     "^expected a ring, got int$"),
+    ("regrade_restrict", lambda: regrade_restrict(QZ, [5]),
+     "^subgroup generators must live in G$"),
+    ("classify-unhashable", lambda: classify([1]),
+     "^expected a ring, got list$"),
+    ("direct_sum-unhashable", lambda: direct_sum(_G, [1]),
+     "^expected a group, got list$"),
+    ("group_algebra-ring", lambda: group_algebra(5, _G, "fine"),
+     "^expected a ring, got int$"),
+    ("GroupHom", lambda: GroupHom(5, _G, ()), "^expected a group, got int$"),
+    ("identity_hom", lambda: identity_hom(5), "^expected a group, got int$"),
+    ("zero_hom", lambda: zero_hom(_G, 5), "^expected a group, got int$"),
+    ("element", lambda: FgGroup(1).element(5),
+     "^expected 1 coordinates, got int$"),
+    ("components_integral_check",
+     lambda: components_integral_check(QZ, identity_hom(QZ.ggroup), 5),
+     "^expected an element, got int$"),
+    ("graded_euclidean_division",
+     lambda: graded_euclidean_division(laurent_extension(QZ), 5, 5),
+     "^expected an element, got int$"),
+    ("graded_euclidean_division-struct",
+     lambda: graded_euclidean_division(5, 5, 5),
+     "^pass the Laurent structure, see laurent_extension$"),
+    ("j_pi_embedding", lambda: j_pi_embedding(QZ, 5, 5),
+     "^expected a hom, got int$"),
+    ("j_pi_embedding-ring",
+     lambda: j_pi_embedding(5, identity_hom(QZ.ggroup), 5),
+     "^expected a ring, got int$"),
+    ("laurent_extension", lambda: laurent_extension(5),
+     "^expected a ring, got int$"),
+    ("RingMap.apply",
+     lambda: RingMap(QZ, QZ, identity_hom(QZ.egroup)).apply(5),
+     "^expected an element, got int$"),
+    ("homogeneous_components", lambda: homogeneous_components(5),
+     "^expected an element, got int$"),
+    ("is_homogeneous", lambda: is_homogeneous(5),
+     "^expected an element, got int$"),
+    ("degree_of", lambda: degree_of(5), "^expected an element, got int$"),
+    ("nzd_test", lambda: nzd_test(5), "^expected an element, got int$"),
+    ("homogeneous_unit_test", lambda: homogeneous_unit_test(5),
+     "^expected an element, got int$"),
+    ("lemma_p70_check",
+     lambda: lemma_p70_check(QZ, identity_hom(QZ.ggroup), 5, 5),
+     "^expected an element, got int$"),
+    ("find_integral_equation", lambda: find_integral_equation(5, QZ, 5),
+     "^expected a ring, got int$"),
+    ("find_integral_equation_fraction",
+     lambda: find_integral_equation_fraction(QZ, 5),
+     "^expected a fraction, got int$"),
+    ("witness_str", lambda: witness_str(5), "^expected a witness, got int$"),
+    ("run_check", lambda: run_check(5), "^expected a check config, got int$"),
+    ("report_json", lambda: report_json(5),
+     "^expected a check report, got int$"),
+    ("Element.__sub__", lambda: e(QZ, 1) - "x",
+     "^cannot combine Element with 'x'$"),
+    ("Element.__sub__-fraction",
+     lambda: e(QZ, 1) - Fraction(e(QZ, 1), e(QZ, 0)),
+     r"^cannot combine Element with <\(e\(1\)\)/\(e\(0\)\) in "),
 ]
 
 
@@ -251,6 +336,31 @@ def test_foreign_operands_at_every_entry_point(call, message):
     or TypeError from inside it."""
     with pytest.raises(ParentMismatchError, match=message):
         call()
+
+
+def test_huge_torsion_span_is_refused_before_its_system(monkeypatch):
+    """Both systems over the torsion span V have at least |V| rows and |V|
+    unknowns, so a span with |V|^2 past _SYSTEM_CELLS is refused while it
+    is listed, before _shift_system is reached; at |V|^2 equal to the
+    limit the system is built."""
+    def unreachable(*args):
+        raise AssertionError("_shift_system reached")
+
+    monkeypatch.setattr(element, "_shift_system", unreachable)
+    x = Element.one(QT) + e(QT, 1)  # V = Z/4
+    for limit, refused in ((15, True), (16, False)):
+        monkeypatch.setattr(element, "_SYSTEM_CELLS", limit)
+        for decide in (nzd_test, homogeneous_unit_test):
+            with pytest.raises(GradalError if refused else AssertionError,
+                               match="^a torsion span of 4 or more elements"
+                               if refused else "reached"):
+                decide(x)
+    monkeypatch.undo()
+    big = group_algebra(Q, FgGroup(0, (200000,)), "coarse")
+    y = Element.one(big) + e(big, 1)
+    for decide in (nzd_test, homogeneous_unit_test):
+        with pytest.raises(GradalError, match="^a torsion span of 3163 "):
+            decide(y)
 
 
 def test_pow_and_scale():

@@ -7,10 +7,12 @@ ringexpr constructors, every CLI subcommand is run by some test in
 tests/test_cli.py, every word the DSL parser reads as grammar is a
 keyword a let cannot bind, every __slots__ field of a gradal class is
 read somewhere, nothing in gradal uses dataclasses, so importing it
-generates no code, and no class but _Record has an __init__ that only
+generates no code, no class but _Record has an __init__ that only
 copies its arguments into same-named fields: a plain record subclasses
-_Record instead.  In a fresh interpreter, import gradal loads no
-submodule and each golden CLI command loads exactly the modules it runs.
+_Record instead, and no ParentMismatchError is raised behind a
+hand-written class test: the guards _need and _member make them all.
+In a fresh interpreter, import gradal loads no submodule and each
+golden CLI command loads exactly the modules it runs.
 
 A stdlib AST scan stands in for a linter.  A name counts as used when it
 is read anywhere in the module or listed in a literal __all__; a
@@ -551,6 +553,67 @@ def test_plain_records_subclass_record():
             found.append(f"{path.relative_to(ROOT)}:{line}: {cls}")
     assert not found, ("__init__ only copies its arguments; subclass "
                        "_Record:\n" + "\n".join(found))
+
+
+def unguarded_kind_tests(source):
+    """Line of each raise ParentMismatchError(...) whose nearest enclosing
+    if tests a __class__ or calls isinstance or type, in any function but
+    the guards _need and _member."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "ParentMismatchError"):
+            continue
+        test, up = None, parent.get(node)
+        while up is not None and not isinstance(up, ast.FunctionDef):
+            if test is None and isinstance(up, ast.If):
+                test = up.test
+            up = parent.get(up)
+        if test is None or (up is not None
+                            and up.name in ("_need", "_member")):
+            continue
+        if any(isinstance(n, ast.Attribute) and n.attr == "__class__"
+               or isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id in ("isinstance", "type")
+               for n in ast.walk(test)):
+            out.append(node.lineno)
+    return out
+
+
+def test_kind_test_scanner():
+    src = ("def f(x):\n    if x.__class__ is not A:\n"
+           "        raise ParentMismatchError('a')\n"
+           "def g(x):\n    if not isinstance(x, A) or x.p:\n"
+           "        y = 1\n        raise ParentMismatchError('b')\n"
+           "def h(x):\n    if x.p != 1:\n"
+           "        raise ParentMismatchError('c')\n"
+           "def i(x):\n    if isinstance(x, A):\n"
+           "        raise ValueError('d')\n"
+           "def _need(x, cls, m):\n    if x.__class__ is not cls:\n"
+           "        raise ParentMismatchError(m)\n"
+           "def j(x):\n    if isinstance(x, A):\n        pass\n"
+           "    elif type(x) is B:\n        raise ParentMismatchError('e')\n"
+           "def k(x):\n    if isinstance(x, A):\n        for y in x:\n"
+           "            if y.p:\n"
+           "                raise ParentMismatchError('f')\n"
+           "    raise ParentMismatchError('g')\n")
+    assert unguarded_kind_tests(src) == [3, 7, 21]
+
+
+def test_kind_tests_go_through_the_guards():
+    """Every operand of the wrong kind meets abelian._need or
+    abelian._member; no function writes its own class test in front of a
+    ParentMismatchError."""
+    found = []
+    for path in sorted((ROOT / "src" / "gradal").glob("*.py")):
+        for line in unguarded_kind_tests(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}")
+    assert not found, ("a hand-written kind test raises ParentMismatchError; "
+                       "call _need or _member:\n" + "\n".join(found))
 
 
 def fresh_stdout(code, *argv):
