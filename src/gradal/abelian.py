@@ -411,6 +411,7 @@ def box_fiber(hom, box, target):
     GroupElems."""
     cod, dom = _need(hom, GroupHom, _A_HOM).codomain, hom.domain
     _member(target, cod, "target in {0}, codomain {1}")
+    _check_ints("box bounds", (box,))
     rows = tuple(zip(hom.matrix, target.coords, (0,) * cod.rank + cod.torsion))
     ranges = [range(-box, box + 1)] * dom.rank + [range(d) for d in dom.torsion]
     out = []

@@ -25,7 +25,7 @@ attached to a section of a coarsening.
 """
 
 from fractions import Fraction as Rational
-from math import lcm, prod
+from math import prod
 
 from .abelian import (
     FgGroup,
@@ -68,7 +68,7 @@ from .errors import (
     NotSimpleBaseError,
     ZeroElementError,
 )
-from .intmat import solve_int, solve_rational
+from .intmat import _int_row, solve_int, solve_rational
 from .ringexpr import (
     BaseZ,
     BaseQ,
@@ -145,18 +145,18 @@ def _check_base_change(r, s):
 
 
 def _solve_linear(base, rows, rhs, ncols):
-    """Exact solve; integer solutions when the subring base is Z."""
-    if base == "Z":
-        int_rows = []
-        int_rhs = []
-        for row, b in zip(rows, rhs):
-            scale = lcm(b.denominator, *(v.denominator for v in row))
-            int_rows.append([v.numerator * (scale // v.denominator)
-                             for v in row])
-            int_rhs.append(b.numerator * (scale // b.denominator))
-        sol = solve_int(int_rows, int_rhs, len(int_rows), ncols)
-        return None if sol is None else [Rational(v) for v in sol]
-    return solve_rational(rows, rhs, ncols)
+    """Exact solve of sparse rows; integer solutions when the subring base
+    is Z, through the dense rows that solve_int's Hermite form needs."""
+    if base != "Z":
+        return solve_rational(rows, rhs, ncols)
+    int_rows, int_rhs = [], []
+    for row, b in zip(rows, rhs):
+        dense = [0] * (ncols + 1)
+        for j, v in _int_row([*row, (ncols, b)]).items():
+            dense[j] = v
+        int_rhs.append(dense.pop())
+        int_rows.append(dense)
+    return solve_int(int_rows, int_rhs, len(int_rows), ncols)
 
 
 def _monic_solution(r, factors, n, fibers):
@@ -175,7 +175,7 @@ def _monic_solution(r, factors, n, fibers):
     if sol is None:
         return None
     sol = iter(sol)
-    return tuple(Element(r, {f: next(sol) for f in fibers[i]})
+    return tuple(Element(r, {f: v for f, v in zip(fibers[i], sol) if v})
                  for i in range(1, n + 1))
 
 

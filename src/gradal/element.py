@@ -308,34 +308,33 @@ _SYSTEM_CELLS = 10 ** 7
 
 
 def _shift_system(target, columns):
-    """The exact system sum_k c_k * p_k * e(s_k) = target, dense.
+    """The exact system sum_k c_k * p_k * e(s_k) = target, in sparse rows.
 
     columns is a list of (p, shifts), one unknown per shift in that
     order.  There is one row per exponent, in order of first appearance:
     target's terms, then each shifted p, terms in coordinate order;
     solve_int picks its integer solution by that order.  Returns (rows,
-    rhs).  A system of more than _SYSTEM_CELLS entries is refused with
-    GradalError before its rows are allocated.
+    rhs): each row a list of (unknown, nonzero coefficient) pairs in
+    unknown order, rhs dense.  No dense row is built, but a system of
+    more than _SYSTEM_CELLS entries, which the integer path would
+    densify, is refused with GradalError.
     """
-    index = {f: i for i, f in enumerate(target.support())}
-    cols = []
+    g, support = target.parent.egroup, target.support()
+    rows = {f.coords: [] for f in support}
+    unknown = 0
     for p, shifts in columns:
-        terms = sorted(p.terms.items(), key=lambda kv: kv[0].coords)
+        terms = sorted((f.coords, c) for f, c in p.terms.items())
         for s in shifts:
-            cols.append([(index.setdefault(f + s, len(index)), c)
-                         for f, c in terms])
-    cells = len(index) * len(cols)
+            for f, c in terms:
+                rows.setdefault(g._mod(tuple(map(add, f, s.coords))),
+                                []).append((unknown, c))
+            unknown += 1
+    cells = len(rows) * unknown
     if cells > _SYSTEM_CELLS:
-        raise GradalError(f"a {len(index)} x {len(cols)} system of {cells} "
+        raise GradalError(f"a {len(rows)} x {unknown} system of {cells} "
                           f"entries exceeds the limit of {_SYSTEM_CELLS}")
-    rows = [[0] * len(cols) for _ in index]
-    for j, col in enumerate(cols):
-        for i, c in col:
-            rows[i][j] = c
-    rhs = [0] * len(index)
-    for f, c in target.terms.items():
-        rhs[index[f]] = c
-    return rows, rhs
+    rhs = [target.terms[f] for f in support] + [0] * (len(rows) - len(support))
+    return list(rows.values()), rhs
 
 
 def nzd_test(x):

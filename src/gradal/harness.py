@@ -209,6 +209,7 @@ def generate_instance(seed, profile):
     """
     if profile not in PROFILES:
         raise GradalError(f"unknown profile {profile!r}")
+    _check_ints("seeds", (seed,))
     rng = Rng(seed)
     nf, psi = _build_profile(rng, profile)
     if not _profile_ok(nf, psi, profile):

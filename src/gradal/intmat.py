@@ -1,9 +1,9 @@
 """Exact matrix routines over the integers and rationals.
 
-Matrices are lists of row lists holding plain Python ints (or Fraction in
-the rational routines), so every result is exact at any size.  Zero-row
-and zero-column shapes come up constantly when the trivial group is
-involved; functions that cannot infer a dimension take it explicitly.
+Integer matrices are lists of row lists holding plain Python ints, so
+every result is exact at any size.  Zero-row and zero-column shapes come
+up constantly when the trivial group is involved; functions that cannot
+infer a dimension take it explicitly.
 
 Each question has one routine:
 
@@ -14,14 +14,15 @@ Each question has one routine:
   questions: bases, integer kernels, integer solving and unimodular
   inverses.  V is built from the columns of [A; I_n].  With its reduced
   entries the form is unique for the lattice the columns of A span.
-* Sparse Gauss-Jordan elimination answers rational systems and
-  nullspaces.
+* Fraction-free Gauss-Jordan elimination answers rational systems and
+  nullspaces, on sparse rows: lists of (column, nonzero value) pairs.
 
 Each integer form carries its transform in the matrix it reduces, as
-_rref carries its right-hand sides, so every operation is written once.
+the elimination carries its right-hand sides: each step is written once.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 
@@ -213,30 +214,54 @@ def solve_int(a, b, m=None, n=None):
     return None if y is None else mat_vec(v, y)
 
 
-def _rref(rows, ncols):
-    """Reduced echelon form over the first ncols columns, in place.
+def _int_row(pairs):
+    """{column: int}: the pairs times the lcm of their denominators."""
+    scale = lcm(*[v.denominator for _, v in pairs])
+    return {j: v.numerator * (scale // v.denominator) for j, v in pairs}
 
-    rows are sparse, dicts {column: nonzero Fraction}; columns from ncols
-    on (right-hand sides) are carried but never pivoted on.  Pivot = the
-    first remaining row holding the column.  Returns the pivot columns.
-    """
+
+def _primitive(row):
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _gauss_jordan(rows, ncols):
+    """Fraction-free reduced echelon form of int rows {column: nonzero}
+    over the first ncols columns, in place; returns the pivot columns.
+    Pivot = the first remaining row holding the column, as if swapped
+    into place; every other row holding it becomes a*row - b*pivot_row
+    over its content.  `where` lists the rows holding each column."""
+    rows[:] = map(_primitive, rows)
+    where = {}
+    for i, row in enumerate(rows):
+        for k in row:
+            where.setdefault(k, set()).add(i)
+    order = list(range(len(rows)))
+    pos = order[:]
     piv_cols = []
     for c in range(ncols):
         r = len(piv_cols)
-        piv = next((i for i in range(r, len(rows)) if c in rows[i]), None)
-        if piv is None:
+        cand = [i for i in where.get(c, ()) if pos[i] >= r]
+        if not cand:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        prow = rows[r] = {k: x * inv for k, x in rows[r].items()}
-        for i, row in enumerate(rows):
-            f = row.get(c)
-            if f and i != r:
-                for k, y in prow.items():
-                    x = row.pop(k, 0) - f * y
-                    if x:
-                        row[k] = x
+        p = min(cand, key=pos.__getitem__)
+        q, s = order[r], pos[p]
+        order[r], order[s], pos[p], pos[q] = p, q, r, s
+        prow = rows[p]
+        for i in [i for i in where[c] if i != p]:
+            g = gcd(prow[c], rows[i][c])
+            fa, fb = prow[c] // g, rows[i][c] // g
+            row = {k: fa * v for k, v in rows[i].items()}
+            for k, y in prow.items():
+                x = row.pop(k, 0) - fb * y
+                if x:
+                    row[k] = x
+                    where[k].add(i)
+                else:
+                    where[k].discard(i)
+            rows[i] = _primitive(row)
         piv_cols.append(c)
+    rows[:] = [rows[i] for i in order]
     return piv_cols
 
 
@@ -249,36 +274,31 @@ def inverse_unimodular(u):
     return v
 
 
-def solve_rational(a, b, ncols=None):
-    """One rational solution x of a*x = b, or None.
-
-    Deterministic: free variables are 0, so x is fixed by the pivot
-    columns whatever the elimination order.
-    """
-    n = (len(a[0]) if a else 0) if ncols is None else ncols
-    rows = [{j: Fraction(x) for j, x in enumerate([*row, bv]) if x}
+def solve_rational(a, b, ncols):
+    """The rational solution x of a*x = b with free variables 0, or None.
+    Rows of a are lists of (column, nonzero value) pairs."""
+    rows = [_int_row([*row, (ncols, bv)] if bv else row)
             for row, bv in zip(a, b)]
-    piv_cols = _rref(rows, n)
-    if any(n in row for row in rows[len(piv_cols):]):
+    piv_cols = _gauss_jordan(rows, ncols)
+    if any(ncols in row for row in rows[len(piv_cols):]):
         return None
-    x = [Fraction(0)] * n
+    x = [Fraction(0)] * ncols
     for row, c in zip(rows, piv_cols):
-        x[c] = row.get(n, x[c])
+        if ncols in row:
+            x[c] = Fraction(row[ncols], row[c])
     return x
 
 
-def nullspace_rational(a, ncols=None):
-    """Basis of the rational nullspace of a, as Fraction vectors."""
-    n = (len(a[0]) if a else 0) if ncols is None else ncols
-    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in a]
-    piv_cols = _rref(rows, n)
+def nullspace_rational(a, ncols):
+    """Basis of the rational nullspace of a, rows as in solve_rational."""
+    rows = [_int_row(row) for row in a]
+    piv_cols = _gauss_jordan(rows, ncols)
     basis = []
-    for fc in range(n):
-        if fc in piv_cols:
-            continue
-        vec = [Fraction(0)] * n
+    for fc in sorted(set(range(ncols)) - set(piv_cols)):
+        vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for row, c in zip(rows, piv_cols):
-            vec[c] = -row.get(fc, vec[c])
+            if fc in row:
+                vec[c] = Fraction(-row[fc], row[c])
         basis.append(vec)
     return basis

@@ -136,6 +136,12 @@ def is_divisibility_chain(diag):
     return True
 
 
+def sparse_rows(a):
+    """Dense rows as the rational solvers take them: lists of (column,
+    nonzero value) pairs."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in a]
+
+
 def rref_dense(rows, ncols):
     """Dense Gauss-Jordan over Q, in place: the elimination the package
     used before its sparse kernel, kept as the reference.
@@ -366,7 +372,7 @@ def nzd_by_blocks(x):
     stacked, have a common nullspace vector."""
     t_elems, blocks = laurent_blocks(x)
     stacked = [row for z in sorted(blocks) for row in blocks[z]]
-    null = nullspace_rational(stacked, len(t_elems))
+    null = nullspace_rational(sparse_rows(stacked), len(t_elems))
     if not null:
         return NonZeroDivisor("the Laurent coefficients over the torsion "
                               "part have no common annihilator")
@@ -396,7 +402,7 @@ def unit_by_blocks(x):
     egroup = x.parent.egroup
     rhs = [0] * len(rows)
     rhs[row_at[(0,) * egroup.rank]] = 1
-    sol = solve_rational(rows, rhs, width)
+    sol = solve_rational(sparse_rows(rows), rhs, width)
     if sol is None:
         return NotUnit("no inverse supported on the reflected support, "
                        "which holds every inverse")

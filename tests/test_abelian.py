@@ -120,6 +120,16 @@ def test_box_fibers_match_bruteforce_grouping():
     assert outside > 50, outside
 
 
+def test_box_fiber_refuses_a_box_that_is_not_an_int():
+    """A box of None, a float or a bool is a typed error, not a TypeError
+    from negating it or an off-by-one box of True."""
+    g = FgGroup(1, (2,))
+    h = identity_hom(g)
+    for box in (None, 1.5, True, "1"):
+        with pytest.raises(GradalError, match="^box bounds must be ints, got "):
+            box_fiber(h, box, g.zero())
+
+
 def test_finite_group_enumeration():
     g = FgGroup(0, (2, 4))
     assert g.order() == 8

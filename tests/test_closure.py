@@ -11,6 +11,7 @@ from _oracles import (
     divide_reference,
     lem50_reference,
     search_every_degree,
+    sparse_rows,
     verify_by_fractions,
 )
 import gradal.closure as closure
@@ -561,7 +562,7 @@ def test_z_path_scaling_matches_fraction_scaling():
             rhs = [b + entry() if rng.random() < 0.3 else b for b in rhs]
         rhs = [Rational(b) if rng.random() < 0.7 else b for b in rhs]
         want = solve_linear_z_by_fraction_scaling(rows, rhs, n)
-        assert closure._solve_linear("Z", rows, rhs, n) == want
+        assert closure._solve_linear("Z", sparse_rows(rows), rhs, n) == want
         feasible += want is not None
         rhs_only += any(b and not any(row) for row, b in zip(rows, rhs))
     assert 100 < feasible < 300 and rhs_only > 20

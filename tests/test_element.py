@@ -648,6 +648,41 @@ def test_decisions_match_the_block_route():
                "ZeroDivisor", "NonZeroDivisor")) >= 25, sorted(seen.items())
 
 
+def test_shift_system_rows_are_sparse_pairs():
+    """Each row of _shift_system is a list of (unknown, coefficient)
+    pairs with nonzero coefficients and distinct unknowns, in unknown
+    order, and no dense row is built.  Read as a matrix the rows are the
+    shifted products: for integer weights w the row sums are the
+    coefficients of sum_j w_j * p_j * e(s_j), and the right-hand side
+    holds the target's coefficients."""
+    rng = random.Random(4802)
+    rings = oracle_rings()
+    for _ in range(150):
+        nf = rng.choice(rings)
+        pool = list(nf.egroup.box_elements(1))
+        columns = [(random_element(rng, nf),
+                    rng.sample(pool, min(len(pool), 4)))
+                   for _ in range(rng.randint(1, 2))]
+        target = random_element(rng, nf)
+        rows, rhs = element._shift_system(target, columns)
+        for row in rows:
+            assert all(type(pair) is tuple and len(pair) == 2 and pair[1]
+                       for pair in row)
+            unknowns = [j for j, _ in row]
+            assert unknowns == sorted(set(unknowns))
+        weights = [rng.randint(-3, 3) for _, shifts in columns for _ in shifts]
+        total, j = Element.zero(nf), 0
+        for p, shifts in columns:
+            for s in shifts:
+                total = total + p * Element.monomial(nf, s, weights[j])
+                j += 1
+        sums = [sum(c * weights[j] for j, c in row) for row in rows]
+        assert (sorted(c for c in sums if c)
+                == sorted(total.terms.values()))
+        assert sorted(c for c in rhs if c) == sorted(target.terms.values())
+        assert len(rhs) == len(rows)
+
+
 def test_unit_over_torsion_needs_rational_coefficients():
     """(1+t)/2*z + (1-t)/2*z^-1 in Q[Z x Z/2] is its own kind of unit:
     no term is a unit alone.  Clearing denominators gives an element of

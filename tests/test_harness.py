@@ -157,6 +157,13 @@ def test_generate_instance_rejects_unknown_profile():
         generate_instance(1, "mystery")
 
 
+def test_generate_instance_refuses_a_seed_that_is_not_an_int():
+    """As CheckConfig does: a typed error, not a TypeError from the Rng."""
+    for seed in ("x", None, 1.0, True):
+        with pytest.raises(GradalError, match="^seeds must be ints, got "):
+            generate_instance(seed, "torsion-kernel")
+
+
 def test_profile_miss_is_internal(monkeypatch):
     """Every profile builds instances with its properties; a miss is a bug."""
     monkeypatch.setattr(harness, "_profile_ok", lambda nf, psi, profile: False)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,11 @@ from _oracles import (
     rref_dense,
     smith_by_parallel_updates,
     snf_column_transform,
+    sparse_rows,
 )
 from gradal.intmat import (
-    _rref,
+    _gauss_jordan,
+    _int_row,
     hermite_columns,
     identity,
     inverse_unimodular,
@@ -163,7 +166,7 @@ def test_solve_rational_consistency():
         a = random_matrix(rng, max_dim=4, lo=-8, hi=8)
         m, n = len(a), len(a[0])
         b = [rng.randint(-8, 8) for _ in range(m)]
-        rat = solve_rational(a, b)
+        rat = solve_rational(sparse_rows(a), b, n)
         isol = solve_int(a, b)
         if rat is None:
             assert isol is None
@@ -230,38 +233,49 @@ def test_nullspace_rational_annihilates_with_full_size():
     for _ in range(200):
         a = random_matrix(rng, max_dim=5, lo=-3, hi=3)
         n = len(a[0])
-        basis = nullspace_rational(a)
+        basis = nullspace_rational(sparse_rows(a), n)
         assert len(basis) == n - rank_by_snf(a)
         for vec in basis:
             assert len(vec) == n
             assert all(v == 0 for v in mat_vec(a, vec))
 
 
-def test_rational_routines_match_sympy_rref():
-    """Pivot columns and the free-variables-zero solution agree with
-    sympy's reduced row echelon form."""
+def assert_kernel_matches_sympy(a, b, n):
+    """Solution and nullspace basis against sympy's rref and nullspace,
+    which set free variables to 0 and 1 in the same way."""
     sympy = pytest.importorskip("sympy")
+
+    def exact(v):
+        v = Fraction(v)
+        return sympy.Rational(v.numerator, v.denominator)
+
+    aug = sympy.Matrix([[exact(v) for v in row] + [exact(bv)]
+                        for row, bv in zip(a, b)])
+    reduced, pivots = aug.rref()
+    want = None
+    if n not in pivots:
+        want = [Fraction(0)] * n
+        for i, c in enumerate(pivots):
+            want[c] = Fraction(int(reduced[i, n].p), int(reduced[i, n].q))
+    assert solve_rational(sparse_rows(a), b, n) == want
+    null = [[Fraction(int(v.p), int(v.q)) for v in vec]
+            for vec in aug[:, :n].nullspace()]
+    assert nullspace_rational(sparse_rows(a), n) == null
+
+
+def test_rational_routines_match_sympy_rref():
+    """The solution and the nullspace basis agree with sympy on small
+    dense matrices and on the three families below: random sparse,
+    monomial-shift and dense-fill systems."""
     rng = random.Random(8128)
     for _ in range(150):
         a = random_matrix(rng, max_dim=5, lo=-3, hi=3)
-        m, n = len(a), len(a[0])
-        b = [rng.randint(-4, 4) for _ in range(m)]
-        _, pivots = sympy.Matrix(a).rref()
-        basis = nullspace_rational(a)
-        # The last nonzero entry of each basis vector is its free column.
-        free = [max(j for j in range(n) if vec[j]) for vec in basis]
-        assert sorted(set(range(n)) - set(free)) == list(pivots)
-        reduced, aug_pivots = sympy.Matrix([row + [bv] for row, bv
-                                            in zip(a, b)]).rref()
-        x = solve_rational(a, b)
-        if n in aug_pivots:
-            assert x is None
-            continue
-        want = [Fraction(0)] * n
-        for i, c in enumerate(aug_pivots):
-            v = reduced[i, n]
-            want[c] = Fraction(int(v.p), int(v.q))
-        assert x == want
+        assert_kernel_matches_sympy(a, [rng.randint(-4, 4) for _ in a],
+                                    len(a[0]))
+    for make in (random_sparse_system, monomial_shift_system,
+                 dense_fill_system):
+        for _ in range(12):
+            assert_kernel_matches_sympy(*make(rng))
 
 
 def random_sparse_system(rng):
@@ -288,6 +302,51 @@ def random_sparse_system(rng):
     return a, b, n
 
 
+def random_entry(rng, hi):
+    k = rng.choice((-1, 1)) * rng.randint(1, hi)
+    return Fraction(k, rng.randint(1, 4)) if rng.random() < 0.5 else k
+
+
+def monomial_shift_system(rng):
+    """A system shaped like a witness search over a finite group: the
+    unknown for s in G = Z/k1 x Z/k2 (up to 49 elements) is the
+    coefficient of p * e(s), p of one or two terms, so each column holds
+    one or two nonzeros.  The right-hand side is p * x0 (feasible) or
+    random; a third of the draws get one more row, zero but for its
+    right-hand side, which makes them 50 x 49 and inconsistent."""
+    k1, k2 = rng.choice(((7, 7), (1, 49), (6, 8), (5, 5), (2, 3), (1, 1)))
+    group = [(u, v) for u in range(k1) for v in range(k2)]
+    n = len(group)
+    p = {rng.choice(group): random_entry(rng, 6)
+         for _ in range(rng.randint(1, 2))}
+    a = [[0] * n for _ in range(n)]
+    for j, (s, t) in enumerate(group):
+        for (u, v), c in p.items():
+            a[((u + s) % k1) * k2 + (v + t) % k2][j] = c
+    if rng.random() < 0.5:
+        x0 = [random_entry(rng, 3) if rng.random() < 0.5 else 0 for _ in a]
+        b = [sum(v * w for v, w in zip(row, x0)) for row in a]
+    else:
+        b = [random_entry(rng, 5) if rng.random() < 0.3 else 0 for _ in a]
+    if rng.random() < 1 / 3:
+        a.append([0] * n)
+        b.append(random_entry(rng, 5))
+    return a, b, n
+
+
+def dense_fill_system(rng):
+    """A 12 x 12 system with every entry nonzero before some rows are
+    replaced by combinations of others, so the rank varies and fill-in
+    is total."""
+    a = [[random_entry(rng, 9) for _ in range(12)] for _ in range(12)]
+    for i in rng.sample(range(12), rng.randint(0, 4)):
+        j, k = rng.sample(range(12), 2)
+        q = rng.randint(-2, 2)
+        a[i] = [q * x + y for x, y in zip(a[j], a[k])]
+    b = [random_entry(rng, 9) for _ in range(12)]
+    return a, b, 12
+
+
 def dense_reference(a, b, n):
     """Pivots, reduced rows, solution and nullspace by rref_dense.
 
@@ -312,14 +371,23 @@ def dense_reference(a, b, n):
 
 
 def assert_kernel_matches_dense(a, b, n):
+    """The fraction-free kernel against rref_dense: the same pivots, each
+    pivot row over its pivot entry equal to the reference row over all
+    n + 1 columns, a row past the rank with a nonzero right-hand side
+    exactly where the reference has one, every row primitive; then the
+    solution and nullspace of the public routines."""
     piv, reduced, x, basis = dense_reference(a, b, n)
-    sparse = [{j: Fraction(v) for j, v in enumerate([*row, bv]) if v}
-              for row, bv in zip(a, b)]
-    assert _rref(sparse, n) == piv
-    assert [[row.get(j, 0) for j in range(n + 1)] for row in sparse] == reduced
-    sol = solve_rational(a, b, n)
+    rows = [_int_row([*row, (n, bv)] if bv else row)
+            for row, bv in zip(sparse_rows(a), b)]
+    assert _gauss_jordan(rows, n) == piv
+    for row, want, c in zip(rows, reduced, piv):
+        assert [Fraction(row.get(j, 0), row[c]) for j in range(n + 1)] == want
+    for row, want in zip(rows[len(piv):], reduced[len(piv):]):
+        assert set(row) <= {n} and (n in row) == bool(want[n])
+    assert all(gcd(*row.values()) == 1 for row in rows if row)
+    sol = solve_rational(sparse_rows(a), b, n)
     assert sol == x
-    got = nullspace_rational(a, n)
+    got = nullspace_rational(sparse_rows(a), n)
     assert got == basis
     # The last nonzero entry of each basis vector is its free column.
     free = {max(j for j in range(n) if vec[j]) for vec in got}
@@ -330,17 +398,24 @@ def assert_kernel_matches_dense(a, b, n):
 
 
 def test_sparse_kernel_matches_dense_oracle():
-    """The sparse elimination reproduces the dense Gauss-Jordan step for
-    step: same pivots, same reduced rows, same solution and nullspace."""
+    """The fraction-free elimination reaches the dense Gauss-Jordan
+    reduced echelon form: same pivots, same reduced rows up to each
+    pivot entry, same solution and nullspace.  Random sparse systems,
+    then monomial-shift systems up to 50 x 49, singular and inconsistent
+    ones among them, and dense-fill 12 x 12 systems, where the content
+    division keeps the rows small."""
     rng = random.Random(20240)
-    feasible = sum(assert_kernel_matches_dense(*random_sparse_system(rng))
-                   for _ in range(200))
-    assert 50 < feasible < 150
+    for make, trials, low, high in ((random_sparse_system, 200, 50, 150),
+                                    (monomial_shift_system, 120, 40, 100),
+                                    (dense_fill_system, 120, 15, 80)):
+        feasible = sum(assert_kernel_matches_dense(*make(rng))
+                       for _ in range(trials))
+        assert low < feasible < high, (make.__name__, feasible)
     zero_rows = [[0, 0], [0, 0], [0, 0]]
     for a, b, n in (([], [], 0), ([], [], 4),
                     ([[], []], [0, 0], 0), ([[], []], [0, Fraction(1, 2)], 0),
                     (zero_rows, [0, 0, 1], 2), (zero_rows, [0, 0, 0], 2),
-                    ([[1, 0], [0, 2]], [0, 1], 2)):
+                    ([[1, 0], [0, 2]], [0, 1], 2), ([[4, 6]], [10], 2)):
         assert_kernel_matches_dense(a, b, n)
     assert solve_rational([[], []], [0, Fraction(1, 2)], 0) is None
     assert nullspace_rational([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
