@@ -13,8 +13,9 @@ Hermite form, which is unique for its lattice, so they never depend on
 the generators that span it.
 
 A _Value compares by content, a plain result _Record by identity.
-Every operand of the wrong kind meets one of two guards, _need (a class)
-or _member (an element of a given group), which raise ParentMismatchError.
+Every operand of the wrong kind meets one of three guards, _need (a
+class), _member (an element of a given group) or _each (a container),
+which raise ParentMismatchError.
 
 >>> G = FgGroup(1, (4,))
 >>> G.element((3, 7)).coords
@@ -118,6 +119,7 @@ _A_GROUP = "expected a group, got {0.__class__.__name__}"
 _A_HOM = "expected a hom, got {0.__class__.__name__}"
 _A_RING = "expected a ring, got {0.__class__.__name__}"
 _GENERATOR = "generator of {0}, ambient {1}"
+_GENERATORS = "expected generators, got {0.__class__.__name__}"
 
 
 def _need(x, cls, message):
@@ -134,6 +136,14 @@ def _member(x, group, message):
         raise ParentMismatchError(message.format(
             getattr(x, "group", x.__class__.__name__), group))
     return x
+
+
+def _each(xs, message, view=iter):
+    """view(xs), by default iter(xs); ParentMismatchError if xs has none."""
+    try:
+        return view(xs)
+    except TypeError:
+        raise ParentMismatchError(message.format(xs)) from None
 
 
 class FgGroup(_Value):
@@ -324,7 +334,11 @@ class GroupHom(_Value):
 
     def __init__(self, domain, codomain, matrix):
         _need(domain, FgGroup, _A_GROUP)
-        rows = [list(r) for r in matrix]
+        try:
+            rows = [list(r) for r in matrix]
+        except TypeError:
+            raise NotAHomomorphismError(
+                f"expected a list of rows, got {matrix!r}") from None
         if len(rows) != _need(codomain, FgGroup, _A_GROUP).dim:
             raise NotAHomomorphismError(
                 f"matrix has {len(rows)} rows, codomain dim {codomain.dim}")
@@ -435,6 +449,9 @@ def normalize_presentation(ambient_dim, rel_cols):
     """
     m = ambient_dim
     k = len(rel_cols)
+    if any(len(c) != m for c in rel_cols):
+        raise ParentMismatchError(
+            f"each relation column needs {m} entries, the ambient dim")
     a = [[rel_cols[j][i] for j in range(k)] for i in range(m)]
     u, d = smith_normal_form(a, m, k)
     diag = [d[i][i] for i in range(min(m, k))]
@@ -477,7 +494,8 @@ def _subgroup_from_lattice(g, lattice_cols):
 def subgroup_generated_by(g, gens):
     """Abstract subgroup generated by elements of g, with its embedding."""
     return _subgroup_from_lattice(_need(g, FgGroup, _A_GROUP), [
-        list(_member(x, g, _GENERATOR).coords) for x in gens])
+        list(_member(x, g, _GENERATOR).coords)
+        for x in _each(gens, _GENERATORS)])
 
 
 def quotient_by(g, gens):
@@ -486,7 +504,8 @@ def quotient_by(g, gens):
     Returns (q, proj) with proj the projection g -> q.
     """
     rel_cols = _need(g, FgGroup, _A_GROUP).relation_columns() + [
-        list(_member(x, g, _GENERATOR).coords) for x in gens]
+        list(_member(x, g, _GENERATOR).coords)
+        for x in _each(gens, _GENERATORS)]
     q, to_n, _ = normalize_presentation(g.dim, rel_cols)
     return q, GroupHom(g, q, to_n)
 

@@ -35,10 +35,11 @@ newlines separate them.  Any other character is a syntax error.
 
 A name means what the latest let before it bound (lets carry over from
 --script and from earlier arguments): a later rebinding changes nothing
-already written, and evaluation reads the syntax tree alone.  A let
-whose value parses as a ring, a bare name included, binds a ring: "let
-G = Z;" binds the ring Z, "let G = Z^1;" the group.  The grammar words
-Z Q e fine coarse let coarsen restrict Frac cannot be bound.
+already written, and each syntax node evaluates itself from the tree
+alone.  A let whose value parses as a ring, a bare name included, binds
+a ring: "let G = Z;" binds the ring Z, "let G = Z^1;" the group.  The
+grammar words Z Q e fine coarse let coarsen restrict Frac cannot be
+bound.
 """
 
 import argparse
@@ -119,40 +120,128 @@ def _tokenize(text):
 
 
 # --- syntax trees (spans, (line, first col, end col), feed error reports) ---
+# Each node evaluates itself, a pure function of the tree: names were
+# resolved when it was parsed.
 
 class GroupAst(_Record):
     # kind: zero, free, torsion, prod
     __slots__ = ("kind", "span", "n", "left", "right")
 
+    def eval(self):
+        if self.kind == "zero":
+            return FgGroup(0, ())
+        if self.kind == "free":
+            if self.n < 0:
+                raise DslTypeError("negative rank", (self.span,))
+            return FgGroup(self.n, ())
+        if self.kind == "torsion":
+            if self.n < 2:
+                raise DslTypeError(f"Z/{self.n} needs a modulus of at least 2",
+                                   (self.span,))
+            return FgGroup(0, (self.n,))
+        return direct_sum(self.left.eval(), self.right.eval()).group
+
 
 class HomAst(_Record):
     __slots__ = ("rows", "dom", "cod", "span", "mat_span")
 
+    def eval(self, domain, ring_span):
+        dom = domain
+        if self.dom is not None:
+            dom = self.dom.eval()
+            if dom != domain:
+                raise DslTypeError(f"hom domain {dom} does not match the "
+                                   f"ring grading {domain}",
+                                   (self.dom.span, ring_span))
+        cod = (self.cod.eval() if self.cod is not None
+               else FgGroup(len(self.rows), ()))
+        if len(self.rows) != cod.dim:
+            spans = ((self.mat_span,) if self.cod is None
+                     else (self.mat_span, self.cod.span))
+            raise DslTypeError(
+                f"matrix has {len(self.rows)} rows, codomain needs {cod.dim}",
+                spans)
+        for row in self.rows:
+            if len(row) != dom.dim:
+                spans = ((self.mat_span,) if self.dom is None
+                         else (self.mat_span, self.dom.span))
+                raise DslTypeError(
+                    f"matrix row {row} has {len(row)} entries, "
+                    f"domain needs {dom.dim}", spans)
+        try:
+            return GroupHom(dom, cod, self.rows)
+        except GradalError as exc:
+            raise DslTypeError(f"matrix is not a homomorphism: {exc}",
+                               (self.mat_span,))
+
 
 class GensAst(_Record):
     __slots__ = ("tuples", "span", "tuple_spans")
+
+    def eval(self, group):
+        out = []
+        for t, span in zip(self.tuples, self.tuple_spans):
+            if len(t) != group.dim:
+                raise DslTypeError(
+                    f"generator {t} has {len(t)} coordinates, "
+                    f"the group {group} needs {group.dim}", (span,))
+            out.append(group.element(t))
+        return out
 
 
 class ElemAst(_Record):
     # terms: ((num, den, coords), ...), sign folded into num
     __slots__ = ("terms", "span", "term_spans")
 
+    def eval(self, nf):
+        from .element import Element
+        terms = {}
+        e = nf.egroup
+        for (num, den, coords), span in zip(self.terms, self.term_spans):
+            if len(coords) != e.dim:
+                raise DslTypeError(
+                    f"exponent {coords} has {len(coords)} coordinates, "
+                    f"the exponent group {e} needs {e.dim}", (span,))
+            if den == 0:
+                raise DslTypeError("zero denominator in a coefficient",
+                                   (span,))
+            c = Rational(num, den)
+            if nf.base == "Z" and c.denominator != 1:
+                raise DslTypeError(
+                    f"coefficient {num}/{den} is not an integer, "
+                    "the ring has integer coefficients", (span,))
+            f = e.element(coords)
+            terms[f] = terms.get(f, 0) + c
+        return Element(nf, terms)
+
 
 class RingAst(_Record):
-    # kind: Z, Q, algebra, coarsen, restrict, frac
+    # kind: Z, Q, algebra, coarsen, restrict, Frac
     __slots__ = ("kind", "span", "inner", "group", "alg_kind", "hom", "gens")
+
+    def eval(self):
+        if self.kind in ("Z", "Q"):
+            return normalize(BaseZ() if self.kind == "Z" else BaseQ())
+        inner = self.inner.eval()
+        if self.kind == "algebra":
+            return group_algebra(inner, self.group.eval(), self.alg_kind)
+        if self.kind == "coarsen":
+            return coarsen(inner, self.hom.eval(inner.ggroup,
+                                                self.inner.span))
+        if self.kind == "restrict":
+            return regrade_restrict(inner, self.gens.eval(inner.ggroup))
+        return fraction_field(inner)
 
 
 class RefAst(_Record):
     """A name that is unbound, or bound to another kind, where it is
-    written; evaluating it reports "'name' is not a bound kind"."""
+    written."""
 
     __slots__ = ("name", "kind", "span")
 
-
-def _unbound(node):
-    return DslTypeError(f"{node.name!r} is not a bound {node.kind}",
-                        (node.span,))
+    def eval(self, *context):
+        raise DslTypeError(f"{self.name!r} is not a bound {self.kind}",
+                           (self.span,))
 
 
 class _Parser:
@@ -263,10 +352,8 @@ class _Parser:
         """A bracketed, comma-separated, possibly empty integer tuple."""
         self.expect(opening)
         out = []
-        if self.peek().text != closing:
+        while self.accept(",") if out else self.peek().text != closing:
             out.append(self.int_lit())
-            while self.accept(","):
-                out.append(self.int_lit())
         self.expect(closing)
         return tuple(out)
 
@@ -276,10 +363,8 @@ class _Parser:
         mark = self.mark()
         self.expect("[")
         rows = []
-        if self.peek().text == "[":
+        while self.accept(",") if rows else self.peek().text == "[":
             rows.append(self.ints("[", "]"))
-            while self.accept(","):
-                rows.append(self.ints("[", "]"))
         self.expect("]")
         mat_span = self.close(mark)
         dom = cod = None
@@ -298,20 +383,14 @@ class _Parser:
             return ref
         mark = self.mark()
         self.expect("<")
-        spans = []
-        tuples = [self.coord_tuple(spans)]
-        while self.accept(","):
-            tuples.append(self.coord_tuple(spans))
+        tuples, spans = [], []
+        while not tuples or self.accept(","):
+            start = self.mark()
+            tuples.append(self.ints("(", ")"))
+            spans.append(self.close(start))
         self.expect(">")
         return GensAst(tuple(tuples), span=self.close(mark),
                        tuple_spans=tuple(spans))
-
-    def coord_tuple(self, spans=None):
-        mark = self.mark()
-        coords = self.ints("(", ")")
-        if spans is not None:
-            spans.append(self.close(mark))
-        return coords
 
     # rings
 
@@ -324,8 +403,7 @@ class _Parser:
             if self.peek().text not in ("fine", "coarse"):
                 self.fail("expected 'fine' or 'coarse'")
             node = RingAst("algebra", inner=node, group=grp,
-                           alg_kind=self.next().text,
-                           span=self.close(mark))
+                           alg_kind=self.next().text, span=self.close(mark))
         return node
 
     def ratom(self):
@@ -334,31 +412,23 @@ class _Parser:
         if t.text in ("Z", "Q"):
             self.next()
             return RingAst(t.text, span=self.close(mark))
-        if self.accept("coarsen"):
-            self.expect("(")
-            inner = self.ring()
+        if t.text not in ("coarsen", "restrict", "Frac"):
+            ref = self.ref("ring")
+            if ref is None:
+                self.fail("expected a ring")
+            return ref
+        self.next()
+        self.expect("(")
+        node = RingAst(t.text, inner=self.ring())
+        if t.text == "coarsen":
             self.expect(",")
-            h = self.ref("hom", "fine", "coarse", "let") or self.hom()
-            self.expect(")")
-            return RingAst("coarsen", inner=inner, hom=h,
-                           span=self.close(mark))
-        if self.accept("restrict"):
-            self.expect("(")
-            inner = self.ring()
+            node.hom = self.ref("hom", "fine", "coarse", "let") or self.hom()
+        elif t.text == "restrict":
             self.expect(",")
-            g = self.gens()
-            self.expect(")")
-            return RingAst("restrict", inner=inner, gens=g,
-                           span=self.close(mark))
-        if self.accept("Frac"):
-            self.expect("(")
-            inner = self.ring()
-            self.expect(")")
-            return RingAst("frac", inner=inner, span=self.close(mark))
-        ref = self.ref("ring")
-        if ref is None:
-            self.fail("expected a ring")
-        return ref
+            node.gens = self.gens()
+        self.expect(")")
+        node.span = self.close(mark)
+        return node
 
     # elements
 
@@ -367,23 +437,19 @@ class _Parser:
         if ref is not None:
             return ref
         mark = self.mark()
-        terms = []
-        spans = []
-        sign = 1
-        if self.peek().text in ("+", "-"):
-            sign = -1 if self.next().text == "-" else 1
-        terms.append(self.elem_term(sign, spans))
-        while self.peek().text in ("+", "-"):
-            sign = -1 if self.next().text == "-" else 1
+        terms, spans = [], []
+        while not terms or self.peek().text in ("+", "-"):
+            sign = 1
+            if self.peek().text in ("+", "-"):
+                sign = -1 if self.next().text == "-" else 1
             terms.append(self.elem_term(sign, spans))
         return ElemAst(tuple(terms), span=self.close(mark),
                        term_spans=tuple(spans))
 
     def elem_term(self, sign, spans):
         mark = self.mark()
-        t = self.peek()
         num, den = 1, 1
-        if t.kind == "int":
+        if self.peek().kind == "int":
             num = int(self.next().text)
             if self.accept("/"):
                 if self.peek().kind != "int":
@@ -391,7 +457,7 @@ class _Parser:
                 den = int(self.next().text)
             self.expect("*")
         self.expect("e")
-        coords = self.coord_tuple()
+        coords = self.ints("(", ")")
         spans.append(self.close(mark))
         return (sign * num, den, coords)
 
@@ -412,7 +478,7 @@ class _Parser:
             kind, value = self.let_value()
             self.scope[name.text] = (kind, value)
             if kind in ("ring", "group"):
-                eager.append((kind, value))
+                eager.append(value)
             self.expect(";")
         return eager
 
@@ -459,124 +525,19 @@ def _parse(text, scope, goal=None):
     if not p.at_end():
         p.fail("trailing input" if goal is not None
                else "script files may only contain let-bindings")
-    for kind, value in eager:
-        (_eval_ring if kind == "ring" else _eval_group)(value)
+    for value in eager:
+        value.eval()
     return node, p.scope
-
-
-# --- evaluation (a pure function of the AST: names resolved when parsed) ---
-
-def _eval_group(node):
-    if isinstance(node, RefAst):
-        raise _unbound(node)
-    if node.kind == "zero":
-        return FgGroup(0, ())
-    if node.kind == "free":
-        if node.n < 0:
-            raise DslTypeError("negative rank", (node.span,))
-        return FgGroup(node.n, ())
-    if node.kind == "torsion":
-        if node.n < 2:
-            raise DslTypeError(f"Z/{node.n} needs a modulus of at least 2",
-                               (node.span,))
-        return FgGroup(0, (node.n,))
-    return direct_sum(_eval_group(node.left), _eval_group(node.right)).group
-
-
-def _eval_hom(node, domain, ring_span):
-    if isinstance(node, RefAst):
-        raise _unbound(node)
-    dom = domain
-    if node.dom is not None:
-        dom = _eval_group(node.dom)
-        if dom != domain:
-            raise DslTypeError(
-                f"hom domain {dom} does not match the ring grading {domain}",
-                (node.dom.span, ring_span))
-    cod = (_eval_group(node.cod) if node.cod is not None
-           else FgGroup(len(node.rows), ()))
-    if len(node.rows) != cod.dim:
-        spans = ((node.mat_span,) if node.cod is None
-                 else (node.mat_span, node.cod.span))
-        raise DslTypeError(
-            f"matrix has {len(node.rows)} rows, codomain needs {cod.dim}",
-            spans)
-    for row in node.rows:
-        if len(row) != dom.dim:
-            spans = ((node.mat_span,) if node.dom is None
-                     else (node.mat_span, node.dom.span))
-            raise DslTypeError(
-                f"matrix row {row} has {len(row)} entries, "
-                f"domain needs {dom.dim}", spans)
-    try:
-        return GroupHom(dom, cod, node.rows)
-    except GradalError as exc:
-        raise DslTypeError(f"matrix is not a homomorphism: {exc}",
-                           (node.mat_span,))
-
-
-def _eval_gens(node, group):
-    if isinstance(node, RefAst):
-        raise _unbound(node)
-    out = []
-    for t, span in zip(node.tuples, node.tuple_spans):
-        if len(t) != group.dim:
-            raise DslTypeError(
-                f"generator {t} has {len(t)} coordinates, "
-                f"the group {group} needs {group.dim}", (span,))
-        out.append(group.element(t))
-    return out
-
-
-def _eval_elem(node, nf):
-    from .element import Element
-    if isinstance(node, RefAst):
-        raise _unbound(node)
-    terms = {}
-    e = nf.egroup
-    for (num, den, coords), span in zip(node.terms, node.term_spans):
-        if len(coords) != e.dim:
-            raise DslTypeError(
-                f"exponent {coords} has {len(coords)} coordinates, "
-                f"the exponent group {e} needs {e.dim}", (span,))
-        if den == 0:
-            raise DslTypeError("zero denominator in a coefficient", (span,))
-        c = Rational(num, den)
-        if nf.base == "Z":
-            if c.denominator != 1:
-                raise DslTypeError(
-                    f"coefficient {num}/{den} is not an integer, "
-                    "the ring has integer coefficients", (span,))
-        f = e.element(coords)
-        terms[f] = terms.get(f, 0) + c
-    return Element(nf, terms)
-
-
-def _eval_ring(node):
-    if isinstance(node, RefAst):
-        raise _unbound(node)
-    if node.kind in ("Z", "Q"):
-        return normalize(BaseZ() if node.kind == "Z" else BaseQ())
-    inner = _eval_ring(node.inner)
-    if node.kind == "algebra":
-        return group_algebra(inner, _eval_group(node.group), node.alg_kind)
-    if node.kind == "coarsen":
-        return coarsen(inner, _eval_hom(node.hom, inner.ggroup,
-                                        node.inner.span))
-    if node.kind == "restrict":
-        return regrade_restrict(inner, _eval_gens(node.gens, inner.ggroup))
-    return fraction_field(inner)
 
 
 def _ring_arg(text, scope):
     """The ring, its AST and the scope its lets extend."""
     node, scope = _parse(text, scope, _Parser.ring)
-    return _eval_ring(node), node, scope
+    return node.eval(), node, scope
 
 
 def _elem_arg(text, nf, scope):
-    node, _ = _parse(text, scope, _Parser.elem)
-    return _eval_elem(node, nf)
+    return _parse(text, scope, _Parser.elem)[0].eval(nf)
 
 
 def _inclusion_args(args, scope):
@@ -609,12 +570,9 @@ def _cmd_components(args, scope):
     from .element import homogeneous_components
     nf, _, scope = _ring_arg(args.ring, scope)
     x = _elem_arg(args.elem, nf, scope)
-    out = []
-    for deg, part in homogeneous_components(x).items():
-        out.append({"degree": _coords_str(deg), "element": str(part)})
-    if not out:
-        out.append({"degree": None, "element": "0"})
-    return out
+    return [{"degree": _coords_str(deg), "element": str(part)}
+            for deg, part in homogeneous_components(x).items()
+            ] or [{"degree": None, "element": "0"}]
 
 
 def _cmd_integrality(args, scope):
@@ -641,10 +599,10 @@ def _cmd_divide(args, scope):
     from .closure import graded_euclidean_division, laurent_extension
     _, ast, scope = _ring_arg(args.ring, scope)
     if not (ast.kind == "algebra" and ast.alg_kind == "coarse"
-            and _eval_group(ast.group) == FgGroup(1, ())):
+            and ast.group.eval() == FgGroup(1, ())):
         raise HypothesisViolatedError(
             "divide needs a ring written as R[Z]coarse")
-    struct = laurent_extension(_eval_ring(ast.inner))
+    struct = laurent_extension(ast.inner.eval())
     f = _elem_arg(args.f, struct.ring, scope)
     g = _elem_arg(args.g, struct.ring, scope)
     u, v = graded_euclidean_division(struct, f, g)
@@ -669,8 +627,7 @@ def _cmd_idempotent(args, scope):
 def _cmd_iso_lem50(args, scope):
     from .closure import lem50_iso
     nf, _, scope = _ring_arg(args.ring, scope)
-    node, _ = _parse(args.subgroup, scope, _Parser.gens)
-    fgens = _eval_gens(node, nf.ggroup)
+    fgens = _parse(args.subgroup, scope, _Parser.gens)[0].eval(nf.ggroup)
     _, proj = quotient_by(nf.ggroup, fgens)
     section = find_section(proj)
     if section is None:
@@ -692,7 +649,8 @@ def _cmd_check(args, scope):
     return [json.loads(report_json(report))]
 
 
-def _demo_a90(n):
+def _demo_a90(args):
+    n = args.n
     _, out = _idempotent_fields(n)
     out.update(witness_verified=True,
                conclusion=f"Z[Z/{n}]_[0] is NOT integrally closed "
@@ -700,7 +658,7 @@ def _demo_a90(n):
     return [out]
 
 
-def _demo_a140():
+def _demo_a140(args):
     out = []
     for n in (2, 3, 4):
         g = FgGroup(1, (n,))
@@ -716,7 +674,7 @@ def _demo_a140():
     return out
 
 
-def _demo_p90():
+def _demo_p90(args):
     from .element import Element, ZeroDivisor, nzd_test
     good = group_algebra(normalize(BaseQ()), FgGroup(2, ()), "fine")
     psi = GroupHom(good.ggroup, FgGroup(1, ()), ((1, 1),))
@@ -744,12 +702,11 @@ def _demo_p90():
     return [entire_side, torsion_side]
 
 
+_DEMOS = {"a90": _demo_a90, "a140": _demo_a140, "p90": _demo_p90}
+
+
 def _cmd_demo(args, scope):
-    if args.which == "a90":
-        return _demo_a90(args.n)
-    if args.which == "a140":
-        return _demo_a140()
-    return _demo_p90()
+    return _DEMOS[args.which](args)
 
 
 def _parser():
@@ -762,58 +719,39 @@ def _parser():
                    help="load let-bindings from FILE ('-' for stdin)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("classify", help="entire/simple/noetherian flags")
-    c.add_argument("ring")
-    c.set_defaults(fn=_cmd_classify)
+    def command(name, help, handler, *positionals):
+        c = sub.add_parser(name, help=help)
+        for arg in positionals:
+            c.add_argument(arg)
+        c.set_defaults(fn=handler)
+        return c
 
-    c = sub.add_parser("components", help="homogeneous components")
-    c.add_argument("ring")
-    c.add_argument("elem")
-    c.set_defaults(fn=_cmd_components)
-
-    c = sub.add_parser("integrality", help="search a monic equation")
-    c.add_argument("subring")
-    c.add_argument("ring")
-    c.add_argument("elem")
+    command("classify", "entire/simple/noetherian flags", _cmd_classify,
+            "ring")
+    command("components", "homogeneous components", _cmd_components,
+            "ring", "elem")
+    c = command("integrality", "search a monic equation", _cmd_integrality,
+                "subring", "ring", "elem")
     c.add_argument("--max-deg", type=int, default=3)
     c.add_argument("--box", type=int, default=3)
-    c.set_defaults(fn=_cmd_integrality)
-
-    c = sub.add_parser("almost", help="search an almost-integrality witness")
-    c.add_argument("subring")
-    c.add_argument("ring")
-    c.add_argument("elem")
+    c = command("almost", "search an almost-integrality witness",
+                _cmd_almost, "subring", "ring", "elem")
     c.add_argument("--kmax", type=int, default=2)
     c.add_argument("--box", type=int, default=3)
-    c.set_defaults(fn=_cmd_almost)
-
-    c = sub.add_parser("divide",
-                       help="graded euclidean division in R[Z]coarse")
-    c.add_argument("ring")
-    c.add_argument("f")
-    c.add_argument("g")
-    c.set_defaults(fn=_cmd_divide)
-
-    c = sub.add_parser("idempotent", help="the order-n torsion idempotent")
+    command("divide", "graded euclidean division in R[Z]coarse",
+            _cmd_divide, "ring", "f", "g")
+    c = command("idempotent", "the order-n torsion idempotent",
+                _cmd_idempotent)
     c.add_argument("--n", type=int, required=True)
-    c.set_defaults(fn=_cmd_idempotent)
-
-    c = sub.add_parser("iso-lem50", help="split a free grading summand")
-    c.add_argument("ring")
-    c.add_argument("subgroup")
-    c.set_defaults(fn=_cmd_iso_lem50)
-
-    c = sub.add_parser("check", help="run a named property check")
-    c.add_argument("check_id")
+    command("iso-lem50", "split a free grading summand", _cmd_iso_lem50,
+            "ring", "subgroup")
+    c = command("check", "run a named property check", _cmd_check,
+                "check_id")
     c.add_argument("--trials", type=int, default=24)
     c.add_argument("--seed", type=int, default=2024)
-    c.set_defaults(fn=_cmd_check)
-
-    c = sub.add_parser("demo", help="fixed worked examples")
-    c.add_argument("which", choices=("a90", "a140", "p90"))
+    c = command("demo", "fixed worked examples", _cmd_demo)
+    c.add_argument("which", choices=_DEMOS)
     c.add_argument("--n", type=int, default=2)
-    c.set_defaults(fn=_cmd_demo)
-
     return p
 
 
@@ -821,10 +759,8 @@ def _emit(objects, pretty):
     """Each subcommand builds JSON-native objects: str keys, lists, and
     rationals already written as strings."""
     for obj in objects:
-        if pretty:
-            print(json.dumps(obj, indent=2))
-        else:
-            print(json.dumps(obj, separators=(",", ":")))
+        print(json.dumps(obj, indent=2) if pretty
+              else json.dumps(obj, separators=(",", ":")))
 
 
 def _error_json(kind, exc):

@@ -32,8 +32,10 @@ from .abelian import (
     GroupHom,
     _A_HOM,
     _A_RING,
+    _GENERATORS,
     _Record,
     _check_ints,
+    _each,
     _need,
     add_homs,
     box_fiber,
@@ -477,7 +479,8 @@ def graded_euclidean_division(struct, f, g):
     fdeg, lead = _z_top(struct, f)
     res = homogeneous_unit_test(lead)
     if not isinstance(res, Unit):
-        raise NotSimpleBaseError("leading coefficient is not invertible")
+        # a simple base is over Q with injective delta: lead is c*e(f)*z^k
+        raise InternalInvariantError("leading coefficient is not invertible")
     u = Element.zero(struct.ring)
     v = g
     while not v.is_zero:
@@ -537,8 +540,8 @@ def lem50_iso(r, f_gens, h_gens):
     if not classify(r).simple or r.fraction:
         raise HypothesisViolatedError("need a simple ring in algebra form")
     g = r.ggroup
-    f_gens = list(f_gens)
-    h_gens = list(h_gens)
+    f_gens = list(_each(f_gens, _GENERATORS))
+    h_gens = list(_each(h_gens, _GENERATORS))
     sf, i_f = subgroup_generated_by(g, f_gens)
     sh, i_h = subgroup_generated_by(g, h_gens)
     if not sf.is_torsionfree:

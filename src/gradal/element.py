@@ -36,8 +36,8 @@ from fractions import Fraction as Rational
 from math import lcm
 from operator import add
 
-from .abelian import (GroupElem, _A_RING, _Record, _check_ints, _member, _need,
-                      hom_kernel)
+from .abelian import (GroupElem, _A_RING, _Record, _check_ints, _each,
+                      _member, _need, hom_kernel)
 from .errors import (
     GradalError,
     HypothesisViolatedError,
@@ -100,6 +100,7 @@ def _term_str(c, f):
 
 _EXPONENT = "exponent in {0}, ring exponents in {1}"
 _AN_ELEMENT = "expected an element, got {0.__class__.__name__}"
+_TERMS = "expected a dict of terms, got {0.__class__.__name__}"
 
 
 class Element:
@@ -110,7 +111,7 @@ class Element:
     def __init__(self, parent, terms):
         _need(parent, NormalForm, "parent must be a ring normal form")
         clean = {}
-        for f, c in terms.items():
+        for f, c in _each(terms, _TERMS, dict.items):
             _member(f, parent.egroup, _EXPONENT)
             c = _coerce(parent.base, c)
             if c:

@@ -21,8 +21,10 @@ from .abelian import (
     FgGroup,
     GroupHom,
     _A_RING,
+    _GENERATORS,
     _Record,
     _Value,
+    _each,
     _member,
     _need,
     add_homs,
@@ -37,6 +39,7 @@ from .abelian import (
 )
 from .errors import (
     GradalError,
+    InternalInvariantError,
     NotASubgroupError,
     NotEntireError,
     NotSurjectiveError,
@@ -163,14 +166,16 @@ def restrict_data(nf, gens):
     if _need(nf, NormalForm, _A_RING).fraction:
         raise GradalError(
             "restricting a fraction ring is not supported; restrict first")
+    gens = list(_each(gens, _GENERATORS))
     for x in gens:
         _member(x, nf.ggroup, "subgroup generators must live in G")
-    q, proj = quotient_by(nf.ggroup, list(gens))
+    q, proj = quotient_by(nf.ggroup, gens)
     e2, kappa = hom_kernel(compose(proj, nf.delta))
-    f, iota_f = subgroup_generated_by(nf.ggroup, list(gens))
+    f, iota_f = subgroup_generated_by(nf.ggroup, gens)
     delta2 = lift_hom(iota_f, compose(nf.delta, kappa))
     if delta2 is None:
-        raise NotASubgroupError("degree escaped the subgroup")
+        # delta(kappa(E2)) lies in ker proj, the image of injective iota_f
+        raise InternalInvariantError("degree escaped the subgroup")
     return NormalForm(nf.base, e2, f, delta2, False), kappa
 
 

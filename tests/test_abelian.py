@@ -37,6 +37,7 @@ from gradal.errors import (
     GradalError,
     InternalInvariantError,
     NotAHomomorphismError,
+    NotSurjectiveError,
     ParentMismatchError,
 )
 
@@ -179,6 +180,22 @@ def test_group_data_must_be_ints():
             GroupHom(FgGroup(1), FgGroup(1), ((entry,),))
     with pytest.raises(NotAHomomorphismError):
         GroupHom(FgGroup(0, (2,)), FgGroup(0, (2,)), ())
+
+
+def test_find_section_refuses_a_map_not_onto():
+    z = FgGroup(1)
+    with pytest.raises(NotSurjectiveError, match=r"^Z -> Z is not onto$"):
+        find_section(GroupHom(z, z, ((2,),)))
+
+
+def test_hom_matrix_must_be_rows():
+    """A matrix that is not a list of rows is refused like a row of the
+    wrong width, not with a TypeError from inside GroupHom."""
+    g = FgGroup(2)
+    for matrix in (5, [[1, 0], 5], None):
+        with pytest.raises(NotAHomomorphismError,
+                           match=r"^expected a list of rows, got "):
+            GroupHom(g, g, matrix)
 
 
 def test_hom_checks_match_group_elem_checks():

@@ -2,6 +2,7 @@
 name binding."""
 
 import gc
+import io
 import json
 import os
 import pathlib
@@ -447,6 +448,22 @@ def test_script_file_is_closed(capsys, tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@pytest.mark.parametrize("argv,stdin,out", [
+    (("integrality", "Z[Z]fine", "Q[Z]fine", "1/2*e(1)"), "",
+     '{"found":false,"max_deg":3,"box":3}\n'),
+    (("components", "Q[Z]fine", "e(1)-e(1)"), "",
+     '{"degree":null,"element":"0"}\n'),
+    (("--script", "-", "classify", "R"), "let R = Q[Z]fine;",
+     '{"ring":"Q[Z] graded by Z","entire":true,"simple":true,'
+     '"noetherian":true,"support":"Z","full_support":true}\n'),
+], ids=["integrality-not-found", "components-of-zero", "script-stdin"])
+def test_outputs_no_golden_covers(capsys, monkeypatch, argv, stdin, out):
+    """A search that finds nothing, the components of zero and lets read
+    from stdin, byte for byte."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert run_main(capsys, *argv) == (0, out, "")
+
+
 def test_ring_aliases(capsys):
     rc, out, _ = run_main(capsys, "classify",
                           "let R = Q[Z]fine; let S = R; let R = Z; S")
@@ -611,16 +628,16 @@ def _evaluate(expect, text):
     _, scope = cli._parse("let G = Z^2;", {})
     node, _ = cli._parse(text, scope, getattr(cli._Parser, expect))
     if expect == "ring":
-        return cli._eval_ring(node).describe()
+        return node.eval().describe()
     if expect == "group":
-        return str(cli._eval_group(node))
+        return str(node.eval())
     if expect == "elem":
         nf = group_algebra(normalize(BaseQ()),
                            FgGroup(len(node.terms[0][2]), ()), "fine")
-        return str(cli._eval_elem(node, nf))
+        return str(node.eval(nf))
     if expect == "gens":
-        return [x.coords for x in cli._eval_gens(node, z2)]
-    h = cli._eval_hom(node, z2, node.span)
+        return [x.coords for x in node.eval(z2)]
+    h = node.eval(z2, node.span)
     return str(h.domain), str(h.codomain), h.matrix
 
 

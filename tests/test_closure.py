@@ -47,6 +47,7 @@ from gradal.errors import (
     GradalError,
     HypothesisViolatedError,
     IncompatibleRingsError,
+    InternalInvariantError,
     NotASectionError,
     NotSimpleBaseError,
     ParentMismatchError,
@@ -804,6 +805,17 @@ def test_division_edge_cases():
         graded_euclidean_division(zstruct, zf, zf)
     with pytest.raises(IncompatibleRingsError):
         graded_euclidean_division(struct, zf, zf)
+
+
+def test_division_self_check_is_an_internal_error(monkeypatch):
+    """Over a simple base the leading coefficient is always a unit; a
+    unit test that says otherwise is a bug, not the caller's input."""
+    struct = laurent_extension(Q)
+    f = e(struct.ring, 1) - e(struct.ring, 0)
+    monkeypatch.setattr(closure, "homogeneous_unit_test", lambda x: None)
+    with pytest.raises(InternalInvariantError,
+                       match="^leading coefficient is not invertible$"):
+        graded_euclidean_division(struct, f, f)
 
 
 def random_laurent_pair(rng, struct, max_span=3):

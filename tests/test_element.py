@@ -28,6 +28,7 @@ from gradal.abelian import (
     identity_hom,
     is_in_torsionfree_summand,
     lift_hom,
+    normalize_presentation,
     quotient_by,
     solve_in_subgroup,
     subgroup_generated_by,
@@ -41,6 +42,7 @@ from gradal.closure import (
     graded_euclidean_division,
     j_pi_embedding,
     laurent_extension,
+    lem50_iso,
     witness_str,
 )
 from gradal.element import (
@@ -320,6 +322,24 @@ FOREIGN = [
     ("run_check", lambda: run_check(5), "^expected a check config, got int$"),
     ("report_json", lambda: report_json(5),
      "^expected a check report, got int$"),
+    # containers of operands
+    ("subgroup_generated_by-container", lambda: subgroup_generated_by(_G, 5),
+     "^expected generators, got int$"),
+    ("quotient_by-container", lambda: quotient_by(_G, None),
+     "^expected generators, got NoneType$"),
+    ("is_in_torsionfree_summand-container",
+     lambda: is_in_torsionfree_summand(_G, 5),
+     "^expected generators, got int$"),
+    ("regrade_restrict-container", lambda: regrade_restrict(QZ, 5),
+     "^expected generators, got int$"),
+    ("lem50_iso-container", lambda: lem50_iso(QZ, 5, []),
+     "^expected generators, got int$"),
+    ("Element-container", lambda: Element(QZ, 5),
+     "^expected a dict of terms, got int$"),
+    ("Element-list", lambda: Element(QZ, [(1,)]),
+     "^expected a dict of terms, got list$"),
+    ("normalize_presentation", lambda: normalize_presentation(5, [[2, 0]]),
+     "^each relation column needs 5 entries, the ambient dim$"),
     ("Element.__sub__", lambda: e(QZ, 1) - "x",
      "^cannot combine Element with 'x'$"),
     ("Element.__sub__-fraction",
@@ -792,6 +812,42 @@ def test_p70_rejects_bad_hypotheses():
     psit = GroupHom(finet.ggroup, FgGroup(1, ()), ((1, 0),))
     with pytest.raises(PreconditionViolatedError):
         lemma_p70_check(finet, psit, Element.one(finet), Element.one(finet))
+
+
+def test_p70_refusals_name_the_hypothesis():
+    """Each hypothesis of the statement that fails is named, in the order
+    lemma_p70_check tests them."""
+    fine2 = group_algebra(Q, FgGroup(2, ()), "fine")
+    psi = GroupHom(fine2.ggroup, FgGroup(1, ()), ((1, 1),))
+    one = Element.one(fine2)
+    qt = group_algebra(Q, FgGroup(0, (2,)), "coarse")
+    double = GroupHom(QZ.ggroup, QZ.ggroup, ((2,),))
+    for call, message in (
+            (lambda: lemma_p70_check(fine2, psi, e(QZ, 1), one),
+             "elements must live in the given ring"),
+            (lambda: lemma_p70_check(qt, identity_hom(qt.ggroup),
+                                     Element.one(qt), Element.one(qt)),
+             "ring is not entire"),
+            (lambda: lemma_p70_check(QZ, double, e(QZ, 1), e(QZ, 0)),
+             "bad coarsening map: coarsening map is not onto"),
+            (lambda: lemma_p70_check(fine2, psi,
+                                     e(fine2, 1, 0) + e(fine2, 0, 1), one),
+             "the product is not homogeneous, statement does not apply")):
+        with pytest.raises(PreconditionViolatedError, match=f"^{message}$"):
+            call()
+
+
+def test_reachable_refusals():
+    """Refusals of a zero operand and of operands from different rings."""
+    fine2 = group_algebra(Q, FgGroup(2, ()), "fine")
+    with pytest.raises(ZeroElementError,
+                       match="^zero divisor test on the zero element$"):
+        nzd_test(Element.zero(QZ))
+    with pytest.raises(ParentMismatchError,
+                       match="^numerator and denominator rings differ$"):
+        Fraction(e(QZ, 1), e(fine2, 0, 0))
+    with pytest.raises(ParentMismatchError, match="^exponent groups differ$"):
+        reparent(e(QZ, 1), fine2)
 
 
 def coarse_homogeneous_sample(rng, nf, psi, max_terms=3):

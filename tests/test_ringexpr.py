@@ -13,8 +13,11 @@ from gradal.abelian import (
     identity_hom,
     lift_hom,
 )
+import gradal.ringexpr as ringexpr
 from gradal.errors import (
     GradalError,
+    InternalInvariantError,
+    NotASubgroupError,
     NotEntireError,
     NotSurjectiveError,
     TorsionKernelError,
@@ -117,6 +120,30 @@ def test_restrict_rejects_fraction():
     fr = fraction_field(group_algebra(Q, FgGroup(1, ()), "fine"))
     with pytest.raises(GradalError):
         regrade_restrict(fr, [fr.ggroup.element((2,))])
+
+
+def test_restrict_reads_an_iterator_of_gens_once():
+    fine2 = group_algebra(Q, FgGroup(2, ()), "fine")
+    gens = [fine2.ggroup.element((2, 0)), fine2.ggroup.element((0, 1))]
+    assert (regrade_restrict(fine2, iter(gens)).describe()
+            == regrade_restrict(fine2, gens).describe())
+
+
+def test_restrict_self_check_is_an_internal_error(monkeypatch):
+    """The restricted degrees always lift to the subgroup; a failed lift
+    is a bug, not a hypothesis the caller broke."""
+    fine1 = group_algebra(Q, FgGroup(1, ()), "fine")
+    monkeypatch.setattr(ringexpr, "lift_hom", lambda iota, psi: None)
+    with pytest.raises(InternalInvariantError,
+                       match="^degree escaped the subgroup$"):
+        regrade_restrict(fine1, [fine1.ggroup.element((2,))])
+
+
+def test_extend_refuses_a_map_not_injective():
+    fine1 = group_algebra(Q, FgGroup(1, ()), "fine")
+    with pytest.raises(NotASubgroupError,
+                       match="^grading extension map is not injective$"):
+        regrade_extend(fine1, GroupHom(FgGroup(1), FgGroup(1), ((0,),)))
 
 
 def test_extend_keeps_support():
