@@ -120,6 +120,8 @@ _A_HOM = "expected a hom, got {0.__class__.__name__}"
 _A_RING = "expected a ring, got {0.__class__.__name__}"
 _GENERATOR = "generator of {0}, ambient {1}"
 _GENERATORS = "expected generators, got {0.__class__.__name__}"
+_COLUMNS = "expected relation columns, got {0.__class__.__name__}"
+_COLUMN = "expected a relation column, got {0.__class__.__name__}"
 
 
 def _need(x, cls, message):
@@ -447,11 +449,17 @@ def normalize_presentation(ambient_dim, rel_cols):
     lifts normalized generators back, and to_normal @ from_normal is the
     identity exactly (not only modulo relations).
     """
+    _check_ints("ambient dims", (ambient_dim,))
+    if ambient_dim < 0:
+        raise GradalError(f"ambient dim must be at least 0, got {ambient_dim}")
     m = ambient_dim
+    rel_cols = [list(_each(c, _COLUMN)) for c in _each(rel_cols, _COLUMNS)]
     k = len(rel_cols)
     if any(len(c) != m for c in rel_cols):
         raise ParentMismatchError(
             f"each relation column needs {m} entries, the ambient dim")
+    for c in rel_cols:
+        _check_ints("relation entries", c)
     a = [[rel_cols[j][i] for j in range(k)] for i in range(m)]
     u, d = smith_normal_form(a, m, k)
     diag = [d[i][i] for i in range(min(m, k))]

@@ -7,9 +7,11 @@ membership x^(k+1) in the R-span of 1, x, ..., x^k.  R and the ring of x
 differ only in their base (Z in Z, Z in Q or Q in Q), so an element of R
 is carried over by reparent.  Searches are bounded (max degree, exponent
 box) and report NoWitnessUpTo instead of claiming non-integrality.  One
-search core serves elements and homogeneous fractions num/den; it solves
-one exact linear system per degree, rationally over base Q and by
-Hermite form over base Z.  Almost-integrality is that monic search at
+search core serves elements and homogeneous fractions num/den.  At
+degree 1 with a monomial den, which covers every element, it reads the
+witness a1 = -num/den off the terms; otherwise it solves one exact
+linear system per degree, rationally over base Q and by Hermite form
+over base Z.  Almost-integrality is that monic search at
 degree k+1, read as a membership, so the two notions agree judgment for
 judgment at aligned bounds.  One verification routine checks every
 witness before it is returned, in the arithmetic of the ring x lives
@@ -247,11 +249,14 @@ def _search(r, s, x, max_deg, box):
     GradalError.  x is an element of s or a homogeneous fraction over s.
     At degree n the factor standing in for x^j is num^j * den^(n-j); a
     fraction stops at degree 1 and an element has den 1, so one list
-    den, num, num^2, ... serves both.  The witness is re-verified on x.
+    den, num, num^2, ... serves both.  When den is a monomial, degree 1
+    needs no system: its one solution is a1 = -num/den, read off the
+    terms (_read_off).  The witness is re-verified on x.
 
     Degrees above 1 are searched only when r has base Z, r is not entire
-    and x has a non-integer coefficient.  Otherwise a witness in the box
-    exists iff one of degree 1 does, because:
+    and x has a non-integer coefficient: a deep search, which starts at
+    degree 2, x being an element outside r.  Otherwise a witness in the
+    box exists iff one of degree 1 does, because:
     - Q[E] = Q[T][Z^r] = prod K_i[Z^r] with fields K_i (Perlis-Walker).
       If P(y) = 0 in a domain K[Z^r], P monic of degree n with
       coefficient exponents in the box [-b, b]^r, so are y's: past
@@ -276,8 +281,9 @@ def _search(r, s, x, max_deg, box):
     if x.is_zero:
         raise ZeroElementError("integrality of zero is trivial; pass nonzero x")
     num, den = _num_den(x)
-    if not (r.base == "Z" and not classify(r).entire
-            and any(c.denominator != 1 for c in num.terms.values())):
+    deep = (r.base == "Z" and not classify(r).entire
+            and any(c.denominator != 1 for c in num.terms.values()))
+    if not deep:
         max_deg = 1
     exps = r.delta.domain
     cells = max_deg * (2 * box + 1) ** exps.rank * prod(exps.torsion)
@@ -285,19 +291,43 @@ def _search(r, s, x, max_deg, box):
         raise GradalError(f"a search over {cells} candidates exceeds the "
                           f"limit of {_SEARCH_CELLS}; lower max_deg or box")
     g = degree_of(num) - degree_of(den)
-    fibers = [None] + [box_fiber(r.delta, box, i * g)
-                       for i in range(1, max_deg + 1)]
-    factors = [den, num]
-    for n in range(1, max_deg + 1):
-        if n > 1:
-            factors.append(factors[-1] * num)
-        coeffs = _monic_solution(r, factors, n, fibers)
+    fibers, factors = [None], [den, num]
+    # a deep x is an element outside r: no a1 in r cancels it in x + a1
+    for n in range(2 if deep else 1, max_deg + 1):
+        if n == 1 and len(den.terms) == 1:
+            coeffs = _read_off(r, num, den, box)
+        else:
+            fibers += [box_fiber(r.delta, box, i * g)
+                       for i in range(len(fibers), n + 1)]
+            if n > 1:
+                factors.append(factors[-1] * num)
+            coeffs = _monic_solution(r, factors, n, fibers)
         if coeffs is not None:
             w = IntegralityWitness(n, coeffs)
             if not verify_integral_witness(r, s, x, w):
                 raise InternalInvariantError("witness failed its own verification")
             return w
     return None
+
+
+def _read_off(r, num, den, box):
+    """(a1,) with a1 = -num/den for a monomial den = c*e(f), or None.
+
+    den has one term, so each unknown of the degree-1 system sits in one
+    row of its own, and the system has at most one solution: a1, when a1
+    lies in the box fiber.  None when a coefficient of a1 lies outside
+    r's base or a free exponent outside [-box, box]; else a1 with its
+    terms in fiber order, as _monic_solution would build it.
+    """
+    (f, c), = den.terms.items()
+    rank, terms = r.egroup.rank, []
+    for h, v in num.terms.items():
+        a, h = -Rational(v) / c, h - f
+        if (r.base == "Z" and a.denominator != 1
+                or any(abs(u) > box for u in h.coords[:rank])):
+            return None
+        terms.append((h, a))
+    return (Element(r, dict(sorted(terms, key=lambda t: t[0].coords))),)
 
 
 def find_integral_equation(r, s, x, max_deg=3, support_box=3):

@@ -48,7 +48,7 @@ from .errors import (
     PreconditionViolatedError,
     ZeroElementError,
 )
-from .intmat import nullspace_rational, solve_rational
+from .intmat import mat_vec, nullspace_rational, solve_rational
 from .ringexpr import NormalForm, classify, coarsen
 
 __all__ = [
@@ -227,28 +227,36 @@ class Element:
         return f"<{self} in {self.parent.describe()}>"
 
 
+def _by_degree(x):
+    """x's terms bucketed by degree, keyed by reduced coordinate tuples."""
+    delta = _need(x, Element, _AN_ELEMENT).parent.delta
+    cod, rows = delta.codomain, delta.matrix
+    buckets = {}
+    for f, c in x.terms.items():
+        buckets.setdefault(cod._mod(tuple(mat_vec(rows, f.coords))), {})[f] = c
+    return buckets
+
+
 def homogeneous_components(x):
     """Decomposition by degree, as an ordered {degree: part} dict."""
-    buckets = {}
-    for f, c in _need(x, Element, _AN_ELEMENT).terms.items():
-        d = x.parent.delta.apply(f)
-        buckets.setdefault(d, {})[f] = c
-    return {d: Element._of(x.parent, t)
-            for d, t in sorted(buckets.items(), key=lambda kv: kv[0].coords)}
+    buckets = _by_degree(x)
+    cod = x.parent.delta.codomain
+    return {GroupElem(cod, d): Element._of(x.parent, t)
+            for d, t in sorted(buckets.items())}
 
 
 def is_homogeneous(x):
-    return len(homogeneous_components(x)) <= 1
+    return len(_by_degree(x)) <= 1
 
 
 def degree_of(x):
-    comps = homogeneous_components(x)
-    if not comps:
+    buckets = _by_degree(x)
+    if not buckets:
         raise ZeroElementError("the zero element has no degree")
-    if len(comps) > 1:
+    if len(buckets) > 1:
         raise NotHomogeneousError(
-            f"{x} has {len(comps)} homogeneous components")
-    return next(iter(comps))
+            f"{x} has {len(buckets)} homogeneous components")
+    return GroupElem(x.parent.delta.codomain, next(iter(buckets)))
 
 
 def reparent(x, nf):

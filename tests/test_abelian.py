@@ -131,6 +131,22 @@ def test_box_fiber_refuses_a_box_that_is_not_an_int():
             box_fiber(h, box, g.zero())
 
 
+def test_normalize_presentation_refuses_what_is_not_a_presentation():
+    """An ambient dim that is not an int of at least 0, or a relation
+    entry that is not an int, is a typed error, not a TypeError from
+    range or the Smith form, nor a trivial group for a negative dim."""
+    for dim, cols, message in (
+            ("x", [], "^ambient dims must be ints, got 'x'$"),
+            (True, [], "^ambient dims must be ints, got True$"),
+            (-1, [], "^ambient dim must be at least 0, got -1$"),
+            (2, [[1, "a"]], "^relation entries must be ints, got 'a'$"),
+            (2, [[2, 0.0]], "^relation entries must be ints, got 0.0$")):
+        with pytest.raises(GradalError, match=message):
+            abelian.normalize_presentation(dim, cols)
+    grp, _, _ = abelian.normalize_presentation(2, iter([(2, 0)]))
+    assert grp == FgGroup(1, (2,))
+
+
 def test_finite_group_enumeration():
     g = FgGroup(0, (2, 4))
     assert g.order() == 8

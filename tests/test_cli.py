@@ -155,16 +155,12 @@ def test_bounds_that_describe_no_search_exit_3(capsys, argv):
 
 
 @pytest.mark.parametrize("box,message", [
-    ("10", "a 9261 x 9261 system of 85766121 entries exceeds the limit of "
-           "10000000"),
-    ("20", "a 68921 x 68921 system of 4750104241 entries exceeds the limit "
-           "of 10000000"),
     ("200", "a search over 64481201 candidates exceeds the limit of "
             "1000000; lower max_deg or box"),
 ])
 def test_oversized_searches_are_refused_exit_3(capsys, box, message):
-    """A search too large to list, or a system too large to allocate,
-    is refused up front, before memory or time is spent on it."""
+    """A search too large to list is refused up front, before memory or
+    time is spent on it."""
     start = time.perf_counter()
     rc, out, err = run_main(capsys, "integrality", "Z[Z^3]coarse",
                             "Q[Z^3]coarse", "e(0,0,0)", "--box", box)
@@ -173,8 +169,41 @@ def test_oversized_searches_are_refused_exit_3(capsys, box, message):
     assert json.loads(err) == {"error": "hypothesis", "message": message}
 
 
+@pytest.mark.parametrize("box,message", [
+    ("5", "a 2662 x 5324 system of 14172488 entries exceeds the limit of "
+          "10000000"),
+    ("10", "a 18522 x 37044 system of 686128968 entries exceeds the limit "
+           "of 10000000"),
+])
+def test_oversized_systems_are_refused_exit_3(capsys, box, message):
+    """A system too large to allocate is refused before it is built.
+    The idempotent of Z/2 over Z[Z^3 x Z/2], which is not entire, is
+    searched from degree 2, and that is the system named."""
+    start = time.perf_counter()
+    rc, out, err = run_main(capsys, "integrality", "Z[Z^3 x Z/2]coarse",
+                            "Q[Z^3 x Z/2]coarse",
+                            "1/2*e(0,0,0,0)+1/2*e(0,0,0,1)", "--box", box)
+    assert time.perf_counter() - start < 1
+    assert rc == 3 and out == ""
+    assert json.loads(err) == {"error": "hypothesis", "message": message}
+
+
+@pytest.mark.parametrize("box", ["10", "20"])
+def test_degree_1_witness_is_read_off_at_any_box(capsys, box):
+    """Over an entire ring a degree-1 witness with a monomial denominator
+    is read off the terms, so a box whose degree-1 system would be too
+    large to allocate still answers at once."""
+    start = time.perf_counter()
+    rc, out, err = run_main(capsys, "integrality", "Z[Z^3]coarse",
+                            "Q[Z^3]coarse", "e(0,0,0)", "--box", box)
+    assert time.perf_counter() - start < 1
+    assert rc == 0 and err == ""
+    assert json.loads(out) == {"found": True, "degree": 1,
+                               "witness": "monic 1; a1 = -e(0,0,0)"}
+
+
 def test_largest_searches_still_run(capsys):
-    """The 961 x 961 system of a rank-2 box of radius 15 is in bounds."""
+    """The 961 candidates of a rank-2 box of radius 15 are in bounds."""
     rc, out, err = run_main(capsys, "integrality", "Z[Z^2]coarse",
                             "Q[Z^2]coarse", "e(0,0)", "--box", "15")
     assert rc == 0 and err == ""

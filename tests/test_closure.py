@@ -327,20 +327,24 @@ def _query_homogeneous(rng, nf, box):
     return Element(nf, terms)
 
 
+def _query_rings(rng, pair, torsion, entire):
+    """(r, s) over the bases of pair, s being r over the wider base."""
+    state = rng.getstate()  # replayed so that r is s over r's base
+    s = _query_ring(rng, pair[1], torsion, entire)
+    rng.setstate(state)
+    return _query_ring(rng, pair[0], torsion, entire), s
+
+
 def _query(rng, pair, torsion, fraction):
     """(r, s, x) with r, s over the bases of pair and x an element of s
     or a homogeneous fraction over s.  One element in four over Q is
     e_f times the idempotent averaging a degree-0 torsion subgroup, which
     over Z needs a witness of degree 2."""
-    r_base, s_base = pair
-    state = rng.getstate()  # replayed so that r is s over r's base
-    s = _query_ring(rng, s_base, torsion, fraction)
-    rng.setstate(state)
-    r = _query_ring(rng, r_base, torsion, fraction)
+    r, s = _query_rings(rng, pair, torsion, fraction)
     x = _query_homogeneous(rng, s, rng.randint(1, 2))
     ts = [t for t in s.egroup.torsion_elements()
           if not t.is_zero and s.delta.apply(t).is_zero]
-    if s_base == "Q" and ts and not fraction and rng.randint(0, 3) == 0:
+    if s.base == "Q" and ts and not fraction and rng.randint(0, 3) == 0:
         t, f = rng.choice(ts), rng.choice(list(s.egroup.box_elements(1)))
         n = t.elem_order()
         x = Element(s, {f + i * t: Rational(1, n) for i in range(n)})
@@ -443,9 +447,10 @@ def solved_systems(monkeypatch):
     return calls
 
 
-def test_fixed_query_solves_one_system(solved_systems):
+def test_fixed_query_solves_no_system(solved_systems):
     """1/2 e(1,0,0) + 1/3 e(0,1,0) + e(0,0,1) over Z[Z^3] in Q[Z^3],
-    graded by total degree: only the degree-1 system is solved."""
+    graded by total degree: Z[Z^3] is entire, so only degree 1 is
+    searched, and its a1 = -x is read off the terms, not solved for."""
     calls = solved_systems
 
     def ring(base):
@@ -462,13 +467,14 @@ def test_fixed_query_solves_one_system(solved_systems):
         res = find_integral_equation(rz, rq, x, max_deg=3, support_box=box)
         assert isinstance(res, NoWitnessUpTo)
         assert (res.max_deg, res.box) == (3, box)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
 
 def test_search_above_degree_1_only_where_not_entire(solved_systems):
     """E = Z/2 has torsion in both rings.  Z[Z/2]fine is entire, so
-    1/2 e(1) is searched at degree 1 only; Z[Z/2]coarse is not, and its
-    idempotent 1/2 (e(0) + e(1)) takes the degree-2 system."""
+    1/2 e(1) is searched at degree 1 only, read off with no system;
+    Z[Z/2]coarse is not, and its idempotent 1/2 (e(0) + e(1)), which no
+    a1 in Z[Z/2] can cancel, takes the degree-2 system alone."""
     def rings(grading):
         return tuple(group_algebra(base, FgGroup(0, (2,)), grading)
                      for base in (Z, Q))
@@ -478,12 +484,79 @@ def test_search_above_degree_1_only_where_not_entire(solved_systems):
                                  max_deg=3, support_box=1)
     assert isinstance(res, NoWitnessUpTo)
     assert (res.max_deg, res.box) == (3, 1)
-    assert len(solved_systems) == 1
-    solved_systems.clear()
+    assert len(solved_systems) == 0
     rz, rq = rings("coarse")
     x = e(rq, 0, c=Rational(1, 2)) + e(rq, 1, c=Rational(1, 2))
     res = find_integral_equation(rz, rq, x, max_deg=3, support_box=1)
     assert res.degree == 2
+    assert [n for _, _, n, _ in solved_systems] == [2]
+
+
+def _monomial_den_query(rng, pair, torsion, fraction):
+    """(r, s, x) as _query draws them, x an element or a fraction over a
+    monomial c * e(f) with c outside {1, -1} more often than not.  The
+    support of x reaches up to 2 and f up to 1, so a1 = -x may leave a
+    search box of radius 0 to 2."""
+    r, s = _query_rings(rng, pair, torsion, fraction)
+    x = _query_homogeneous(rng, s, rng.randint(1, 2))
+    if fraction:
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        if s.base == "Q" and rng.randint(0, 1):
+            c = Rational(c, rng.choice((2, 3)))
+        f = rng.choice(list(s.egroup.box_elements(1)))
+        den = Element.monomial(s, f, c)
+        x = Fraction(x * den if rng.randint(0, 1) else x, den)
+    return r, s, x
+
+
+def test_read_off_matches_the_degree_1_system(solved_systems):
+    """Elements and fractions over a monomial denominator, on 1,200
+    seeded queries over Z in Z, Z in Q and Q in Q that search degree 1
+    only: the witness read off the terms is the one the degree-1 system
+    gives, term for term and in the same order, and no system is
+    solved for any of them."""
+    rng = random.Random(3030)
+    found = {pair: set() for pair in PAIRS}
+    n = 0
+    while n < 1200:
+        pair = PAIRS[n % 3]
+        r, s, x = _monomial_den_query(rng, pair, rng.randint(0, 1),
+                                      rng.randint(0, 1))
+        if (r.base == "Z" and not classify(r).entire and any(
+                c.denominator != 1 for c in x.terms.values())):
+            continue  # searched from degree 2, by system
+        box = rng.randint(0, 2)
+        got = find_integral_equation(r, s, x, rng.randint(1, 3), box)
+        ref = search_every_degree(r, s, x, 1, box)
+        assert _outcome(got) == _outcome(
+            ref or NoWitnessUpTo(max_deg=got.max_deg, box=box)), (x, box)
+        if ref is not None:
+            assert list(got.coeffs[0].terms.items()) == list(
+                ref.coeffs[0].terms.items())
+        found[pair].add(ref is not None)
+        n += 1
+    assert solved_systems == []
+    assert all(seen == {True, False} for seen in found.values()), found
+
+
+def test_two_term_denominator_still_solves_its_system(solved_systems):
+    """A fraction over e(1,0) + e(0,1), homogeneous of total degree 1 in
+    Z[Z^2], takes the degree-1 system: its quotient is found, and a
+    quotient outside the Laurent ring is not."""
+    def ring(base):
+        fine = group_algebra(base, FgGroup(2, ()), "fine")
+        return coarsen(fine, GroupHom(fine.ggroup, FgGroup(1, ()),
+                                      ((1, 1),)))
+
+    rz, rq = ring(Z), ring(Q)
+    den = e(rq, 1, 0) + e(rq, 0, 1)
+    x = Fraction(den * (e(rq, 1, 0) - e(rq, 0, 1, c=2)), den)
+    w = find_integral_equation(rz, rq, x, max_deg=3, support_box=2)
+    assert witness_str(w) == "monic 1; a1 = 2*e(0,1)-e(1,0)"
+    assert [n for _, _, n, _ in solved_systems] == [1]
+    res = find_integral_equation(rz, rq, Fraction(e(rq, 2, 0), den),
+                                 max_deg=3, support_box=2)
+    assert isinstance(res, NoWitnessUpTo)
     assert len(solved_systems) == 2
 
 

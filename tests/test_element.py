@@ -340,6 +340,11 @@ FOREIGN = [
      "^expected a dict of terms, got list$"),
     ("normalize_presentation", lambda: normalize_presentation(5, [[2, 0]]),
      "^each relation column needs 5 entries, the ambient dim$"),
+    ("normalize_presentation-container",
+     lambda: normalize_presentation(2, 5),
+     "^expected relation columns, got int$"),
+    ("normalize_presentation-column", lambda: normalize_presentation(2, [5]),
+     "^expected a relation column, got int$"),
     ("Element.__sub__", lambda: e(QZ, 1) - "x",
      "^cannot combine Element with 'x'$"),
     ("Element.__sub__-fraction",
