@@ -592,15 +592,20 @@ def lift_hom(iota, psi):
 def hom_inverse(phi):
     """Inverse of an isomorphism; raises if phi is not one.
 
-    For an injective phi the lift of the identity is unique, so when it
-    exists it is a two-sided inverse.
+    A lift inv of the identity through phi makes phi onto.  When phi is
+    an endomorphism it is then one-to-one as well, since finitely
+    generated abelian groups are Hopfian (Vasconcelos 1969), and inv is
+    its two-sided inverse.  Groups are kept in invariant factor form, so
+    distinct domain and codomain are not isomorphic and phi is none.
+    Only a failure computes the kernel, to say what phi fails to be.
     """
+    _need(phi, GroupHom, _A_HOM)
+    inv = lift_hom(phi, identity_hom(phi.codomain))
+    if inv is not None and phi.domain == phi.codomain:
+        return inv
     if not hom_kernel(phi)[0].is_trivial:
         raise GradalError("not injective, no inverse")
-    inv = lift_hom(phi, identity_hom(phi.codomain))
-    if inv is None:
-        raise GradalError("not surjective, no inverse")
-    return inv
+    raise GradalError("not surjective, no inverse")
 
 
 class DirectSum(_Record):

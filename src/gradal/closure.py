@@ -75,8 +75,8 @@ from .errors import (
 from .intmat import _int_row, solve_int, solve_rational
 from .ringexpr import (
     BaseZ,
-    BaseQ,
     NormalForm,
+    _over_base,
     classify,
     coarsen,
     group_algebra,
@@ -401,7 +401,8 @@ def components_integral_check(r, psi, x, max_deg=3, support_box=3):
     if x.is_zero:
         raise ZeroElementError("decompose a nonzero element")
     r_c = coarsen(r, psi)
-    s_c = coarsen(s, psi)
+    # s is r over s.base (checked above) and coarsen has checked psi
+    s_c = _over_base(r_c, s.base)
     x_c = reparent(x, s_c)
     coarse_result = find_integral_equation(r_c, s_c, x_c, max_deg, support_box)
     fine = []
@@ -434,7 +435,7 @@ def torsion_idempotent(n):
         raise BadOrderError(f"need n <= 256, got {n}")
     grp = FgGroup(0, (n,))
     ring_z = group_algebra(normalize(BaseZ()), grp, "coarse")
-    ring_q = group_algebra(normalize(BaseQ()), grp, "coarse")
+    ring_q = _over_base(ring_z, "Q")
     e = ring_q.egroup
     f = Element(ring_q, {e.element((i,)): Rational(1, n) for i in range(n)})
     ez = ring_z.egroup

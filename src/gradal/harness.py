@@ -61,6 +61,7 @@ from .errors import GradalError, InternalInvariantError, UnknownCheckIdError
 from .ringexpr import (
     BaseQ,
     BaseZ,
+    _over_base,
     classify,
     coarsen,
     group_algebra,
@@ -271,8 +272,8 @@ def _profile_ok(nf, psi, profile):
 
 def _zq_pair(ggroup):
     """The base-change inclusion pair Z[G-algebra] inside Q[G-algebra]."""
-    return (group_algebra(normalize(BaseZ()), ggroup, "fine"),
-            group_algebra(normalize(BaseQ()), ggroup, "fine"))
+    r = group_algebra(normalize(BaseZ()), ggroup, "fine")
+    return r, _over_base(r, "Q")
 
 
 def _payload(**kv):
@@ -394,7 +395,7 @@ def _check_a80(trial, seed, bounds):
     r0, s0 = _zq_pair(g0)
     f = _sample_group(rng, max_rank=1)
     rf = group_algebra(r0, f, "fine")
-    sf = group_algebra(s0, f, "fine")
+    sf = _over_base(rf, "Q")
     ds_e = direct_sum(s0.egroup, f)
     s = _sample_homogeneous(rng, s0, s0.delta)
     if rng.randint(0, 1) == 0:

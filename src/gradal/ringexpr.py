@@ -9,7 +9,10 @@ underlying ring is the group algebra base[E].
 A NormalForm holds those five fields, and the constructor functions here
 are the only code that builds one: start from normalize(BaseZ()) or
 normalize(BaseQ()) and apply group_algebra, coarsen, regrade_restrict,
-regrade_extend and fraction_field.  Every ring is reached this way as
+regrade_extend and fraction_field, plus the private base change
+_over_base, which keeps E, G, delta and the fraction flag and swaps the
+base, so the Q ring of a pair Z[E] in Q[E] comes from its Z ring instead
+of a second build.  Every ring is reached from the public ones as
 regrade_extend(coarsen(group_algebra(base, E, "fine"), onto_support), emb)
 with emb the embedding of the degree support into G, and fraction_field
 on top for a fraction ring.
@@ -111,10 +114,14 @@ class BaseQ:
 
 
 _TRIVIAL = FgGroup(0, ())
+_Z = NormalForm("Z", _TRIVIAL, _TRIVIAL, zero_hom(_TRIVIAL, _TRIVIAL))
+_Q = NormalForm("Q", _TRIVIAL, _TRIVIAL, _Z.delta)
 
 
-def _base_nf(base):
-    return NormalForm(base, _TRIVIAL, _TRIVIAL, zero_hom(_TRIVIAL, _TRIVIAL))
+def _over_base(nf, base):
+    """nf with base Z or Q and the same E, G, delta and fraction flag."""
+    _need(nf, NormalForm, _A_RING)
+    return NormalForm(base, nf.egroup, nf.ggroup, nf.delta, nf.fraction)
 
 
 def group_algebra(nf, f, kind):
@@ -208,9 +215,9 @@ def fraction_field(nf):
 def normalize(expr):
     """The normal form of a base marker; a NormalForm passes through."""
     if isinstance(expr, BaseZ):
-        return _base_nf("Z")
+        return _Z
     if isinstance(expr, BaseQ):
-        return _base_nf("Q")
+        return _Q
     if isinstance(expr, NormalForm):
         return expr
     raise GradalError(f"not a ring expression: {expr!r}")

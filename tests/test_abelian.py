@@ -601,29 +601,64 @@ def test_hom_inverse_round_trip():
         assert compose(phi, inv) == identity_hom(phi.codomain)
 
 
+NOT_INJECTIVE = "^not injective, no inverse$"
+NOT_SURJECTIVE = "^not surjective, no inverse$"
+
+
 def test_hom_inverse_rejects_non_isomorphisms():
-    z, z2 = FgGroup(1, ()), FgGroup(0, (2,))
-    with pytest.raises(GradalError, match="not injective"):
-        hom_inverse(GroupHom(z, z2, ((1,),)))
-    with pytest.raises(GradalError, match="not surjective"):
-        hom_inverse(GroupHom(z, z, ((2,),)))
-    # on finite groups, bijectivity is decided by counting images
-    rng = random.Random(707)
-    chains = [(2,), (4,), (6,), (2, 2), (2, 4)]
-    seen = {"iso": 0, "not": 0}
-    for _ in range(120):
-        a, b = FgGroup(0, rng.choice(chains)), FgGroup(0, rng.choice(chains))
-        phi = random_hom(rng, a, b)
-        images = {phi.apply(x).coords for x in a.torsion_elements()}
-        if len(images) == a.order() == b.order():
-            inv = hom_inverse(phi)
-            assert compose(phi, inv) == identity_hom(b)
-            seen["iso"] += 1
-            continue
-        with pytest.raises(GradalError) as exc:
+    """A map that is not injective is refused as such, whether or not it
+    is onto; an injective map that is not onto as not surjective."""
+    z, z2, z4 = FgGroup(1, ()), FgGroup(0, (2,)), FgGroup(0, (4,))
+    zt = FgGroup(1, (2,))
+    cases = [
+        (GroupHom(z, z2, ((1,),)), NOT_INJECTIVE),          # onto
+        (GroupHom(FgGroup(2, ()), z, ((1, 0),)), NOT_INJECTIVE),  # onto
+        (GroupHom(z, z, ((0,),)), NOT_INJECTIVE),           # neither
+        (GroupHom(zt, zt, ((2, 0), (0, 0))), NOT_INJECTIVE),  # neither
+        (GroupHom(z4, z2, ((1,),)), NOT_INJECTIVE),         # onto
+        (GroupHom(z4, z4, ((2,),)), NOT_INJECTIVE),         # neither
+        (GroupHom(z, z, ((2,),)), NOT_SURJECTIVE),
+        (GroupHom(z, FgGroup(2, ()), ((1,), (0,))), NOT_SURJECTIVE),
+        (GroupHom(z2, z4, ((2,),)), NOT_SURJECTIVE),
+        (GroupHom(z, zt, ((1,), (0,))), NOT_SURJECTIVE),
+    ]
+    for phi, message in cases:
+        with pytest.raises(GradalError, match=message) as exc:
             hom_inverse(phi)
         assert type(exc.value) is GradalError
-        seen["not"] += 1
+    # random maps: on finite groups, injectivity is decided by counting
+    # images; on infinite ones, by the kernel and the image's quotient
+    rng = random.Random(707)
+    chains = [(2,), (4,), (6,), (2, 2), (2, 4)]
+    seen = dict.fromkeys(("iso", NOT_INJECTIVE, NOT_SURJECTIVE), 0)
+    for trial in range(300):
+        if trial % 2:
+            a = FgGroup(0, rng.choice(chains))
+            b = FgGroup(0, rng.choice(chains))
+            phi = random_hom(rng, a, b)
+            n_images = len({phi.apply(x).coords
+                            for x in a.torsion_elements()})
+            injective = n_images == a.order()
+            onto = n_images == b.order()
+        else:
+            a = random_group(rng)
+            if a.rank == 0:
+                a = FgGroup(1, a.torsion)
+            b = a if rng.randint(0, 1) else random_group(rng)
+            phi = random_hom(rng, a, b)
+            injective = hom_kernel(phi)[0].is_trivial
+            onto = surjective_by_quotient(phi)
+        if injective and onto:
+            inv = hom_inverse(phi)
+            assert compose(phi, inv) == identity_hom(b)
+            assert compose(inv, phi) == identity_hom(a)
+            seen["iso"] += 1
+            continue
+        message = NOT_SURJECTIVE if injective else NOT_INJECTIVE
+        with pytest.raises(GradalError, match=message) as exc:
+            hom_inverse(phi)
+        assert type(exc.value) is GradalError
+        seen[message] += 1
     assert min(seen.values()) > 5, seen
 
 

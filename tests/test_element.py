@@ -75,6 +75,7 @@ from gradal.harness import report_json, run_check
 from gradal.ringexpr import (
     BaseQ,
     BaseZ,
+    _over_base,
     classify,
     coarsen,
     fraction_field,
@@ -255,6 +256,7 @@ FOREIGN = [
     ("regrade_extend", lambda: regrade_extend(QZ, 5),
      "^embed must be a hom from"),
     ("classify", lambda: classify(5), "^expected a ring, got int$"),
+    ("_over_base", lambda: _over_base(5, "Q"), "^expected a ring, got int$"),
     # the operand that each function reads first
     ("quotient_by-group", lambda: quotient_by(5, []),
      "^expected a group, got int$"),

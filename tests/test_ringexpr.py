@@ -9,6 +9,7 @@ from gradal.abelian import (
     FgGroup,
     GroupHom,
     box_fiber,
+    direct_sum,
     hom_image,
     identity_hom,
     lift_hom,
@@ -22,9 +23,11 @@ from gradal.errors import (
     NotSurjectiveError,
     TorsionKernelError,
 )
+from gradal.harness import _TORSION_CHAINS
 from gradal.ringexpr import (
     BaseQ,
     BaseZ,
+    _over_base,
     classify,
     coarsen,
     fraction_field,
@@ -60,6 +63,9 @@ def test_base_shapes():
     assert Q.base == "Q" and Q.egroup.is_trivial and Q.ggroup.is_trivial
     assert Z.base == "Z"
     assert not Q.fraction
+    # the base rings are module constants
+    assert normalize(BaseZ()) is normalize(BaseZ()) is Z
+    assert normalize(BaseQ()) is Q
 
 
 def test_fine_algebra_shape():
@@ -198,6 +204,38 @@ def rebuild(nf):
 def test_constructor_round_trip():
     for nf in catalog():
         assert rebuild(nf) == nf
+        # the base change keeps E, G, delta and the fraction flag
+        other = _over_base(nf, "Q" if nf.base == "Z" else "Z")
+        assert other.base != nf.base and other.fraction == nf.fraction
+        assert rebuild(other) == other
+        assert _over_base(other, nf.base) == nf
+
+
+def test_base_change_is_a_build_over_the_other_base():
+    """For every torsion chain the harness samples, ranks 0-2, fine and
+    coarse: the Z algebra over Q is the Q algebra, and stays so after
+    coarsening both along a summand projection."""
+    for chain in _TORSION_CHAINS:
+        for rank in range(3):
+            g = FgGroup(rank, chain)
+            ds = direct_sum(FgGroup(rank, ()), FgGroup(0, chain))
+            assert ds.group == g
+            for kind in ("fine", "coarse"):
+                r = group_algebra(Z, g, kind)
+                s = group_algebra(Q, g, kind)
+                assert _over_base(r, "Q") == s
+                assert _over_base(s, "Z") == r
+                psis = ((ds.proj1, ds.proj2) if kind == "fine"
+                        else (identity_hom(r.ggroup),))
+                for psi in psis:
+                    assert _over_base(coarsen(r, psi), s.base) == coarsen(
+                        s, psi)
+    fr = fraction_field(group_algebra(Z, FgGroup(1, ()), "fine"))
+    assert _over_base(fr, "Q") == fraction_field(
+        group_algebra(Q, FgGroup(1, ()), "fine"))
+    with pytest.raises(GradalError, match="^unknown base 'R'$") as exc:
+        _over_base(Z, "R")
+    assert type(exc.value) is GradalError
 
 
 def test_normalize_idempotent_on_constructors():
