@@ -567,6 +567,8 @@ def lem50_iso(r, f_gens, h_gens):
     an idempotent pi of the exponent group E, and E = pi(E) + ker pi:
     pi(E) is the H-restriction and delta maps ker pi onto D cap F.  The
     adjoined basis monomials are the preimages y_e of a basis of D cap F.
+    q is the lift of the identity through p; the checks that follow
+    certify that it is two-sided.
     """
     if not classify(r).simple or r.fraction:
         raise HypothesisViolatedError("need a simple ring in algebra form")
@@ -599,20 +601,14 @@ def lem50_iso(r, f_gens, h_gens):
         # D cap F is delta(ker pi)
         raise InternalInvariantError("support basis escaped the degree image")
     restricted, kappa = restrict_data(r, h_gens)
-    w = lift_hom(kappa, pi)
-    if w is None:
-        # delta(pi(f)) is the H-part of delta(f)
-        raise InternalInvariantError(
-            "residual exponent escaped the restriction")
-    m = lift_hom(y_map, _hom_minus(identity_hom(r.egroup), pi))
-    if m is None:
-        # f - pi(f) lies in ker pi, whose degrees y_map reaches
-        raise InternalInvariantError("F-part of a degree escaped the support")
     ds_t = direct_sum(restricted.egroup, df)
     target = group_algebra(restricted, df, "coarse")
     coarse = coarsen(r, psi)
     mu_p = add_homs(compose(kappa, ds_t.proj1), compose(y_map, ds_t.proj2))
-    mu_q = add_homs(compose(ds_t.inj1, w), compose(ds_t.inj2, m))
+    mu_q = lift_hom(mu_p, identity_hom(r.egroup))
+    if mu_q is None:
+        # E = pi(E) + ker pi, which kappa and y_map reach
+        raise InternalInvariantError("an exponent escaped the image of p")
     if compose(mu_p, mu_q) != identity_hom(r.egroup):
         raise InternalInvariantError("p . q is not the identity on exponents")
     if compose(mu_q, mu_p) != identity_hom(ds_t.group):

@@ -258,16 +258,14 @@ def _build_profile(rng, profile):
 
 def _profile_ok(nf, psi, profile):
     cls = classify(nf)
-    if profile == "entire-torsionfree-kernel":
-        k, _ = hom_kernel(psi)
-        return cls.entire and k.is_torsionfree
-    if profile == "torsion-kernel":
-        k, _ = hom_kernel(psi)
-        return cls.entire and not k.is_torsionfree
     if profile == "simple-full-support":
         return cls.simple and cls.full_support
-    k, _ = hom_kernel(psi)
-    return cls.simple and k.is_torsionfree
+    free = hom_kernel(psi)[0].is_torsionfree
+    if profile == "entire-torsionfree-kernel":
+        return cls.entire and free
+    if profile == "torsion-kernel":
+        return cls.entire and not free
+    return cls.simple and free
 
 
 def _zq_pair(ggroup):
@@ -442,19 +440,6 @@ def _integral_sample(rng, r, s, psi):
     return x
 
 
-def _components_verdict(rep, expect_only_coarse):
-    if expect_only_coarse:
-        if rep.outcome == "only-coarse":
-            return "pass", None
-        return "fail", _payload(outcome=rep.outcome,
-                                reason="torsion idempotent not only-coarse")
-    if rep.outcome == "only-coarse":
-        return "fail", _payload(outcome=rep.outcome)
-    if rep.outcome == "both":
-        return "pass", None
-    return "inconclusive", None
-
-
 def _torsion_components_trial(n, bounds):
     grp = FgGroup(0, (n,))
     r, s = _zq_pair(grp)
@@ -462,7 +447,10 @@ def _torsion_components_trial(n, bounds):
     f = Element(s, {s.egroup.element((i,)): Rational(1, n) for i in range(n)})
     rep = components_integral_check(r, psi, f, bounds["max_deg"],
                                     bounds["box"])
-    return _components_verdict(rep, expect_only_coarse=True)
+    if rep.outcome == "only-coarse":
+        return "pass", None
+    return "fail", _payload(outcome=rep.outcome,
+                            reason="torsion idempotent not only-coarse")
 
 
 def _summand_kernel_instance(rng):
@@ -488,10 +476,11 @@ def _summand_kernel_trial(rng, bounds, reason):
     x = _integral_sample(rng, r, s, psi)
     rep = components_integral_check(r, psi, x, bounds["max_deg"],
                                     bounds["box"])
-    verdict, payload = _components_verdict(rep, expect_only_coarse=False)
-    if verdict == "fail":
-        payload.update(_payload(ring=r.describe(), x=x))
-    return verdict, payload
+    if rep.outcome == "both":
+        return "pass", None
+    if rep.outcome == "only-coarse":
+        return "fail", _payload(outcome=rep.outcome, ring=r.describe(), x=x)
+    return "inconclusive", None
 
 
 def _check_a101(trial, seed, bounds):

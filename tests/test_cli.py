@@ -310,6 +310,11 @@ def test_iso_lem50_success(capsys):
     assert obj["p_exponent_matrix"] == [[0, 1], [1, 0]]
     assert obj["q_exponent_matrix"] == [[0, 1], [1, 0]]
     assert obj["coarse"] == "Q[Z^2] graded by Z"
+    rc, out, _ = run_main(capsys, "iso-lem50", "Q[Z^2]fine", "<(1,1)>")
+    assert rc == 0
+    obj = json.loads(out)
+    assert obj["p_exponent_matrix"] == [[1, 1], [0, 1]]
+    assert obj["q_exponent_matrix"] == [[1, -1], [0, 1]]
 
 
 def test_unknown_check_id_exit_2(capsys):

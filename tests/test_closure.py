@@ -20,7 +20,9 @@ from gradal.abelian import (
     GroupHom,
     box_fiber,
     direct_sum,
+    find_section,
     hom_kernel,
+    quotient_by,
 )
 from gradal.closure import (
     AlmostIntegralWitness,
@@ -1064,6 +1066,39 @@ def test_lem50_rejects_what_the_route_through_g_rejects():
     with pytest.raises(HypothesisViolatedError, match="support"):
         lem50_iso(diagonal, [diagonal.ggroup.element((1, 0))],
                   [diagonal.ggroup.element((0, 1))])
+
+
+def test_lem50_matches_the_route_through_g_on_cli_complements():
+    """F generated by one or two random elements of G = Z^r x T, H the
+    complement a section of G -> G/F gives, as iso-lem50 picks it: both
+    routes build the same maps and rings, or both reject the input."""
+    rng = random.Random(5050)
+    built = rejected = 0
+    for _ in range(600):
+        g = FgGroup(rng.randint(1, 3),
+                    rng.choice([(), (2,), (3,), (2, 2), (6,), (2, 4)]))
+        f_gens = [g.element([rng.randint(-2, 2) for _ in range(g.dim)])
+                  for _ in range(rng.randint(1, 2))]
+        _, proj = quotient_by(g, f_gens)
+        section = find_section(proj)
+        if section is None:
+            continue
+        h_gens = [section.apply(x) for x in proj.codomain.generators()]
+        r = group_algebra(Q, g, "fine")
+        try:
+            pair = lem50_iso(r, f_gens, h_gens)
+        except HypothesisViolatedError:
+            with pytest.raises(HypothesisViolatedError):
+                lem50_reference(r, f_gens, h_gens)
+            rejected += 1
+            continue
+        mu_p, mu_q, target, coarse = lem50_reference(r, f_gens, h_gens)
+        assert pair.p.exponent_map == mu_p
+        assert pair.q.exponent_map == mu_q
+        assert pair.target.describe() == target.describe()
+        assert pair.coarse.describe() == coarse.describe()
+        built += 1
+    assert built > 200 and rejected > 20
 
 
 def test_lem50_rejects_torsion_f():
