@@ -7,15 +7,16 @@ membership x^(k+1) in the R-span of 1, x, ..., x^k.  R and the ring of x
 differ only in their base (Z in Z, Z in Q or Q in Q), so an element of R
 is carried over by reparent.  Searches are bounded (max degree, exponent
 box) and report NoWitnessUpTo instead of claiming non-integrality.  One
-search core serves elements and homogeneous fractions num/den.  At
-degree 1 with a monomial den, which covers every element, it reads the
-witness a1 = -num/den off the terms; otherwise it solves one exact
-linear system per degree, rationally over base Q and by Hermite form
-over base Z.  Almost-integrality is that monic search at
+search core serves elements x, which have no denominator, and
+homogeneous fractions num/den.  At degree 1 it reads the witness a1 = -x,
+or a1 = -num/den for a monomial den, off the terms; otherwise it solves
+one exact linear system per degree, rationally over base Q and by
+Hermite form over base Z.  Almost-integrality is that monic search at
 degree k+1, read as a membership, so the two notions agree judgment for
 judgment at aligned bounds.  One verification routine checks every
 witness before it is returned, in the arithmetic of the ring x lives
-in: a fraction's equation is multiplied through by a power of den.
+in: an element's equation x^n + sum a_i x^(n-i) as it stands, a
+fraction's multiplied through by den^n.
 
 The module also houses the explicit constructions the package exists to
 reproduce: the torsion idempotent that breaks integral closedness, the
@@ -31,6 +32,7 @@ from math import prod
 
 from .abelian import (
     FgGroup,
+    GroupElem,
     GroupHom,
     _A_HOM,
     _A_RING,
@@ -55,11 +57,11 @@ from .element import (
     Fraction,
     Unit,
     _AN_ELEMENT,
+    _by_degree,
     _shift_system,
     degree_of,
     homogeneous_components,
     homogeneous_unit_test,
-    is_homogeneous,
     reparent,
 )
 from .errors import (
@@ -191,10 +193,10 @@ def _check_query(r, s, x):
 
 
 def _num_den(x):
-    """(num, den) with x = num/den; den is 1 for an element."""
+    """(num, den) with x = num/den; den is None for an element."""
     if isinstance(x, Fraction):
         return x.num, x.den
-    return x, Element.one(x.parent)
+    return x, None
 
 
 def _cleared(num, den, coeffs):
@@ -202,7 +204,13 @@ def _cleared(num, den, coeffs):
 
     This is den^n times x^n + sum a_i x^(n-i) for x = num/den, and den
     is a homogeneous non zero divisor, so one vanishes iff the other does.
+    With den None it is x^n + sum a_i x^(n-i) itself, num being x.
     """
+    if den is None:
+        acc = num + coeffs[0]
+        for a in coeffs[1:]:
+            acc = acc * num + a
+        return acc
     acc, den_i = num + coeffs[0] * den, den
     for a in coeffs[1:]:
         den_i = den_i * den
@@ -213,26 +221,27 @@ def _cleared(num, den, coeffs):
 def verify_integral_witness(r, s, x, w):
     """Exact check of a monic witness: equation, membership, degrees.
 
-    x is an element of s or a homogeneous fraction over s; the equation
-    is evaluated cleared of the denominator, in the arithmetic of s.
+    x is an element of s or a homogeneous fraction over s; a malformed
+    witness is False.  If num is homogeneous, x has a degree g, and each
+    nonzero a_i must have one degree bucket, keyed (i * g).coords.  The
+    equation is evaluated in the arithmetic of s: on x itself for an
+    element, cleared of the denominator for a fraction.
     """
     _check_query(r, s, x)
-    if not isinstance(w, IntegralityWitness) or w.degree < 1:
-        return False
-    if len(w.coeffs) != w.degree:
+    if (not isinstance(w, IntegralityWitness) or type(w.degree) is not int
+            or w.degree < 1 or not hasattr(w.coeffs, "__len__")
+            or len(w.coeffs) != w.degree):
         return False
     for a in w.coeffs:
         if not isinstance(a, Element) or a.parent != r:
             return False
     num, den = _num_den(x)
-    if not x.is_zero and is_homogeneous(num):
-        g = degree_of(num) - degree_of(den)
+    buckets = _by_degree(num)
+    if len(buckets) == 1:
+        g = GroupElem(s.delta.codomain, next(iter(buckets)))
+        g = g if den is None else g - degree_of(den)
         for i, a in enumerate(w.coeffs, start=1):
-            if a.is_zero:
-                continue
-            if not is_homogeneous(a):
-                return False
-            if degree_of(a) != i * g:
+            if a.terms and list(_by_degree(a)) != [(i * g).coords]:
                 return False
     return _cleared(num, den, [reparent(a, s) for a in w.coeffs]).is_zero
 
@@ -247,11 +256,11 @@ def _search(r, s, x, max_deg, box):
     A max_deg below 1 or a negative box describes no search, and more
     than _SEARCH_CELLS candidates one too large to run: both raise
     GradalError.  x is an element of s or a homogeneous fraction over s.
-    At degree n the factor standing in for x^j is num^j * den^(n-j); a
-    fraction stops at degree 1 and an element has den 1, so one list
-    den, num, num^2, ... serves both.  When den is a monomial, degree 1
-    needs no system: its one solution is a1 = -num/den, read off the
-    terms (_read_off).  The witness is re-verified on x.
+    At degree n the factor standing in for x^j is x^j for an element,
+    num^j * den^(n-j) for a fraction, which stops at degree 1.  For an
+    element or a monomial den, degree 1 needs no system: its one
+    solution a1 = -x or -num/den is read off the terms (_read_off).
+    The witness is re-verified on x.
 
     Degrees above 1 are searched only when r has base Z, r is not entire
     and x has a non-integer coefficient: a deep search, which starts at
@@ -290,15 +299,16 @@ def _search(r, s, x, max_deg, box):
     if cells > _SEARCH_CELLS:
         raise GradalError(f"a search over {cells} candidates exceeds the "
                           f"limit of {_SEARCH_CELLS}; lower max_deg or box")
-    g = degree_of(num) - degree_of(den)
-    fibers, factors = [None], [den, num]
+    g = degree_of(num) if den is None else degree_of(num) - degree_of(den)
+    fibers, factors = [None], []
     # a deep x is an element outside r: no a1 in r cancels it in x + a1
     for n in range(2 if deep else 1, max_deg + 1):
-        if n == 1 and len(den.terms) == 1:
+        if n == 1 and (den is None or len(den.terms) == 1):
             coeffs = _read_off(r, num, den, box)
         else:
             fibers += [box_fiber(r.delta, box, i * g)
                        for i in range(len(fibers), n + 1)]
+            factors = factors or [Element.one(s) if den is None else den, num]
             if n > 1:
                 factors.append(factors[-1] * num)
             coeffs = _monic_solution(r, factors, n, fibers)
@@ -311,7 +321,8 @@ def _search(r, s, x, max_deg, box):
 
 
 def _read_off(r, num, den, box):
-    """(a1,) with a1 = -num/den for a monomial den = c*e(f), or None.
+    """(a1,) with a1 = -num/den for a monomial den = c*e(f), or None;
+    a1 = -num for den None, x = num being an element.
 
     den has one term, so each unknown of the degree-1 system sits in one
     row of its own, and the system has at most one solution: a1, when a1
@@ -319,14 +330,16 @@ def _read_off(r, num, den, box):
     r's base or a free exponent outside [-box, box]; else a1 with its
     terms in fiber order, as _monic_solution would build it.
     """
-    (f, c), = den.terms.items()
-    rank, terms = r.egroup.rank, []
-    for h, v in num.terms.items():
-        a, h = -Rational(v) / c, h - f
+    if den is None:
+        terms = [(h, -v) for h, v in num.terms.items()]
+    else:
+        (f, c), = den.terms.items()
+        terms = [(h - f, -Rational(v) / c) for h, v in num.terms.items()]
+    rank = r.egroup.rank
+    for h, a in terms:
         if (r.base == "Z" and a.denominator != 1
                 or any(abs(u) > box for u in h.coords[:rank])):
             return None
-        terms.append((h, a))
     return (Element(r, dict(sorted(terms, key=lambda t: t[0].coords))),)
 
 

@@ -2,12 +2,12 @@
 
 An element is a finite sum of terms c * e(f) with f in the exponent
 group E and c in the base (int for Z, Fraction for Q).  Multiplication
-is convolution of exponents on plain ints: coordinate tuples add, with
-one torsion reduction per pair, and over Q coefficients multiply as
-integer numerators over each operand's common denominator.  Degrees
-live in the grading group via the parent's degree map.  A Fraction is
-a checked pair (num, den) handed to the witness search; all arithmetic
-is the ring's.
+is convolution of exponents on plain ints: coordinate tuples add, each
+torsion coordinate reduced in the same pass, and over Q coefficients
+multiply as integer numerators over each operand's common denominator.
+Degrees live in the grading group via the parent's degree map.  A
+Fraction is a checked pair (num, den) handed to the witness search; all
+arithmetic is the ring's.
 
 Element(parent, terms) checks each exponent and coefficient.  Sums,
 negations, products, homogeneous parts and same-base reparents take
@@ -173,10 +173,12 @@ class Element:
             return self.scale(other)
         self._check(other)
         g, (a, da), (b, db) = self.parent.egroup, _ints(self), _ints(other)
-        acc = {}
+        mods, acc = g.torsion and (0,) * g.rank + g.torsion, {}
         for f1, c1 in a:
-            for f2, c2 in b:
-                f = g._mod(tuple(map(add, f1, f2)))
+            for f2, c2 in b:  # reduced as they add; modulus 0 is free
+                f = (tuple([(u + v) % m if m else u + v
+                            for u, v, m in zip(f1, f2, mods)])
+                     if mods else tuple(map(add, f1, f2)))
                 acc[f] = acc.get(f, 0) + c1 * c2
         q = self.parent.base == "Q"
         return Element._of(self.parent,

@@ -670,9 +670,10 @@ def test_verify_matches_fraction_field_oracle():
     field arithmetic accepts: found witnesses, each with one coefficient
     changed (in degree or not), and degree-1 candidates from the fiber,
     for elements and fractions over Z and Q, fine and coarse rings, one-
-    and two-term denominators."""
+    and two-term denominators.  Found degree-2 witnesses of elements are
+    among them: only there does the Horner loop on x alone multiply."""
     rng = random.Random(4800)
-    seen, verdicts = set(), set()
+    seen, verdicts, element_degree_2 = set(), set(), 0
     for i in range(400):
         fraction = i % 2 == 1
         r, s, x = _query(rng, PAIRS[i % 3], i % 4 < 2, fraction)
@@ -690,6 +691,7 @@ def test_verify_matches_fraction_field_oracle():
             coeffs = list(w.coeffs)
             coeffs[j] = coeffs[j] + e(r, *f.coords, c=rng.choice((-1, 1)))
             ws += [w, IntegralityWitness(w.degree, tuple(coeffs))]
+            element_degree_2 += not fraction and w.degree == 2
         for cand in ws:
             got = verify_integral_witness(r, s, x, cand)
             assert got == verify_by_fractions(r, s, x, cand), (x, cand.coeffs)
@@ -699,14 +701,43 @@ def test_verify_matches_fraction_field_oracle():
     assert ({(b, fine) for b, fine, _ in seen}
             == set(product("ZQ", (False, True))))
     assert {two for *_, two in seen} == {False, True}
+    assert element_degree_2 >= 3
 
 
 def test_verify_rejects_a_coefficient_that_is_not_an_element():
+    """A malformed witness is False, not an error: a coefficient that is
+    not an element, a degree that is not an int (a bool is not one) and
+    coefficients with no length."""
     zr = group_algebra(Z, FgGroup(1, ()), "fine")
     t = e(zr, 1)
     for a in (1, None, Fraction(t, Element.one(zr))):
         w = IntegralityWitness(1, (a,))
         assert not verify_integral_witness(zr, zr, t, w)
+    assert verify_integral_witness(zr, zr, t, IntegralityWitness(1, (-t,)))
+    for degree, coeffs in (("1", ()), (1, None), (1, 5), (True, (-t,)),
+                           (1.0, (-t,))):
+        w = IntegralityWitness(degree, coeffs)
+        assert not verify_integral_witness(zr, zr, t, w), (degree, coeffs)
+
+
+def test_degree_1_element_queries_multiply_nothing(monkeypatch):
+    """Z[Z] in Q[Z]: an element answered at degree 1 is found and
+    verified with no ring product, and a fraction over a monomial den
+    with one, a1 * den in the cleared equation."""
+    products = []
+    mul = Element.__mul__
+    monkeypatch.setattr(Element, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    zr = group_algebra(Z, FgGroup(1, ()), "coarse")
+    qr = group_algebra(Q, FgGroup(1, ()), "coarse")
+    x = e(qr, 1, c=3) - e(qr, 0, c=2)
+    w = find_integral_equation(zr, qr, x)
+    assert witness_str(w) == "monic 1; a1 = 2*e(0)-3*e(1)"
+    assert products == []
+    y = Fraction(e(qr, 2, c=4), e(qr, 1, c=2))
+    w = find_integral_equation(zr, qr, y)
+    assert witness_str(w) == "monic 1; a1 = -2*e(1)"
+    assert len(products) == 1
 
 
 def test_verify_needs_x_over_the_big_ring():
