@@ -445,10 +445,18 @@ def normalize_presentation(ambient_dim, rel_cols):
     """Normalize Z^ambient_dim / <rel_cols> to invariant factor form.
 
     Returns (group, to_normal, from_normal).  to_normal maps ambient
-    coordinates onto coordinates of the normalized group; from_normal
-    lifts normalized generators back, and to_normal @ from_normal is the
-    identity exactly (not only modulo relations).
+    coordinates onto coordinates of the normalized group, by rows of the
+    Smith transform u; from_normal lifts normalized generators back, by
+    columns of u's inverse, and to_normal @ from_normal is the identity
+    exactly (not only modulo relations).
     """
+    grp, u, order = _smith_presentation(ambient_dim, rel_cols)
+    uinv = inverse_unimodular(u)
+    return grp, [u[i] for i in order], [[v[i] for i in order] for v in uinv]
+
+
+def _smith_presentation(ambient_dim, rel_cols):
+    """(group, u, order): to_normal is u's rows in order; u not inverted."""
     _check_ints("ambient dims", (ambient_dim,))
     if ambient_dim < 0:
         raise GradalError(f"ambient dim must be at least 0, got {ambient_dim}")
@@ -465,12 +473,8 @@ def normalize_presentation(ambient_dim, rel_cols):
     diag = [d[i][i] for i in range(min(m, k))]
     torsion_idx = [i for i, val in enumerate(diag) if val >= 2]
     free_idx = [i for i in range(m) if i >= len(diag) or diag[i] == 0]
-    order = free_idx + torsion_idx
     grp = FgGroup(len(free_idx), tuple(diag[i] for i in torsion_idx))
-    uinv = inverse_unimodular(u)
-    to_mat = [u[i][:] for i in order]
-    from_mat = [[uinv[r][i] for i in order] for r in range(m)]
-    return grp, to_mat, from_mat
+    return grp, u, free_idx + torsion_idx
 
 
 def _subgroup_from_lattice(g, lattice_cols):
@@ -509,13 +513,14 @@ def subgroup_generated_by(g, gens):
 def quotient_by(g, gens):
     """Quotient of g by the subgroup the elements generate.
 
-    Returns (q, proj) with proj the projection g -> q.
+    Returns (q, proj), proj: g -> q being normalize_presentation's
+    to_normal, without the inverse that from_normal needs.
     """
     rel_cols = _need(g, FgGroup, _A_GROUP).relation_columns() + [
         list(_member(x, g, _GENERATOR).coords)
         for x in _each(gens, _GENERATORS)]
-    q, to_n, _ = normalize_presentation(g.dim, rel_cols)
-    return q, GroupHom(g, q, to_n)
+    q, u, order = _smith_presentation(g.dim, rel_cols)
+    return q, GroupHom(g, q, [u[i] for i in order])
 
 
 def _presentation(h):

@@ -58,6 +58,7 @@ from .element import (
     Unit,
     _AN_ELEMENT,
     _by_degree,
+    _image,
     _shift_system,
     degree_of,
     homogeneous_components,
@@ -79,11 +80,11 @@ from .ringexpr import (
     BaseZ,
     NormalForm,
     _over_base,
+    _restricted,
     classify,
     coarsen,
     group_algebra,
     normalize,
-    restrict_data,
 )
 
 __all__ = [
@@ -548,8 +549,15 @@ class RingMap(_Record):
     __slots__ = ("domain", "codomain", "exponent_map")
 
     def apply(self, x):
+        """x's image: coordinates through the matrix of an exponent map
+        that fits both rings over one base, else term by term, checked."""
         if _need(x, Element, _AN_ELEMENT).parent != self.domain:
             raise IncompatibleRingsError("element outside the map's domain")
+        m, cod = self.exponent_map, self.codomain
+        if (m.__class__ is GroupHom and cod.__class__ is NormalForm
+                and (m.domain, m.codomain, cod.base)
+                == (self.domain.egroup, cod.egroup, self.domain.base)):
+            return _image(x, m, cod)
         out = {}
         for f, c in x.terms.items():
             img = self.exponent_map.apply(f)
@@ -613,7 +621,7 @@ def lem50_iso(r, f_gens, h_gens):
     if y_map is None:
         # D cap F is delta(ker pi)
         raise InternalInvariantError("support basis escaped the degree image")
-    restricted, kappa = restrict_data(r, h_gens)
+    restricted, kappa = _restricted(r, h_gens, sh, i_h)
     ds_t = direct_sum(restricted.egroup, df)
     target = group_algebra(restricted, df, "coarse")
     coarse = coarsen(r, psi)

@@ -10,8 +10,8 @@ Fraction is a checked pair (num, den) handed to the witness search; all
 arithmetic is the ring's.
 
 Element(parent, terms) checks each exponent and coefficient.  Sums,
-negations, products, homogeneous parts and same-base reparents take
-terms of elements of the ring, so Element._of builds them unchecked.
+negations, products, homogeneous parts, ring map images and reparents
+other than Q into Z reuse valid terms, so Element._of builds them unchecked.
 
 The two decision procedures here are exact, not sampled, and both work
 in the ring's own exponent coordinates.  E = Z^r x T, so base[E] is the
@@ -270,8 +270,20 @@ def reparent(x, nf):
     _need(x, Element, "cannot reparent a {0.__class__.__name__}")
     if _need(nf, NormalForm, _A_RING).egroup != x.parent.egroup:
         raise ParentMismatchError("exponent groups differ")
-    return (Element._of if nf.base == x.parent.base else Element)(
-        nf, dict(x.terms))
+    if nf.base == x.parent.base:
+        return Element._of(nf, dict(x.terms))
+    if nf.base == "Q":
+        return Element._of(nf, {f: Rational(c) for f, c in x.terms.items()})
+    return Element(nf, dict(x.terms))
+
+
+def _image(x, hom, nf):
+    """sum c * e(hom(f)) over x's terms c * e(f), hom fitting x and nf."""
+    g, out = nf.egroup, {}
+    for f, c in x.terms.items():
+        img = g._mod(tuple(mat_vec(hom.matrix, f.coords)))
+        out[img] = out[img] + c if img in out else c
+    return Element._of(nf, {GroupElem(g, f): c for f, c in out.items() if c})
 
 
 class Unit(_Record):

@@ -206,18 +206,24 @@ def generate_instance(seed, profile):
     """Deterministic instance for a profile: (ring, psi or None).
 
     The returned ring satisfies the profile's hypotheses; this is checked
-    here with classify and the group predicates.
+    here with classify and the group predicates, on one kernel of psi.
     """
+    return _instance(seed, profile)[:2]
+
+
+def _instance(seed, profile):
+    """generate_instance plus hom_kernel(psi), None where psi is None."""
     if profile not in PROFILES:
         raise GradalError(f"unknown profile {profile!r}")
     _check_ints("seeds", (seed,))
     rng = Rng(seed)
     nf, psi = _build_profile(rng, profile)
-    if not _profile_ok(nf, psi, profile):
+    kernel = None if psi is None else hom_kernel(psi)
+    if not _profile_ok(nf, kernel, profile):
         # every profile builds its ring and psi to have these properties
         raise InternalInvariantError(
             f"profile {profile!r} drew an instance outside it from {seed}")
-    return nf, psi
+    return nf, psi, kernel
 
 
 def _build_profile(rng, profile):
@@ -256,11 +262,11 @@ def _build_profile(rng, profile):
     return nf, ds.proj2
 
 
-def _profile_ok(nf, psi, profile):
+def _profile_ok(nf, kernel, profile):
     cls = classify(nf)
     if profile == "simple-full-support":
         return cls.simple and cls.full_support
-    free = hom_kernel(psi)[0].is_torsionfree
+    free = kernel[0].is_torsionfree
     if profile == "entire-torsionfree-kernel":
         return cls.entire and free
     if profile == "torsion-kernel":
@@ -329,10 +335,9 @@ def _check_p80(trial, seed, bounds):
 def _check_p90(trial, seed, bounds):
     profile = ("entire-torsionfree-kernel" if trial % 2 == 0
                else "torsion-kernel")
-    nf, psi = generate_instance(seed, profile)
+    nf, psi, (kern, _) = _instance(seed, profile)
     rng = Rng(seed ^ 0x90)
     rc = coarsen(nf, psi)
-    kern, _ = hom_kernel(psi)
     claim = classify(rc).entire
     if claim != kern.is_torsionfree:
         return "fail", _payload(ring=nf.describe(), kernel=str(kern),
@@ -573,9 +578,8 @@ def _check_f20(trial, seed, bounds):
 
 
 def _check_lem50(trial, seed, bounds):
-    nf, psi = generate_instance(seed, "free-summand")
+    nf, psi, (kern, ik) = _instance(seed, "free-summand")
     rng = Rng(seed ^ 0x50)
-    kern, ik = hom_kernel(psi)
     fgens = [ik.apply(x) for x in kern.generators()]
     # the instance is built on F + H with psi the second projection, so
     # the intended complement is the canonical second summand; a generic

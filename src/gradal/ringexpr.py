@@ -168,7 +168,8 @@ def restrict_data(nf, gens):
 
     Returns (restricted NormalForm, kappa) where kappa embeds the new
     exponent group into the old one; callers transporting elements need
-    kappa, plain regrading does not.
+    kappa, plain regrading does not.  The checks done, the subgroup of
+    the gens goes to _restricted, which lem50_iso calls with its own.
     """
     if _need(nf, NormalForm, _A_RING).fraction:
         raise GradalError(
@@ -176,9 +177,13 @@ def restrict_data(nf, gens):
     gens = list(_each(gens, _GENERATORS))
     for x in gens:
         _member(x, nf.ggroup, "subgroup generators must live in G")
+    return _restricted(nf, gens, *subgroup_generated_by(nf.ggroup, gens))
+
+
+def _restricted(nf, gens, f, iota_f):
+    """restrict_data past its checks, (f, iota_f) the gens' subgroup."""
     q, proj = quotient_by(nf.ggroup, gens)
     e2, kappa = hom_kernel(compose(proj, nf.delta))
-    f, iota_f = subgroup_generated_by(nf.ggroup, gens)
     delta2 = lift_hom(iota_f, compose(nf.delta, kappa))
     if delta2 is None:
         # delta(kappa(E2)) lies in ker proj, the image of injective iota_f

@@ -22,7 +22,11 @@ and the GroupHom constructor's checks as they were before they ran on
 plain ints, through validated GroupElems, FgGroup.element and Element's
 constructor; surjective_by_quotient is GroupHom.is_surjective as it was
 before it read the Smith diagonal, the triviality of the quotient by the
-images of the generators.
+images of the generators; ring_map_by_terms is RingMap.apply as it was
+before it mapped coordinate tuples, each term through GroupHom.apply and
+the image through Element's constructor; quotient_by_normalizing is
+quotient_by as it was before it skipped the inverse Smith transform,
+the to_normal of the package's normalize_presentation.
 """
 
 from fractions import Fraction
@@ -39,6 +43,7 @@ from gradal.abelian import (
     hom_kernel,
     identity_hom,
     lift_hom,
+    normalize_presentation,
     quotient_by,
     subgroup_generated_by,
 )
@@ -62,6 +67,7 @@ from gradal.errors import (
     DslSyntaxError,
     GradalError,
     HypothesisViolatedError,
+    IncompatibleRingsError,
     NotAHomomorphismError,
 )
 from gradal.intmat import (
@@ -806,3 +812,23 @@ def surjective_by_quotient(h):
     q, _ = quotient_by(h.codomain,
                        [h.apply(x) for x in h.domain.generators()])
     return q.is_trivial
+
+
+def ring_map_by_terms(m, x):
+    """m.apply(x) term by term: each exponent through GroupHom.apply, the
+    images summed from 0 and checked by Element's constructor."""
+    if x.parent != m.domain:
+        raise IncompatibleRingsError("element outside the map's domain")
+    out = {}
+    for f, c in x.terms.items():
+        img = m.exponent_map.apply(f)
+        out[img] = out.get(img, 0) + c
+    return Element(m.codomain, out)
+
+
+def quotient_by_normalizing(g, gens):
+    """quotient_by(g, gens) through normalize_presentation's to_normal,
+    which comes with the inverse of the Smith transform."""
+    rels = g.relation_columns() + [list(x.coords) for x in gens]
+    q, to_n, _ = normalize_presentation(g.dim, rels)
+    return q, GroupHom(g, q, to_n)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import gradal.abelian as abelian
 from _oracles import (
     hom_matrix_by_group_elems,
+    quotient_by_normalizing,
     surjective_by_quotient,
     torsionfree_summand_bruteforce,
 )
@@ -40,6 +41,7 @@ from gradal.errors import (
     NotSurjectiveError,
     ParentMismatchError,
 )
+from gradal.harness import _TORSION_CHAINS
 
 SMALL_GROUPS = [
     FgGroup(0, ()),
@@ -849,3 +851,31 @@ def test_foreign_operands_are_typed_errors():
     with pytest.raises(ParentMismatchError,
                        match=r"^elements of Z x Z/2 and int$"):
         g.element((1, 0)) + 1
+
+
+def test_quotient_by_matches_its_normalizing_oracle():
+    """quotient_by reads the Smith transform alone; its group and
+    projection equal those through normalize_presentation's to_normal,
+    at ranks 0 to 3 over every torsion chain the harness draws."""
+    rng = random.Random(3412)
+    for _ in range(1200):
+        g = FgGroup(rng.randint(0, 3), rng.choice(_TORSION_CHAINS))
+        gens = [g.element([rng.randint(-3, 3) for _ in range(g.dim)])
+                for _ in range(rng.randint(0, 3))]
+        assert quotient_by(g, gens) == quotient_by_normalizing(g, gens)
+
+
+def test_quotient_by_inverts_no_smith_transform(monkeypatch):
+    """Only from_normal needs the inverse, so quotient_by, which reads
+    to_normal, calls no inverse_unimodular; normalize_presentation
+    still calls it once."""
+    calls = []
+    real = abelian.inverse_unimodular
+    monkeypatch.setattr(abelian, "inverse_unimodular",
+                        lambda u: calls.append(1) or real(u))
+    for g in SMALL_GROUPS:
+        quotient_by(g, [])
+        quotient_by(g, g.generators()[:1])
+    assert calls == []
+    abelian.normalize_presentation(2, [[2, 0]])
+    assert calls == [1]

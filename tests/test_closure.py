@@ -10,11 +10,13 @@ import pytest
 from _oracles import (
     divide_reference,
     lem50_reference,
+    ring_map_by_terms,
     search_every_degree,
     sparse_rows,
     verify_by_fractions,
 )
 import gradal.closure as closure
+import gradal.ringexpr as ringexpr
 from gradal.abelian import (
     FgGroup,
     GroupHom,
@@ -22,12 +24,14 @@ from gradal.abelian import (
     direct_sum,
     find_section,
     hom_kernel,
+    identity_hom,
     quotient_by,
 )
 from gradal.closure import (
     AlmostIntegralWitness,
     IntegralityWitness,
     NoWitnessUpTo,
+    RingMap,
     _z_top,
     components_integral_check,
     find_almost_integral_witness,
@@ -1171,3 +1175,117 @@ def test_j_pi_rejects_non_section():
     bad_pi = GroupHom(FgGroup(1, ()), r.ggroup, ((2,), (0,)))
     with pytest.raises(NotASectionError):
         j_pi_embedding(r, psi, bad_pi)
+
+
+# --- ring maps on coordinates ---
+
+def sample_element(rng, nf):
+    """Up to four terms with exponents in [-2, 2], reduced, coefficients
+    of nf's base."""
+    cs = [1, -1, 2, -3] if nf.base == "Z" else [1, -1, Rational(1, 2),
+                                               Rational(-2, 3)]
+    g = nf.egroup
+    return Element(nf, {g.element([rng.randint(-2, 2) for _ in range(g.dim)]):
+                        rng.choice(cs) for _ in range(rng.randint(0, 4))})
+
+
+def fitting_ring_maps():
+    """Maps whose exponent map runs between their rings' exponent groups
+    over one base: both directions of lem50_iso pairs, j_pi_embedding
+    along quotient projections that have a section, and a projection
+    Z^2 -> Z that merges exponents."""
+    maps = []
+    for seed in range(30):
+        pair = lem50_iso(*free_summand_instance(seed))
+        maps += [pair.p, pair.q]
+    rng = random.Random(3450)
+    while len(maps) < 100:
+        g = FgGroup(rng.randint(1, 2), rng.choice([(), (2,), (3,), (2, 4)]))
+        kill = g.element([rng.randint(-2, 2) for _ in range(g.dim)])
+        psi = quotient_by(g, [kill])[1]
+        pi = find_section(psi)
+        if pi is not None:
+            r = group_algebra(rng.choice([Z, Q]), g, "fine")
+            maps.append(j_pi_embedding(r, psi, pi))
+    plane, line = (group_algebra(Q, FgGroup(n, ()), "fine") for n in (2, 1))
+    merge = GroupHom(plane.egroup, line.egroup, ((1, 1),))
+    return maps + [RingMap(plane, line, merge)]
+
+
+def test_ring_map_apply_matches_the_per_term_oracle():
+    """RingMap.apply sends coordinate tuples through the matrix; it
+    builds the element the per-term route builds, terms in the same
+    order with the same coefficient types, merged terms summed and
+    cancelled ones dropped."""
+    rng = random.Random(3451)
+    maps = fitting_ring_maps()
+    for k in range(1500):
+        m = maps[k % len(maps)]
+        x = sample_element(rng, m.domain)
+        got, want = m.apply(x), ring_map_by_terms(m, x)
+        assert got.parent == want.parent
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert [type(c) for c in got.terms.values()] == [
+            type(c) for c in want.terms.values()]
+    plane = maps[-1].domain
+    assert maps[-1].apply(e(plane, 1, 0) - e(plane, 0, 1)).is_zero
+
+
+def test_misfit_ring_maps_fail_as_the_per_term_oracle():
+    """A map whose exponent map misses its rings, or whose bases differ,
+    goes term by term: the same value, or the same error and message."""
+    zl, ql = (group_algebra(b, FgGroup(1, ()), "fine") for b in (Z, Q))
+    plane = group_algebra(Q, FgGroup(2, ()), "fine")
+    line = identity_hom(zl.egroup)
+    cases = [(RingMap(ql, plane, identity_hom(plane.egroup)), e(ql, 1)),
+             (RingMap(ql, plane, line), e(ql, 1)),
+             (RingMap(ql, zl, line), e(ql, 1, c=Rational(1, 2))),
+             (RingMap(ql, zl, line), e(ql, 1, c=Rational(4, 2))),
+             (RingMap(zl, ql, line), e(zl, 1, c=3) - e(zl, 0)),
+             (RingMap(ql, plane, None), e(ql, 1)),
+             (RingMap(ql, plane, None), Element.zero(ql)),
+             (RingMap(ql, "a ring", line), e(ql, 1)),
+             (RingMap(ql, ql, line), e(zl, 1))]
+
+    def outcome(run, m, x):
+        try:
+            y = run(m, x)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return y.parent, [(f, c, type(c)) for f, c in y.terms.items()]
+
+    for m, x in cases:
+        assert outcome(RingMap.apply, m, x) == outcome(ring_map_by_terms, m, x)
+
+
+def test_lem50_maps_apply_no_group_hom(monkeypatch):
+    """Both maps of a lem50_iso pair fit their rings, so neither sends a
+    term through GroupHom.apply."""
+    rng = random.Random(3452)
+    pairs = [lem50_iso(*free_summand_instance(seed)) for seed in range(6)]
+    xs = [(pair, sample_element(rng, pair.coarse),
+           sample_element(rng, pair.target)) for pair in pairs for _ in range(5)]
+    applied = []
+    real = GroupHom.apply
+    monkeypatch.setattr(GroupHom, "apply",
+                        lambda h, x: applied.append(1) or real(h, x))
+    for pair, x, y in xs:
+        assert pair.p.apply(pair.q.apply(x)) == x
+        assert pair.q.apply(pair.p.apply(y)) == y
+    assert applied == []
+
+
+def test_lem50_builds_its_h_subgroup_once(monkeypatch):
+    """lem50_iso hands the subgroup H it built to the restriction that
+    needs it, so the F and H subgroups are the only two it generates."""
+    instances = [free_summand_instance(seed) for seed in range(8)]
+    calls = []
+    for mod in (closure, ringexpr):
+        real = mod.subgroup_generated_by
+        monkeypatch.setattr(mod, "subgroup_generated_by",
+                            lambda g, gens, real=real:
+                            calls.append(1) or real(g, gens))
+    for inst in instances:
+        del calls[:]
+        lem50_iso(*inst)
+        assert len(calls) == 2

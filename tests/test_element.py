@@ -71,7 +71,7 @@ from gradal.errors import (
     PreconditionViolatedError,
     ZeroElementError,
 )
-from gradal.harness import report_json, run_check
+from gradal.harness import _TORSION_CHAINS, report_json, run_check
 from gradal.ringexpr import (
     BaseQ,
     BaseZ,
@@ -421,6 +421,28 @@ def test_degree_of_errors():
         degree_of(Element.zero(QZ))
     with pytest.raises(NotHomogeneousError):
         degree_of(e(QZ, 0) + e(QZ, 1))
+
+
+def test_reparent_from_z_into_q_widens_every_coefficient():
+    """Z into Q builds the Q element unchecked, one Fraction per term;
+    it equals Element(nf, terms), term for term and type for type, over
+    every torsion chain the harness draws, at ranks 0 to 2.  Q into Z
+    stays checked and refuses a coefficient that is not an integer."""
+    rng = random.Random(3434)
+    pairs = [(zr, _over_base(zr, "Q")) for zr in
+             (group_algebra(Z, FgGroup(rank, t), "fine")
+              for rank in range(3) for t in _TORSION_CHAINS)]
+    for k in range(600):
+        zr, qr = pairs[k % len(pairs)]
+        x = random_element(rng, zr)
+        got, want = reparent(x, qr), Element(qr, dict(x.terms))
+        assert got.parent is qr
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Rational for c in got.terms.values())
+        assert reparent(got, zr) == x
+    half = Element(QZ, {QZ.egroup.element((1,)): Rational(1, 2)})
+    with pytest.raises(GradalError, match=r"^coefficient 1/2 is not an"):
+        reparent(half, _over_base(QZ, "Z"))
 
 
 def test_reparent():

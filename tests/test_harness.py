@@ -1,6 +1,7 @@
 """Randomized re-verification harness: determinism, accounting, payloads."""
 
 import hashlib
+import importlib
 import json
 import pathlib
 import random
@@ -169,6 +170,34 @@ def test_profile_miss_is_internal(monkeypatch):
     monkeypatch.setattr(harness, "_profile_ok", lambda nf, psi, profile: False)
     with pytest.raises(InternalInvariantError):
         generate_instance(5, "torsion-kernel")
+
+
+@pytest.mark.parametrize("cid", ["P90", "LEM50"])
+def test_each_trial_computes_the_kernel_of_psi_once(monkeypatch, cid):
+    """The instance's profile check and the trial read one kernel of the
+    psi the instance draws (a psi built later, equal or not, is another
+    question, asked on its own object)."""
+    drawn, args = [], []
+    build = harness._build_profile
+
+    def recorded(rng, profile):
+        nf, psi = build(rng, profile)
+        drawn.append(psi)
+        return nf, psi
+
+    monkeypatch.setattr(harness, "_build_profile", recorded)
+    for name in ("abelian", "ringexpr", "element", "closure", "harness"):
+        mod = importlib.import_module(f"gradal.{name}")
+        real = mod.hom_kernel
+        monkeypatch.setattr(mod, "hom_kernel", lambda h, real=real:
+                            args.append(h) or real(h))
+    for trial in range(8):
+        del drawn[:], args[:]
+        tseed = harness._trial_seed(2024, trial)
+        verdict, _ = harness._CHECKS[cid](trial, tseed,
+                                          dict(harness.DEFAULT_BOUNDS))
+        assert verdict == "pass"
+        assert sum(h is drawn[0] for h in args) == 1
 
 
 def test_every_report_matches_its_golden():
